@@ -8,11 +8,14 @@ Submodules:
 - `gauss`: the Brownian-sheet case; exact simulation, densities, crossings.
 - `jumpsim`: compound-Poisson sheets, cancelling-jump event paths, bridges.
 - `stationary`: exponential-path stationary laws and OU-type discrimination.
+
+Not imported by `import levysheet`, since they load scipy; import them by name:
+
 - `verify`: Monte Carlo verification harness (empirical CFs, chi^2, KS).
 - `suites`: the named verification suites behind `levysheet verify`.
 """
 
-from . import exponent, fdd, gauss, jumpsim, paths, stationary, suites, verify
+from . import exponent, fdd, gauss, jumpsim, paths, stationary
 from .exponent import (
     LevyTriplet,
     brownian,

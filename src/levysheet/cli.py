@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import fdd, gauss, jumpsim, stationary, suites, verify
-from .exponent import triplet_from_dict
+from . import fdd, gauss, jumpsim, stationary, suites
+from .exponent import TwoPoint, triplet_from_dict
 from .paths import classify, equivalent, path_from_dict
 
 __all__ = ["main", "build_parser"]
@@ -133,9 +133,8 @@ def _cmd_simulate(args) -> int:
         if triplet.jumps is None:
             raise ValueError("triplet field 'jumps' is required for --law cpp")
         path = _load_path(args.path)
-        rate, dist = triplet.jumps.rate_and_dist()
         region = jumpsim.RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
-        field = jumpsim.simulate_cpp_sheet(rate, dist, region, rng)
+        field = jumpsim.simulate_cpp_sheet(triplet.jumps.rate, triplet.jumps.dist, region, rng)
         events = jumpsim.restrict_to_path(field, path)
         if args.format == "csv":
             _emit(events.to_csv(), args.out)
@@ -167,24 +166,15 @@ def _cmd_experiment(args) -> int:
     if args.kind == "zerocross":
         law = gauss.GaussPathLaw(_load_path(args.path))
         analytic = gauss.zero_prob(law, args.s, args.t)
-        grid = np.linspace(args.s, args.t, args.grid_points)
-        crossed = 0
-        done = 0
-        while done < args.n:
-            take = min(2500, args.n - done)
-            vals = gauss.simulate_paths(law, grid, rng, n_paths=take)[:, :, 0]
-            signs = np.signbit(vals)
-            crossed += int(np.sum(np.any(signs[:, 1:] != signs[:, :-1], axis=1)))
-            done += take
-        out = {"analytic": analytic, "empirical": crossed / done, "n": done,
+        empirical = gauss.zero_crossing_frequency(law, args.s, args.t, args.n,
+                                                  args.grid_points, rng)
+        out = {"analytic": analytic, "empirical": empirical, "n": args.n,
                "grid_points": args.grid_points}
         if args.z is not None:
             out["conditional"] = gauss.zero_prob_conditional(law, args.s, args.t, args.z)
         _emit_json(out, args.out)
         return 0
     if args.kind == "bridge":
-        from .exponent import TwoPoint
-
         dist = TwoPoint(1.0)
         grid = _grid(args)
         inner = grid[(grid > 0) & (grid < args.l)]
@@ -197,8 +187,6 @@ def _cmd_experiment(args) -> int:
                     "n": args.n, "rate": args.rate}, args.out)
         return 0
     # rwbridge
-    from .exponent import TwoPoint
-
     dist = TwoPoint(1.0)
     pairs = np.empty((args.n, 2))
     for i in range(args.n):

@@ -7,15 +7,16 @@ measure.  The exponent
     psi(z) = i<gamma, z> - <z, A z>/2
              + integral( exp(i<z, x>) - 1 - i<z, x> 1{|x| <= 1} ) nu(dx)
 
-is evaluated in closed form: as an exact atom sum for discrete measures, or
-through the jump distribution's characteristic function for scaled measures.
-Only finite total mass is supported; infinite-activity measures are rejected
-at construction.
+is evaluated in closed form.  Every jump measure is a rate times a named
+jump distribution, nu = rate * F, so the integral is rate * (cf_F(z) - 1)
+minus the truncated-mean term; finitely many atoms are the `Categorical`
+law.  Only finite total mass is supported; infinite-activity measures are
+rejected at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "UniformJumps",
     "GaussianJumps",
     "Categorical",
-    "DiscreteJumps",
     "ScaledJumps",
     "LevyTriplet",
     "eval_psi",
@@ -58,107 +58,6 @@ def _as_vector(v, name="vector"):
 # Named jump distributions.  Each carries a closed-form characteristic
 # function, a sampler, and the truncated first moment needed by the exponent.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointMass:
-    """Every jump equals the fixed nonzero vector `point`."""
-
-    point: np.ndarray
-    name: ClassVar[str] = "point_mass"
-    has_finite_mean: ClassVar[bool] = True
-
-    def __post_init__(self):
-        p = _as_vector(self.point, "point")
-        if np.linalg.norm(p) == 0.0:
-            raise ValueError("jump distribution may not put mass at 0")
-        object.__setattr__(self, "point", p)
-
-    @property
-    def dim(self) -> int:
-        return self.point.size
-
-    def cf(self, z) -> complex:
-        return complex(np.exp(1j * float(np.dot(z, self.point))))
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        return np.tile(self.point, (size, 1))
-
-    @property
-    def truncated_mean(self) -> np.ndarray:
-        return self.point if np.linalg.norm(self.point) <= 1.0 else np.zeros_like(self.point)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.point
-
-    @property
-    def abs_second_moment(self) -> float:
-        return float(np.dot(self.point, self.point))
-
-    @property
-    def is_symmetric(self) -> bool:
-        return False
-
-    def negated(self) -> "PointMass":
-        return PointMass(-self.point)
-
-    def symmetrized(self) -> "TwoPoint":
-        return TwoPoint(self.point)
-
-    def params(self) -> dict:
-        return {"point": self.point.tolist()}
-
-
-@dataclass(frozen=True)
-class TwoPoint:
-    """Jumps +/- `point`, each with probability one half."""
-
-    point: np.ndarray
-    name: ClassVar[str] = "two_point"
-    has_finite_mean: ClassVar[bool] = True
-
-    def __post_init__(self):
-        p = _as_vector(self.point, "point")
-        if np.linalg.norm(p) == 0.0:
-            raise ValueError("jump distribution may not put mass at 0")
-        object.__setattr__(self, "point", p)
-
-    @property
-    def dim(self) -> int:
-        return self.point.size
-
-    def cf(self, z) -> complex:
-        return complex(np.cos(float(np.dot(z, self.point))))
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        signs = rng.choice([-1.0, 1.0], size=size)
-        return signs[:, None] * self.point
-
-    @property
-    def truncated_mean(self) -> np.ndarray:
-        return np.zeros_like(self.point)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros_like(self.point)
-
-    @property
-    def abs_second_moment(self) -> float:
-        return float(np.dot(self.point, self.point))
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def negated(self) -> "TwoPoint":
-        return self
-
-    def symmetrized(self) -> "TwoPoint":
-        return self
-
-    def params(self) -> dict:
-        return {"point": self.point.tolist()}
-
 
 @dataclass(frozen=True)
 class UniformJumps:
@@ -263,10 +162,18 @@ class GaussianJumps:
 
 @dataclass(frozen=True)
 class Categorical:
-    """Finitely supported jump distribution with given atoms and weights."""
+    """Finitely supported jump distribution with given atoms and weights.
+
+    Weights are normalized to probabilities on input; weights that already
+    sum to 1 up to rounding are kept bit for bit, so a law read back from its
+    own params is the same law.  Sampling inverts the cumulative weights on
+    uniform draws, which is the draw numpy's `Generator.choice(k, p=probs)`
+    makes.
+    """
 
     points: np.ndarray  # (k, d)
     probs: np.ndarray  # (k,)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
     name: ClassVar[str] = "categorical"
     has_finite_mean: ClassVar[bool] = True
 
@@ -281,9 +188,13 @@ class Categorical:
             raise ValueError("probs must be positive")
         if np.any(np.linalg.norm(pts, axis=1) == 0.0):
             raise ValueError("jump distribution may not put mass at 0")
-        pr = pr / pr.sum()
+        total = pr.sum()
+        if abs(total - 1.0) > 4 * pr.size * np.finfo(float).eps:
+            pr = pr / total
+        cdf = np.cumsum(pr)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
 
     @property
     def dim(self) -> int:
@@ -294,8 +205,9 @@ class Categorical:
         return complex(np.sum(self.probs * np.exp(1j * self.points @ zz)))
 
     def sample(self, rng, size: int) -> np.ndarray:
-        idx = rng.choice(self.points.shape[0], size=size, p=self.probs)
-        return self.points[idx]
+        if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
+            return np.repeat(self.points, size, axis=0)
+        return self.points[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
     @property
     def truncated_mean(self) -> np.ndarray:
@@ -310,22 +222,42 @@ class Categorical:
     def abs_second_moment(self) -> float:
         return float(np.sum(self.probs * np.sum(self.points ** 2, axis=1)))
 
+    def _merged(self, sign: float = 1.0):
+        """Atoms of the law (sign -1: of its reflection) with coincident atoms
+        merged, in lexicographic order."""
+        pts, inv = np.unique(sign * self.points, axis=0, return_inverse=True)
+        return pts, np.bincount(inv.ravel(), weights=self.probs, minlength=len(pts))
+
     @property
     def is_symmetric(self) -> bool:
-        return _atoms_match(self.points, self.probs, -self.points, self.probs)
+        pts, pr = self._merged()
+        neg, neg_pr = self._merged(-1.0)
+        return (pts.shape == neg.shape
+                and np.allclose(pts, neg, rtol=0.0, atol=SYMMETRY_TOL)
+                and np.allclose(pr, neg_pr, rtol=0.0, atol=SYMMETRY_TOL))
 
     def negated(self) -> "Categorical":
         return Categorical(-self.points, self.probs)
 
     def symmetrized(self) -> "Categorical":
-        pts, wts = _merge_atoms(
-            np.vstack([self.points, -self.points]),
-            np.concatenate([self.probs / 2.0, self.probs / 2.0]),
-        )
-        return Categorical(pts, wts)
+        both = Categorical(np.vstack([self.points, -self.points]),
+                           np.concatenate([self.probs, self.probs]) / 2.0)
+        return Categorical(*both._merged())
 
     def params(self) -> dict:
         return {"points": self.points.tolist(), "probs": self.probs.tolist()}
+
+
+# PointMass and TwoPoint keep the names of the classes they replace.
+def PointMass(point) -> Categorical:
+    """Every jump equals the fixed nonzero vector `point`."""
+    return Categorical(_as_vector(point, "point")[None, :], [1.0])
+
+
+def TwoPoint(point) -> Categorical:
+    """Jumps +/- `point`, each with probability one half."""
+    p = _as_vector(point, "point")
+    return Categorical(np.vstack([p, -p]), [0.5, 0.5])
 
 
 _DIST_REGISTRY = {
@@ -350,129 +282,9 @@ def dist_from_dict(spec: dict):
     return _DIST_REGISTRY[name](spec.get("params", {}))
 
 
-def _merge_atoms(points, masses):
-    """Merge coincident atoms, keeping first-seen order."""
-    out_pts: list[np.ndarray] = []
-    out_ms: list[float] = []
-    for pt, m in zip(points, masses):
-        for i, q in enumerate(out_pts):
-            if np.array_equal(pt, q):
-                out_ms[i] += m
-                break
-        else:
-            out_pts.append(pt)
-            out_ms.append(float(m))
-    return np.array(out_pts), np.array(out_ms)
-
-
-def _atoms_match(points_a, mass_a, points_b, mass_b, tol=SYMMETRY_TOL):
-    """True if the two atom collections define the same measure within tol."""
-    pa, ma = _merge_atoms(points_a, mass_a)
-    pb, mb = _merge_atoms(points_b, mass_b)
-    if pa.shape != pb.shape:
-        return False
-    used = np.zeros(len(pb), dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(ma), initial=0.0)))
-    for pt, m in zip(pa, ma):
-        found = False
-        for j in range(len(pb)):
-            if used[j]:
-                continue
-            if np.allclose(pt, pb[j], rtol=0.0, atol=tol) and abs(m - mb[j]) <= tol * scale:
-                used[j] = True
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Finite-activity jump measures
+# Finite-activity jump measure
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteJumps:
-    """Jump measure with finitely many atoms: nu = sum_k mass_k * delta_{x_k}."""
-
-    points: np.ndarray  # (k, d)
-    masses: np.ndarray  # (k,)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        ms = np.asarray(self.masses, dtype=float)
-        if pts.shape[0] != ms.size:
-            raise ValueError("points and masses must have matching lengths")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(ms)):
-            raise ValueError("atoms must be finite")
-        if np.any(ms <= 0):
-            raise ValueError("atom masses must be positive")
-        if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) == 0.0):
-            raise ValueError("jump measure may not put mass at 0")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "masses", ms)
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "DiscreteJumps":
-        """Build from an iterable of (point, mass) pairs."""
-        pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in atoms]
-        ms = [float(m) for _, m in atoms]
-        if not pts:
-            raise ValueError("at least one atom required; use jumps=None for no jumps")
-        return cls(np.array(pts), np.array(ms))
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def total_rate(self) -> float:
-        return float(self.masses.sum())
-
-    def psi_jump(self, z: np.ndarray) -> complex:
-        phase = self.points @ z
-        inside = np.linalg.norm(self.points, axis=1) <= 1.0
-        terms = np.exp(1j * phase) - 1.0 - 1j * phase * inside
-        return complex(np.sum(self.masses * terms))
-
-    @property
-    def truncated_first_moment(self) -> np.ndarray:
-        inside = np.linalg.norm(self.points, axis=1) <= 1.0
-        return (self.masses[:, None] * self.points * inside[:, None]).sum(axis=0)
-
-    @property
-    def first_moment(self) -> np.ndarray:
-        return (self.masses[:, None] * self.points).sum(axis=0)
-
-    @property
-    def abs_second_moment(self) -> float:
-        return float(np.sum(self.masses * np.sum(self.points ** 2, axis=1)))
-
-    def is_symmetric(self, tol=SYMMETRY_TOL) -> bool:
-        return _atoms_match(self.points, self.masses, -self.points, self.masses, tol)
-
-    def dual(self) -> "DiscreteJumps":
-        return DiscreteJumps(-self.points, self.masses)
-
-    def plus_dual(self) -> "DiscreteJumps":
-        pts, ms = _merge_atoms(
-            np.vstack([self.points, -self.points]),
-            np.concatenate([self.masses, self.masses]),
-        )
-        return DiscreteJumps(pts, ms)
-
-    def rate_and_dist(self) -> tuple[float, Categorical]:
-        return self.total_rate, Categorical(self.points, self.masses / self.total_rate)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "discrete",
-            "atoms": [
-                {"x": x.tolist(), "mass": float(m)}
-                for x, m in zip(self.points, self.masses)
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ScaledJumps:
@@ -480,6 +292,8 @@ class ScaledJumps:
 
     rate: float
     dist: object
+    # rate * F's truncated mean, read by every psi evaluation
+    truncated_first_moment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.rate) and self.rate > 0):
@@ -488,22 +302,16 @@ class ScaledJumps:
             raise TypeError("scaled jump measure needs a distribution with an evaluable cf")
         if not getattr(self.dist, "has_finite_mean", False):
             raise ValueError("scaled jump measure needs a declared finite-mean distribution")
+        object.__setattr__(self, "truncated_first_moment",
+                           self.rate * self.dist.truncated_mean)
 
     @property
     def dim(self) -> int:
         return self.dist.dim
 
-    @property
-    def total_rate(self) -> float:
-        return self.rate
-
     def psi_jump(self, z: np.ndarray) -> complex:
-        trunc = self.rate * self.dist.truncated_mean
-        return self.rate * (self.dist.cf(z) - 1.0) - 1j * float(np.dot(z, trunc))
-
-    @property
-    def truncated_first_moment(self) -> np.ndarray:
-        return self.rate * self.dist.truncated_mean
+        return (self.rate * (self.dist.cf(z) - 1.0)
+                - 1j * float(np.dot(z, self.truncated_first_moment)))
 
     @property
     def first_moment(self) -> np.ndarray:
@@ -523,9 +331,6 @@ class ScaledJumps:
         # nu + dual(nu) = 2*rate * (F + dual(F))/2
         return ScaledJumps(2.0 * self.rate, self.dist.symmetrized())
 
-    def rate_and_dist(self):
-        return self.rate, self.dist
-
     def to_dict(self) -> dict:
         return {
             "kind": "scaled",
@@ -536,8 +341,8 @@ class ScaledJumps:
 
 def _jumps_from_dict(spec: dict):
     kind = spec.get("kind")
-    if kind == "discrete":
-        return DiscreteJumps.from_atoms([(a["x"], a["mass"]) for a in spec["atoms"]])
+    if kind == "discrete":  # the atom list of earlier versions
+        return cpp_from_atoms([(a["x"], a["mass"]) for a in spec["atoms"]]).jumps
     if kind == "scaled":
         return ScaledJumps(float(spec["rate"]), dist_from_dict(spec["dist"]))
     raise ValueError(f"unknown jump measure kind {kind!r}")
@@ -557,7 +362,7 @@ class LevyTriplet:
 
     gamma: np.ndarray
     gaussian: np.ndarray
-    jumps: DiscreteJumps | ScaledJumps | None = None
+    jumps: ScaledJumps | None = None
 
     def __post_init__(self):
         g = _as_vector(self.gamma, "gamma")
@@ -670,10 +475,15 @@ def cpp(rate: float, dist, drift=0.0) -> LevyTriplet:
 
 
 def cpp_from_atoms(atoms, drift=0.0) -> LevyTriplet:
-    """Compound-Poisson triplet from (point, mass) atoms of the jump measure."""
-    jumps = DiscreteJumps.from_atoms(atoms)
-    g = np.broadcast_to(np.atleast_1d(np.asarray(drift, dtype=float)), (jumps.dim,)).copy()
-    return LevyTriplet(g + jumps.truncated_first_moment, np.zeros((jumps.dim, jumps.dim)), jumps)
+    """Compound-Poisson triplet from (point, mass) atoms of the jump measure.
+
+    nu = sum_k mass_k delta_{x_k} is the total mass times a Categorical law.
+    """
+    points = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in atoms]
+    masses = [float(m) for _, m in atoms]
+    if not points:
+        raise ValueError("at least one atom required; use jumps=None for no jumps")
+    return cpp(sum(masses), Categorical(np.array(points), masses), drift)
 
 
 # ---------------------------------------------------------------------------

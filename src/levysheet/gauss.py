@@ -20,13 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .paths import (
     DecreasingPath,
     ExponentialPath,
     LinearPath,
     TabulatedPath,
+    _fit_affine,
+    _fit_exponential,
 )
 
 __all__ = [
@@ -40,11 +41,13 @@ __all__ = [
     "transition_density",
     "zero_prob_conditional",
     "zero_prob",
+    "zero_crossing_frequency",
     "identify_bridge",
     "identify_ou",
 ]
 
 REPRESENTATIONS = ("auto", "bm_ratio", "bm_ratio_swapped", "bm_pinned", "bm_pinned_swapped")
+_CROSSING_BATCH = 2500  # paths per simulate_paths call in zero_crossing_frequency
 
 
 @dataclass(frozen=True)
@@ -267,22 +270,47 @@ def zero_prob_conditional(law: GaussPathLaw, s: float, t: float, z: float) -> fl
         return 0.0
     _, ys = law.path.eval(s)
     a = abs(z / ys) / math.sqrt(gap)
-    return float(erfc(a / math.sqrt(2.0)))
+    return math.erfc(a / math.sqrt(2.0))
 
 
 def zero_prob(law: GaussPathLaw, s: float, t: float) -> float:
-    """Unconditional P(at least one zero in (s, t)): (2/pi) arccos sqrt(r(s)/r(t))."""
+    """Unconditional P(at least one zero in (s, t)): (2/pi) arccos sqrt(r(s)/r(t)).
+
+    When y(t) = 0 the process is pinned to zero at t and the value is the
+    r(t) -> infinity limit, 1.
+    """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
     if t < s:
         raise ValueError("needs s <= t")
     if s == t:
         return 0.0
+    if float(law.path.y(t)) == 0.0:
+        return 1.0
     rs, rt = law.ratio(s), law.ratio(t)
     if rt <= 0:
         raise ValueError("zero_prob requires x(t) > 0")
     ratio = min(max(rs / rt, 0.0), 1.0)
     return (2.0 / math.pi) * math.acos(math.sqrt(ratio))
+
+
+def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
+                            grid_points: int, rng) -> float:
+    """Share of n_paths exact draws whose sign changes between neighbouring
+    points of the even grid of grid_points times over [s, t].
+
+    A grid estimate of zero_prob(law, s, t), biased low by crossings that
+    happen between grid points.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    grid = np.linspace(s, t, grid_points)
+    crossed = 0
+    for done in range(0, n_paths, _CROSSING_BATCH):
+        take = min(_CROSSING_BATCH, n_paths - done)
+        signs = np.signbit(simulate_paths(law, grid, rng, n_paths=take)[:, :, 0])
+        crossed += int(np.sum(np.any(signs[:, 1:] != signs[:, :-1], axis=1)))
+    return crossed / n_paths
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +340,7 @@ def identify_bridge(path: DecreasingPath, tol: float = 1e-9):
         if p <= 0:
             return None
         w = ys * p  # should be 1 - t/l
-        slope = float(np.polynomial.polynomial.polyfit(ts, w, 1)[1])
+        _, slope, _ = _fit_affine(ts, w)
         if slope >= 0:
             return None
         l = -1.0 / slope
@@ -332,28 +360,8 @@ def identify_ou(path: DecreasingPath, tol: float = 1e-9):
     if isinstance(path, ExponentialPath):
         return (path.a, path.b, path.c)
     if isinstance(path, TabulatedPath):
-        ts, xs, ys = path.times, path.xs, path.ys
-        if np.any(xs <= 0) or np.any(ys <= 0):
+        fit = _fit_exponential(path.times, path.xs, path.ys)
+        if fit is None or fit[3] > tol:
             return None
-        _, cx, _ = _affine(ts, np.log(xs))
-        _, cy, _ = _affine(ts, np.log(ys))
-        if cx <= 0 or cy >= 0:
-            return None
-        c = 0.5 * (cx - cy)
-        a = float(np.exp(np.mean(np.log(xs) - c * ts)))
-        b = float(np.exp(np.mean(np.log(ys) + c * ts)))
-        resid = max(
-            float(np.max(np.abs(xs - a * np.exp(c * ts)))),
-            float(np.max(np.abs(ys - b * np.exp(-c * ts)))),
-        )
-        scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-        if resid > tol * scale:
-            return None
-        return (a, b, c)
+        return fit[:3]
     return None
-
-
-def _affine(ts, vals):
-    coef = np.polynomial.polynomial.polyfit(ts, vals, 1)
-    resid = vals - (coef[0] + coef[1] * ts)
-    return float(coef[0]), float(coef[1]), float(np.max(np.abs(resid)))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
 
 CLOSED_FORM_TOL = 1e-9
 TABULATED_TOL = 1e-6
-_BISECT_ATOL = 1e-12
 _PROBE_COUNT = 33
 
 
@@ -87,42 +86,9 @@ class DecreasingPath:
         return self.t_hi - self.t_lo
 
     # -- sweep inverses (used when restricting jump fields to the path) -----
-
-    def first_time_x_at_least(self, u: float):
-        """inf{t: x(t) >= u}, or None when x never reaches u."""
-        if u <= float(self.x(self.t_lo)):
-            return self.t_lo
-        if u > float(self.x(self.t_hi)):
-            return None
-        return self._bisect_first(lambda t: float(self.x(t)) >= u)
-
-    def last_time_y_at_least(self, v: float):
-        """sup{t: y(t) >= v}, or None when y starts below v."""
-        if v > float(self.y(self.t_lo)):
-            return None
-        if v <= float(self.y(self.t_hi)):
-            return self.t_hi
-        return self._bisect_last(lambda t: float(self.y(t)) >= v)
-
-    def _bisect_first(self, pred: Callable[[float], bool]) -> float:
-        lo, hi = self.t_lo, self.t_hi  # pred false at lo, true at hi
-        while hi - lo > _BISECT_ATOL:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def _bisect_last(self, pred: Callable[[float], bool]) -> float:
-        lo, hi = self.t_lo, self.t_hi  # pred true at lo, false at hi
-        while hi - lo > _BISECT_ATOL:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    # Each form implements exactly, with no iteration,
+    #   first_time_x_at_least(u): inf{t: x(t) >= u}, or None when x never reaches u;
+    #   last_time_y_at_least(v):  sup{t: y(t) >= v}, or None when y starts below v.
 
     # -- construction checks -------------------------------------------------
 
@@ -132,9 +98,14 @@ class DecreasingPath:
         if not self.t_hi > self.t_lo:
             raise ValueError("domain must satisfy t_lo < t_hi")
 
-    def _validate_probes(self):
-        """Monotonicity / positivity / non-constancy checks on a probe grid."""
+    def _validate_probes(self, knots=None):
+        """Monotonicity / positivity / non-constancy checks on a probe grid.
+
+        A piecewise-linear path passes its knots, where alone it can turn.
+        """
         ts = np.linspace(self.t_lo, self.t_hi, _PROBE_COUNT)
+        if knots is not None:
+            ts = np.union1d(ts, knots)
         xs, ys = self._x(ts), self._y(ts)
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("path values must be finite")
@@ -275,42 +246,38 @@ class VThenHPath(DecreasingPath):
 
 @dataclass(frozen=True)
 class HorizontalPath(DecreasingPath):
-    """Constant level y with a nondecreasing x(t); affine x when coefficients given."""
+    """Constant level y with x = x_intercept + x_slope t, x_slope > 0."""
 
     y_const: float
-    x_func: Callable[[np.ndarray], np.ndarray]
+    x_intercept: float
+    x_slope: float
     t_lo: float
     t_hi: float
-    x_affine: tuple[float, float] | None = None  # (intercept, slope)
 
     def __post_init__(self):
         self._validate_domain()
         if not self.y_const > 0:
             raise ValueError("horizontal path needs a positive level")
+        if not self.x_slope > 0:
+            raise ValueError("affine horizontal path needs a positive slope")
         self._validate_probes()
 
     @classmethod
     def affine(cls, intercept: float, slope: float, y_const: float, t_lo: float, t_hi: float):
-        if not slope > 0:
-            raise ValueError("affine horizontal path needs a positive slope")
-        return cls(y_const, lambda t: intercept + slope * np.asarray(t, dtype=float),
-                   t_lo, t_hi, x_affine=(intercept, slope))
+        return cls(y_const, intercept, slope, t_lo, t_hi)
 
     def _x(self, t):
-        return np.asarray(self.x_func(np.asarray(t, dtype=float)), dtype=float)
+        return self.x_intercept + self.x_slope * np.asarray(t, dtype=float)
 
     def _y(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.y_const)
 
     def first_time_x_at_least(self, u):
-        if self.x_affine is not None:
-            intercept, slope = self.x_affine
-            if u <= intercept + slope * self.t_lo:
-                return self.t_lo
-            if u > intercept + slope * self.t_hi:
-                return None
-            return (u - intercept) / slope
-        return super().first_time_x_at_least(u)
+        if u <= self.x_intercept + self.x_slope * self.t_lo:
+            return self.t_lo
+        if u > self.x_intercept + self.x_slope * self.t_hi:
+            return None
+        return (u - self.x_intercept) / self.x_slope
 
     def last_time_y_at_least(self, v):
         return self.t_hi if v <= self.y_const else None
@@ -318,54 +285,56 @@ class HorizontalPath(DecreasingPath):
 
 @dataclass(frozen=True)
 class VerticalPath(DecreasingPath):
-    """Constant level x with a nonincreasing y(t); affine y when coefficients given."""
+    """Constant level x with y = y_intercept - y_slope t, y_slope > 0."""
 
     x_const: float
-    y_func: Callable[[np.ndarray], np.ndarray]
+    y_intercept: float
+    y_slope: float
     t_lo: float
     t_hi: float
-    y_affine: tuple[float, float] | None = None  # (intercept, slope): y = b - c t
 
     def __post_init__(self):
         self._validate_domain()
         if not self.x_const > 0:
             raise ValueError("vertical path needs a positive level")
+        if not self.y_slope > 0:
+            raise ValueError("affine vertical path needs a positive decay slope")
         self._validate_probes()
 
     @classmethod
     def affine(cls, intercept: float, slope: float, x_const: float, t_lo: float, t_hi: float):
-        if not slope > 0:
-            raise ValueError("affine vertical path needs a positive decay slope")
-        return cls(x_const, lambda t: intercept - slope * np.asarray(t, dtype=float),
-                   t_lo, t_hi, y_affine=(intercept, slope))
+        return cls(x_const, intercept, slope, t_lo, t_hi)
 
     def _x(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.x_const)
 
     def _y(self, t):
-        return np.asarray(self.y_func(np.asarray(t, dtype=float)), dtype=float)
+        return self.y_intercept - self.y_slope * np.asarray(t, dtype=float)
 
     def first_time_x_at_least(self, u):
         return self.t_lo if u <= self.x_const else None
 
     def last_time_y_at_least(self, v):
-        if self.y_affine is not None:
-            intercept, slope = self.y_affine
-            if v > intercept - slope * self.t_lo:
-                return None
-            if v <= intercept - slope * self.t_hi:
-                return self.t_hi
-            return (intercept - v) / slope
-        return super().last_time_y_at_least(v)
+        if v > self.y_intercept - self.y_slope * self.t_lo:
+            return None
+        if v <= self.y_intercept - self.y_slope * self.t_hi:
+            return self.t_hi
+        return (self.y_intercept - v) / self.y_slope
 
 
 @dataclass(frozen=True)
 class TabulatedPath(DecreasingPath):
-    """Piecewise-linear path through strictly increasing knot times."""
+    """Piecewise-linear path through strictly increasing knot times.
+
+    The sweep inverses locate the knot segment with one binary search on the
+    monotone knot values and invert the linear piece there.  That piece is
+    never flat, so flat stretches of x or y need no special case.
+    """
 
     times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
+    _neg_ys: np.ndarray = field(init=False, repr=False, compare=False)  # nondecreasing
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
@@ -380,7 +349,8 @@ class TabulatedPath(DecreasingPath):
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        self._validate_probes()
+        object.__setattr__(self, "_neg_ys", -ys)
+        self._validate_probes(ts)
 
     @classmethod
     def from_knots(cls, knots) -> "TabulatedPath":
@@ -408,6 +378,24 @@ class TabulatedPath(DecreasingPath):
 
     def _y(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.ys)
+
+    def first_time_x_at_least(self, u):
+        ts, xs = self.times, self.xs
+        if u <= xs[0]:
+            return self.t_lo
+        if u > xs[-1]:
+            return None
+        k = int(np.searchsorted(xs, u))  # xs[k-1] < u <= xs[k]
+        return float(ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1]))
+
+    def last_time_y_at_least(self, v):
+        ts, ys = self.times, self.ys
+        if v > ys[0]:
+            return None
+        if v <= ys[-1]:
+            return self.t_hi
+        k = int(np.searchsorted(self._neg_ys, -v, side="right"))  # ys[k-1] >= v > ys[k]
+        return float(ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1]))
 
 
 @dataclass(frozen=True)
@@ -595,11 +583,13 @@ def _candidate_linear(ts, xs, ys, span, tol):
     return PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span)
 
 
-def _candidate_exponential(ts, xs, ys, span, tol):
+def _fit_exponential(ts, xs, ys):
+    """Log-linear fit (a, b, c) of x = a e^{ct}, y = b e^{-ct}, plus the max abs
+    residual over max(1, max |x|, max |y|); None for data no such curve fits."""
     if np.any(xs <= 0) or np.any(ys <= 0):
         return None
-    la, cx, _ = _fit_affine(ts, np.log(xs))
-    lb, cy, _ = _fit_affine(ts, np.log(ys))
+    _, cx, _ = _fit_affine(ts, np.log(xs))
+    _, cy, _ = _fit_affine(ts, np.log(ys))
     if cx <= 0 or cy >= 0:
         return None
     c = 0.5 * (cx - cy)
@@ -610,8 +600,14 @@ def _candidate_exponential(ts, xs, ys, span, tol):
         float(np.max(np.abs(ys - b * np.exp(-c * ts)))),
     )
     scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-    if resid > np.sqrt(tol) * scale:  # loose pre-filter; the functional equation decides
+    return a, b, c, resid / scale
+
+
+def _candidate_exponential(ts, xs, ys, span, tol):
+    fit = _fit_exponential(ts, xs, ys)
+    if fit is None or fit[3] > np.sqrt(tol):  # loose pre-filter; the functional equation decides
         return None
+    a, b, c, _ = fit
     return PathClass(PathTag.EXPONENTIAL, {"a": a, "b": b, "c": c}, span)
 
 
@@ -657,24 +653,11 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
                          {"s_star": path.s_star, "a": path.a, "b": path.b,
                           "c": path.c, "d": path.d}, span)
     if isinstance(path, HorizontalPath):
-        ts = np.linspace(path.t_lo, path.t_hi, _PROBE_COUNT)
-        if path.x_affine is not None:
-            b, c = path.x_affine
-        else:
-            b, c, resid = _fit_affine(ts, path.x(ts))
-            if c <= 0 or resid > tol * max(1.0, float(np.max(np.abs(path.x(ts))))):
-                return PathClass(PathTag.NON_STATIONARY, {}, span)
-        return PathClass(PathTag.HORIZONTAL, {"a": path.y_const, "b": b, "c": c}, span)
+        return PathClass(PathTag.HORIZONTAL,
+                         {"a": path.y_const, "b": path.x_intercept, "c": path.x_slope}, span)
     if isinstance(path, VerticalPath):
-        ts = np.linspace(path.t_lo, path.t_hi, _PROBE_COUNT)
-        if path.y_affine is not None:
-            b, c = path.y_affine
-        else:
-            b, negc, resid = _fit_affine(ts, path.y(ts))
-            c = -negc
-            if c <= 0 or resid > tol * max(1.0, float(np.max(np.abs(path.y(ts))))):
-                return PathClass(PathTag.NON_STATIONARY, {}, span)
-        return PathClass(PathTag.VERTICAL, {"a": path.x_const, "b": b, "c": c}, span)
+        return PathClass(PathTag.VERTICAL,
+                         {"a": path.x_const, "b": path.y_intercept, "c": path.y_slope}, span)
     raise TypeError(f"cannot classify object of type {type(path).__name__}")
 
 
@@ -717,18 +700,10 @@ def scaled(path: DecreasingPath, p: float) -> DecreasingPath:
         return VThenHPath(path.s_star, p * path.a, path.b / p, path.c / p,
                           p * path.d, path.t_lo, path.t_hi)
     if isinstance(path, HorizontalPath):
-        if path.x_affine is not None:
-            return HorizontalPath.affine(p * path.x_affine[0], p * path.x_affine[1],
-                                         path.y_const / p, path.t_lo, path.t_hi)
-        inner = path.x_func
-        return HorizontalPath(path.y_const / p, lambda t: p * np.asarray(inner(t), float),
+        return HorizontalPath(path.y_const / p, p * path.x_intercept, p * path.x_slope,
                               path.t_lo, path.t_hi)
     if isinstance(path, VerticalPath):
-        if path.y_affine is not None:
-            return VerticalPath.affine(path.y_affine[0] / p, path.y_affine[1] / p,
-                                       p * path.x_const, path.t_lo, path.t_hi)
-        inner = path.y_func
-        return VerticalPath(p * path.x_const, lambda t: np.asarray(inner(t), float) / p,
+        return VerticalPath(p * path.x_const, path.y_intercept / p, path.y_slope / p,
                             path.t_lo, path.t_hi)
     if isinstance(path, TabulatedPath):
         return TabulatedPath(path.times, p * path.xs, path.ys / p)
@@ -782,16 +757,12 @@ def path_to_dict(path: DecreasingPath) -> dict:
                 "b": path.b, "c": path.c, "d": path.d,
                 "t_lo": path.t_lo, "t_hi": path.t_hi}
     if isinstance(path, HorizontalPath):
-        if path.x_affine is None:
-            raise ValueError("only affine horizontal paths serialize to JSON")
         return {"form": "horizontal", "y": path.y_const,
-                "x_intercept": path.x_affine[0], "x_slope": path.x_affine[1],
+                "x_intercept": path.x_intercept, "x_slope": path.x_slope,
                 "t_lo": path.t_lo, "t_hi": path.t_hi}
     if isinstance(path, VerticalPath):
-        if path.y_affine is None:
-            raise ValueError("only affine vertical paths serialize to JSON")
         return {"form": "vertical", "x": path.x_const,
-                "y_intercept": path.y_affine[0], "y_slope": path.y_affine[1],
+                "y_intercept": path.y_intercept, "y_slope": path.y_slope,
                 "t_lo": path.t_lo, "t_hi": path.t_hi}
     if isinstance(path, TabulatedPath):
         knots = [[float(t), float(x), float(y)]

@@ -130,10 +130,10 @@ def simulate_stationary(law: StationaryLaw, grid, rng) -> gauss.SamplePathGrid:
         root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
         std = gauss.simulate_paths(gauss.GaussPathLaw(path, dim=d), ts, rng)[0]
         values += std @ root.T
-    if law.triplet.jumps is not None:
-        rate, dist = law.triplet.jumps.rate_and_dist()
+    jumps = law.triplet.jumps
+    if jumps is not None:
         region = jumpsim.RectRegion(law.a * math.exp(law.c * t_hi), law.b * math.exp(-law.c * 0.0))
-        field = jumpsim.simulate_cpp_sheet(rate, dist, region, rng)
+        field = jumpsim.simulate_cpp_sheet(jumps.rate, jumps.dist, region, rng)
         values += jumpsim.restrict_to_path(field, path).values(ts)
     return gauss.SamplePathGrid(ts, values)
 

@@ -226,17 +226,7 @@ def criterion_4(seed: int = DEFAULT_SEED, n_paths: int = 100_000, grid_points: i
     law = gauss.GaussPathLaw(path)
     s, t = 0.25, 0.75
     target = gauss.zero_prob(law, s, t)
-    grid = np.linspace(s, t, grid_points)
-    batch = 2500
-    crossed = 0
-    done = 0
-    while done < n_paths:
-        take = min(batch, n_paths - done)
-        vals = gauss.simulate_paths(law, grid, rng, n_paths=take)[:, :, 0]
-        signs = np.signbit(vals)
-        crossed += int(np.sum(np.any(signs[:, 1:] != signs[:, :-1], axis=1)))
-        done += take
-    freq = crossed / done
+    freq = gauss.zero_crossing_frequency(law, s, t, n_paths, grid_points, rng)
 
     z = 0.1
     closed = gauss.zero_prob_conditional(law, s, t, z)

@@ -3,9 +3,9 @@
 Law claims are checked against closed-form oracles through empirical
 characteristic functions with conservative k/sqrt(N) error bands (k = 4 by
 default, false-failure rate under 1e-4 per probe), least-squares regression
-for conditional-mean formulas, and standard chi-square / Kolmogorov-Smirnov
-tests at a fixed 0.001 significance.  Everything is deterministic given the
-seed recorded in the report.
+with robust standard errors for conditional-mean formulas, and standard
+chi-square / Kolmogorov-Smirnov tests at a fixed 0.001 significance.
+Everything is deterministic given the seed recorded in the report.
 """
 
 from __future__ import annotations
@@ -116,17 +116,24 @@ def cf_match(emp: EmpiricalCF, analytic: complex, k: float = 4.0,
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
+    """Least-squares line with heteroskedasticity-robust (HC0) standard errors.
+
+    Both estimates are linear in y, sum_i w_i y_i, so each HC0 variance is
+    sum_i w_i^2 e_i^2 over the residuals e_i.
+    """
     n = x.size
     xbar, ybar = x.mean(), y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
+    dx = x - xbar
+    sxx = float(np.sum(dx ** 2))
     if sxx == 0.0:
         raise ValueError("degenerate regressor")
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    slope = float(np.sum(dx * (y - ybar)) / sxx)
     intercept = ybar - slope * xbar
-    resid = y - intercept - slope * x
-    s2 = float(np.sum(resid ** 2) / max(n - 2, 1))
-    se_slope = math.sqrt(s2 / sxx)
-    se_intercept = math.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
+    resid2 = (y - intercept - slope * x) ** 2
+    w_slope = dx / sxx
+    w_intercept = 1.0 / n - xbar * w_slope
+    se_slope = math.sqrt(float(np.sum(w_slope ** 2 * resid2)))
+    se_intercept = math.sqrt(float(np.sum(w_intercept ** 2 * resid2)))
     return slope, intercept, se_slope, se_intercept
 
 
@@ -137,7 +144,9 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
 
     The slope must match y(t)/y(s) and the intercept (x(t)-x(s)) y(t) mean11,
     each within k standard errors (plus a tiny absolute floor for the
-    deterministic zero-residual case).
+    deterministic zero-residual case).  The standard errors are
+    heteroskedasticity-robust (HC0): for a jump sheet the conditional variance
+    of the value at t grows with the value at s.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:

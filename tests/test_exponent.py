@@ -39,8 +39,9 @@ class TestEvalPsi:
     def test_discrete_matches_bruteforce_sum(self):
         rng = np.random.default_rng(11)
         atoms = [(rng.normal(size=2), float(rng.uniform(0.1, 2.0))) for _ in range(5)]
-        triplet = ex.LevyTriplet(np.array([0.3, -0.2]), 0.1 * np.eye(2),
-                                 ex.DiscreteJumps.from_atoms(atoms))
+        masses = [m for _, m in atoms]
+        jumps = ex.ScaledJumps(sum(masses), ex.Categorical([x for x, _ in atoms], masses))
+        triplet = ex.LevyTriplet(np.array([0.3, -0.2]), 0.1 * np.eye(2), jumps)
         for _ in range(20):
             z = rng.normal(size=2)
             brute = 1j * np.dot(triplet.gamma, z) - 0.5 * z @ triplet.gaussian @ z
@@ -109,17 +110,19 @@ class TestPredicates:
 class TestSymmetrize:
     def test_single_atom_gains_mirror(self):
         sym = ex.symmetrize(one_atom_cpp())
-        assert sorted(sym.jumps.points[:, 0].tolist()) == [-1.0, 1.0]
-        assert np.allclose(sym.jumps.masses, [1.0, 1.0])
+        assert sorted(sym.jumps.dist.points[:, 0].tolist()) == [-1.0, 1.0]
+        assert np.allclose(sym.jumps.rate * sym.jumps.dist.probs, [1.0, 1.0])
 
     def test_symmetric_input_doubles_masses(self):
         sym = ex.symmetrize(symmetric_cpp())
-        assert np.allclose(sorted(sym.jumps.masses), [1.0, 1.0])
+        assert sym.jumps.dist.points.shape == (2, 1)  # coincident atoms merged
+        assert np.allclose(sorted(sym.jumps.rate * sym.jumps.dist.probs), [1.0, 1.0])
         assert ex.is_symmetric(sym)
 
     def test_scaled_point_mass_becomes_two_point(self):
         sym = ex.symmetrize(ex.cpp(1.5, ex.PointMass(0.7)))
-        assert isinstance(sym.jumps.dist, ex.TwoPoint)
+        assert sorted(sym.jumps.dist.points[:, 0].tolist()) == [-0.7, 0.7]
+        assert np.allclose(sym.jumps.dist.probs, [0.5, 0.5])
         assert sym.jumps.rate == pytest.approx(3.0)
 
     @given(st.floats(-8.0, 8.0))
@@ -143,13 +146,15 @@ class TestConstruction:
 
     def test_no_atom_at_zero(self):
         with pytest.raises(ValueError):
-            ex.DiscreteJumps.from_atoms([(0.0, 1.0)])
+            ex.cpp_from_atoms([(0.0, 1.0)])
         with pytest.raises(ValueError):
             ex.PointMass(0.0)
 
     def test_masses_positive(self):
         with pytest.raises(ValueError):
-            ex.DiscreteJumps.from_atoms([(1.0, -0.5)])
+            ex.cpp_from_atoms([(1.0, -0.5)])
+        with pytest.raises(ValueError):
+            ex.cpp_from_atoms([(1.0, 2.0), (-1.0, -0.5)])
 
     def test_scaled_needs_cf(self):
         class NoCF:
@@ -183,10 +188,11 @@ class TestConstruction:
 
 class TestSerialization:
     def test_round_trip_discrete(self):
-        trip = ex.cpp_from_atoms([(1.0, 2.0), (-0.5, 0.7)], drift=0.3)
-        spec = ex.triplet_to_dict(trip)
-        back = ex.triplet_from_dict(spec)
-        assert ex.triplet_to_dict(back) == spec
+        for atoms in ([(1.0, 2.0), (-0.5, 0.7)], [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)]):
+            trip = ex.cpp_from_atoms(atoms, drift=0.3)
+            spec = ex.triplet_to_dict(trip)
+            back = ex.triplet_from_dict(spec)
+            assert ex.triplet_to_dict(back) == spec
 
     def test_round_trip_scaled(self):
         for dist in (ex.PointMass([0.5, -0.5]), ex.TwoPoint(1.0),
@@ -197,11 +203,45 @@ class TestSerialization:
             back = ex.triplet_from_dict(spec)
             assert ex.triplet_to_dict(back) == spec
 
+    def test_old_atom_specs_load(self):
+        # earlier versions wrote atom measures as "discrete" lists and had
+        # "point_mass" / "two_point" laws; each exponent is the one those
+        # versions evaluated, an atom-by-atom sum
+        atoms = [(1.0, 2.0), (-0.5, 0.7), (1.5, 0.3)]
+        specs = [
+            ({"kind": "discrete", "atoms": [{"x": [x], "mass": m} for x, m in atoms]},
+             0.9, atoms),
+            ({"kind": "scaled", "rate": 1.5,
+              "dist": {"name": "point_mass", "params": {"point": [0.7]}}},
+             1.05, [(0.7, 1.5)]),
+            ({"kind": "scaled", "rate": 2.5,
+              "dist": {"name": "two_point", "params": {"point": [1.2]}}},
+             0.0, [(1.2, 1.25), (-1.2, 1.25)]),
+        ]
+        for jumps, gamma, atom_list in specs:
+            trip = ex.triplet_from_dict({"gamma": [gamma], "gaussian": [[0.0]], "jumps": jumps})
+            assert ex.triplet_to_dict(trip)["jumps"]["dist"]["name"] == "categorical"
+            for z in np.linspace(-6.0, 6.0, 41):
+                want = 1j * gamma * z + sum(
+                    m * (cmath.exp(1j * z * x) - 1.0 - 1j * z * x * (abs(x) <= 1.0))
+                    for x, m in atom_list)
+                assert abs(ex.eval_psi(trip, z) - want) <= 1e-14
+
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="gamma"):
             ex.triplet_from_dict({"gaussian": [[1.0]]})
         with pytest.raises(ValueError, match="name"):
             ex.dist_from_dict({"params": {}})
+
+    def test_categorical_draws(self):
+        dist = ex.Categorical([[1.0], [-2.0], [0.5]], [0.2, 0.5, 0.3])
+        idx = np.random.default_rng(14).choice(3, size=1000, p=dist.probs)
+        assert np.array_equal(dist.sample(np.random.default_rng(14), 1000), dist.points[idx])
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        draws = ex.PointMass([0.5, -0.5]).sample(rng, 3)
+        assert np.array_equal(draws, np.tile([0.5, -0.5], (3, 1)))
+        assert rng.bit_generator.state == state  # a one-atom law draws nothing
 
     def test_jump_samplers_match_declared_moments(self):
         rng = np.random.default_rng(13)

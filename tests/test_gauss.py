@@ -178,6 +178,13 @@ class TestZeroCrossing:
         assert gauss.zero_prob(law, 0.5, 0.5) == 0.0
         assert gauss.zero_prob(law, 1e-12, 0.9) == pytest.approx(1.0, abs=1e-5)
 
+    def test_unconditional_at_vanishing_y(self):
+        # the bridge is pinned to 0 at t = 1, where y(1) = 0 and r(t) -> infinity
+        law = bridge_law()
+        assert gauss.zero_prob(law, 0.25, 1.0) == 1.0
+        near = gauss.zero_prob(law, 0.25, 0.999999)
+        assert 0.999 < near < 1.0
+
 
 class TestIdentification:
     def test_bridge_standard(self):

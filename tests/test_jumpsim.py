@@ -73,6 +73,17 @@ class TestRestriction:
             want = jumpsim.rectangle_sum(field, float(path.x(t)), float(path.y(t)))
             assert np.array_equal(events.values([t])[0], want)
 
+    def test_brute_force_equality_exact_on_flat_stretches(self, flat_stretch_path):
+        rng = np.random.default_rng(55)
+        path = flat_stretch_path
+        region = jumpsim.RectRegion(float(path.x(1.0)) * 1.2, float(path.y(0.0)) * 1.2)
+        field = jumpsim.simulate_cpp_sheet(400.0, TwoPoint(1.0), region, rng)
+        events = jumpsim.restrict_to_path(field, path)
+        probes = np.concatenate([rng.uniform(0.0, 1.0, size=200), path.times])
+        for t in probes:
+            want = jumpsim.rectangle_sum(field, float(path.x(t)), float(path.y(t)))
+            assert np.array_equal(events.values([t])[0], want)
+
     def test_persistent_jumps_have_no_exit(self):
         # path ends at (1.5, 1): jumps below y=1 stay in the rectangle forever
         path = LinearPath(0.5, 1.0, 2.0, 1.0, 0.0, 1.0)

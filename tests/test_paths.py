@@ -87,7 +87,8 @@ class TestClassify:
         assert cls_v.phi(0.5) == pytest.approx(2.0 * 1.0 * 0.5)
 
     def test_non_affine_horizontal_is_nonstationary(self):
-        h = pth.HorizontalPath(1.0, lambda t: 0.5 + np.asarray(t) ** 2, 0.1, 1.0)
+        ts = np.linspace(0.1, 1.0, 33)
+        h = pth.TabulatedPath(ts, 0.5 + ts ** 2, np.full(ts.size, 1.0))
         assert pth.classify(h).tag is pth.PathTag.NON_STATIONARY
 
     def test_tabulated_quadratic_is_nonstationary(self):
@@ -211,6 +212,64 @@ class TestTwoPieceGuard:
     def test_down_then_down_rejected(self):
         with pytest.raises(TypeError):
             pth.check_two_piece_nonstationary(self.down(), self.down(), 1.2, 1.5)
+
+
+def _bisect_first_x(path, u):
+    """inf{t: x(t) >= u} by bisection to 1e-12 in t; the knot inverse's reference."""
+    if u <= float(path.x(path.t_lo)):
+        return path.t_lo
+    if u > float(path.x(path.t_hi)):
+        return None
+    lo, hi = path.t_lo, path.t_hi
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if float(path.x(mid)) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bisect_last_y(path, v):
+    """sup{t: y(t) >= v} by bisection to 1e-12 in t; the knot inverse's reference."""
+    if v > float(path.y(path.t_lo)):
+        return None
+    if v <= float(path.y(path.t_hi)):
+        return path.t_hi
+    lo, hi = path.t_lo, path.t_hi
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if float(path.y(mid)) >= v:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestTabulatedInverses:
+    def test_match_bisection(self, flat_stretch_path):
+        path = flat_stretch_path
+        rng = np.random.default_rng(24)
+        us = np.concatenate([path.xs, rng.uniform(path.xs[0] - 0.1, path.xs[-1] + 0.1, 1000)])
+        vs = np.concatenate([path.ys, rng.uniform(path.ys[-1] - 0.1, path.ys[0] + 0.1, 1000)])
+        for inverse, reference, probes in (
+                (path.first_time_x_at_least, _bisect_first_x, us),
+                (path.last_time_y_at_least, _bisect_last_y, vs)):
+            for w in probes:
+                got, want = inverse(float(w)), reference(path, float(w))
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert abs(got - want) <= 1e-12
+
+    def test_flat_stretches_invert_to_their_ends(self, flat_stretch_path):
+        path = flat_stretch_path
+        on_flat_x = np.flatnonzero(path.xs == path.xs[25])
+        on_flat_y = np.flatnonzero(path.ys == path.ys[45])
+        assert on_flat_x.size > 2 and on_flat_y.size > 2
+        assert path.first_time_x_at_least(path.xs[25]) == pytest.approx(
+            path.times[on_flat_x[0]], abs=1e-15)
+        assert path.last_time_y_at_least(path.ys[45]) == pytest.approx(
+            path.times[on_flat_y[-1]], abs=1e-15)
 
 
 class TestSerialization:

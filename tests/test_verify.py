@@ -80,6 +80,28 @@ class TestRegression:
         report = verify.conditional_mean_regression(pairs, path, 0.2, 0.5, 0.0)
         assert not report.passed  # target slope is 0.625
 
+    def test_robust_standard_errors(self):
+        # noise sd grows with |x|, as for a jump sheet's value at t given its value at s
+        rng = np.random.default_rng(90)
+        x = rng.exponential(size=5000)
+        y = 0.3 + 0.625 * x + rng.normal(size=5000) * (0.1 + 0.5 * x)
+        slope, intercept, se_slope, se_intercept = verify._ols(x, y)
+        design = np.column_stack([np.ones_like(x), x])
+        bread = np.linalg.inv(design.T @ design)
+        resid = y - design @ (bread @ design.T @ y)
+        sandwich = bread @ (design.T * resid ** 2) @ design @ bread
+        assert slope == pytest.approx((bread @ design.T @ y)[1], rel=1e-12)
+        assert se_slope == pytest.approx(math.sqrt(sandwich[1, 1]), rel=1e-9)
+        assert se_intercept == pytest.approx(math.sqrt(sandwich[0, 0]), rel=1e-9)
+        classical = math.sqrt(np.sum(resid ** 2) / (x.size - 2) * bread[1, 1])
+        assert classical < 0.9 * se_slope  # the classical SE would understate the spread
+        path = LinearPath(0, 1, 1, 1, 0, 1)
+        report = verify.conditional_mean_regression(np.column_stack([x, y]), path,
+                                                    0.2, 0.5, 0.0)
+        want = max(abs(slope - 0.625) / (4.0 * se_slope + 1e-9),
+                   abs(intercept) / (4.0 * se_intercept + 1e-9))
+        assert report.statistic == pytest.approx(want, rel=1e-12)
+
     def test_noisy_but_correct(self):
         rng = np.random.default_rng(84)
         x = rng.normal(size=20_000)
