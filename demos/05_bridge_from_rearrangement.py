@@ -19,12 +19,8 @@ from levysheet.verify import cf_match, empirical_cf
 rng = np.random.default_rng(11)
 
 # The law identity at a fixed rate: difference values vs the sheet CF.
-n = 30_000
-vals = np.empty((n, 2))
-for i in range(n):
-    y = jumpsim.simulate_cpp_path(2.0, TwoPoint(1.0), 0.0, 1.0, rng)
-    _, z = jumpsim.rearranged_difference(y, rng)
-    vals[i] = z.values([0.3, 0.7])[:, 0]
+y, y_prime = jumpsim.rearranged_pairs(2.0, TwoPoint(1.0), 1.0, [0.3, 0.7], 30_000, rng)
+vals = (y - y_prime)[:, :, 0]
 sheet = cpp_from_atoms([(1.0, 2.0), (-1.0, 2.0)])  # doubled symmetric measure
 path = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
 probe = np.array([0.9, -0.4])
@@ -38,21 +34,14 @@ print(f"  within 4/sqrt(N): {report.passed}")
 
 # Diffusion scale: variance t(1-t) at every rate, bridge limit as rate grows.
 reps = 4000
-mid = np.empty(reps)
-comp = np.empty(reps)
-for i in range(reps):
-    draw = jumpsim.bridge_experiment(1000, TwoPoint(1.0), 1.0, [0.5, 1.0], rng)
-    mid[i] = draw.values[0]
-    comp[i] = draw.centered_original[1]
+draws = jumpsim.bridge_experiments(1000, TwoPoint(1.0), 1.0, [0.5, 1.0], reps, rng)
+mid, comp = draws.values[:, 0], draws.centered_original[:, 1]
 print(f"\nscaled difference at rate 1000 ({reps} replicates):")
 print(f"  Var at t=0.5: {mid.var():.4f} (bridge target 0.25)")
 print(f"  variance of each centered component at t=1: {comp.var():.4f} (target 0.5)")
 
 # The random-walk analogue has the same exact covariance at finite n.
-pairs = np.empty((reps, 2))
-for i in range(reps):
-    pairs[i] = jumpsim.random_walk_bridge(1000, 1.0, TwoPoint(1.0), rng,
-                                          grid=[0.3, 0.6]).values[:, 0]
+pairs = jumpsim.random_walk_bridges(1000, 1.0, TwoPoint(1.0), reps, rng, grid=[0.3, 0.6])
 cov = float(np.cov(pairs[:, 0], pairs[:, 1])[0, 1])
 print(f"\npermuted random walk, covariance at (0.3, 0.6): {cov:.4f} "
       f"(closed form {jumpsim.rw_bridge_cov(1000, 1.0, 0.0, 1.0, 0.3, 0.6):.4f})")

@@ -9,7 +9,8 @@ Submodules:
 - `jumpsim`: compound-Poisson sheets, cancelling-jump event paths, bridges.
 - `stationary`: exponential-path stationary laws and OU-type discrimination.
 
-Not imported by `import levysheet`, since they load scipy; import them by name:
+Not imported by `import levysheet`; import them by name (scipy loads when a
+statistic needs it):
 
 - `verify`: Monte Carlo verification harness (empirical CFs, chi^2, KS).
 - `suites`: the named verification suites behind `levysheet verify`.

@@ -175,23 +175,17 @@ def _cmd_experiment(args) -> int:
         _emit_json(out, args.out)
         return 0
     if args.kind == "bridge":
-        dist = TwoPoint(1.0)
         grid = _grid(args)
         inner = grid[(grid > 0) & (grid < args.l)]
-        draws = np.empty((args.n, inner.size))
-        for i in range(args.n):
-            draws[i] = jumpsim.bridge_experiment(args.rate, dist, args.l, inner, rng).values
+        draws = jumpsim.bridge_experiments(args.rate, TwoPoint(1.0), args.l, inner, args.n, rng).values
         _emit_json({"times": inner.tolist(),
                     "variance": draws.var(axis=0).tolist(),
                     "variance_target": (inner * (1.0 - inner / args.l)).tolist(),
                     "n": args.n, "rate": args.rate}, args.out)
         return 0
     # rwbridge
-    dist = TwoPoint(1.0)
-    pairs = np.empty((args.n, 2))
-    for i in range(args.n):
-        pairs[i] = jumpsim.random_walk_bridge(args.rate, args.l, dist, rng,
-                                              grid=[args.s, args.t]).values[:, 0]
+    pairs = jumpsim.random_walk_bridges(args.rate, args.l, TwoPoint(1.0), args.n, rng,
+                                        grid=[args.s, args.t])
     prods = pairs[:, 0] * pairs[:, 1]
     cov = float(prods.mean() - pairs[:, 0].mean() * pairs[:, 1].mean())
     _emit_json({"covariance": cov,

@@ -47,7 +47,10 @@ __all__ = [
 ]
 
 REPRESENTATIONS = ("auto", "bm_ratio", "bm_ratio_swapped", "bm_pinned", "bm_pinned_swapped")
-_CROSSING_BATCH = 2500  # paths per simulate_paths call in zero_crossing_frequency
+# Paths per simulate_paths call in zero_crossing_frequency: at 10^4 grid
+# points a batch's arrays stay near 20 MB, which the allocator reuses rather
+# than mapping fresh pages for each batch.
+_CROSSING_BATCH = 250
 
 
 @dataclass(frozen=True)
@@ -296,21 +299,32 @@ def zero_prob(law: GaussPathLaw, s: float, t: float) -> float:
 
 def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
                             grid_points: int, rng) -> float:
-    """Share of n_paths exact draws whose sign changes between neighbouring
-    points of the even grid of grid_points times over [s, t].
+    """Monte Carlo estimate of zero_prob(law, s, t) from n_paths exact draws on
+    the even grid of grid_points times over [s, t], with no grid bias.
 
-    A grid estimate of zero_prob(law, s, t), biased low by crossings that
-    happen between grid points.
+    Between neighbouring grid values the ratio-time BM b = X/y is a Brownian
+    bridge, which has a zero with probability p_i = 1 at a sign change and
+    p_i = exp(-2 b_i b_{i+1} / (r_{i+1} - r_i)) otherwise; in X that is
+    exp(-2 X_i X_{i+1} / (x_{i+1} y_i - x_i y_{i+1})).  The estimate averages
+    each path's chance of a zero, 1 - prod_i (1 - p_i).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     grid = np.linspace(s, t, grid_points)
-    crossed = 0
+    xs, ys = law.path.x(grid), law.path.y(grid)
+    gap = xs[1:] * ys[:-1] - xs[:-1] * ys[1:]  # y_i y_{i+1} (r_{i+1} - r_i)
+    total = 0.0
     for done in range(0, n_paths, _CROSSING_BATCH):
         take = min(_CROSSING_BATCH, n_paths - done)
-        signs = np.signbit(simulate_paths(law, grid, rng, n_paths=take)[:, :, 0])
-        crossed += int(np.sum(np.any(signs[:, 1:] != signs[:, :-1], axis=1)))
-    return crossed / n_paths
+        vals = simulate_paths(law, grid, rng, n_paths=take)[:, :, 0]
+        prod = vals[:, 1:] * vals[:, :-1]
+        # Elsewhere 2 X_i X_{i+1} / gap >= 40, and 1 - p_i rounds to 1.
+        near = np.flatnonzero(prod < 20.0 * gap)
+        rows, cols = np.divmod(near, gap.size)
+        with np.errstate(divide="ignore"):
+            log_stay = np.log(-np.expm1(-2.0 * np.maximum(prod.ravel()[near], 0.0) / gap[cols]))
+        total += float(np.sum(-np.expm1(np.bincount(rows, weights=log_stay, minlength=take))))
+    return total / n_paths
 
 
 # ---------------------------------------------------------------------------

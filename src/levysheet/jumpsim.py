@@ -9,6 +9,9 @@ attempted.
 
 The uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
+
+Experiments draw N replicates at once, as flat event arrays plus `owner`,
+the draw each event belongs to; single-draw functions are their N = 1 calls.
 """
 
 from __future__ import annotations
@@ -20,6 +23,29 @@ import numpy as np
 
 from .gauss import SamplePathGrid
 from .paths import DecreasingPath, LinearPath
+
+
+_EVENT_CHUNK = 1_000_000  # events (or walk steps) drawn at a time by the batched experiments
+
+
+def _chunks(n_draws: int, per_draw: float):
+    """Sizes of the successive chunks of n_draws draws of about per_draw events each."""
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
+    size = max(1, int(_EVENT_CHUNK // max(per_draw, 1.0)))
+    for done in range(0, n_draws, size):
+        yield min(size, n_draws - done)
+
+
+def _batch_values(owner, times, increments, n_draws: int, ts) -> np.ndarray:
+    """Values at the times ts, (n_draws, k, d), of the event paths from 0 of each owner."""
+    q = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.empty((n_draws, q.size, increments.shape[1]))
+    for j, t in enumerate(q):
+        hit = times <= t
+        for c in range(increments.shape[1]):
+            out[:, j, c] = np.bincount(owner[hit], weights=increments[hit, c], minlength=n_draws)
+    return out
 
 
 def _as_increments(increments, n_events: int, default_dim: int) -> np.ndarray:
@@ -38,14 +64,19 @@ __all__ = [
     "JumpField",
     "EventPath",
     "simulate_cpp_sheet",
+    "simulate_cpp_sheets",
     "restrict_to_path",
+    "restricted_sheets",
     "rectangle_sum",
     "triangle_to_order_stats",
     "simulate_cpp_path",
     "rearranged_difference",
+    "rearranged_pairs",
     "BridgeDraw",
     "bridge_experiment",
+    "bridge_experiments",
     "random_walk_bridge",
+    "random_walk_bridges",
     "rw_bridge_cov",
     "swept_exit_area",
     "JumpCountReport",
@@ -150,7 +181,7 @@ class JumpField:
 
     @property
     def dim(self) -> int:
-        return self.jumps.shape[1] if self.jumps.size else 1
+        return self.jumps.shape[1]
 
     def to_dict(self) -> dict:
         return {
@@ -197,9 +228,9 @@ class EventPath:
         if incs.ndim == 1:
             incs = incs[:, None]
         if initial is None:
-            initial = np.zeros(incs.shape[1] if incs.size else 1)
+            initial = np.zeros(incs.shape[1])
         order = np.argsort(ts, kind="stable")
-        return cls(t_lo, t_hi, ts[order], incs[order] if incs.size else incs, initial)
+        return cls(t_lo, t_hi, ts[order], incs[order], initial)
 
     @property
     def dim(self) -> int:
@@ -231,56 +262,72 @@ class EventPath:
 # Sheet simulation and restriction
 # ---------------------------------------------------------------------------
 
-def simulate_cpp_sheet(rate: float, jump_dist, region, rng) -> JumpField:
-    """Poisson(rate * area) jumps, uniform locations, i.i.d. jump values."""
+def simulate_cpp_sheets(rate: float, jump_dist, region, n_draws: int, rng) -> tuple[JumpField, np.ndarray]:
+    """n_draws sheets as in `simulate_cpp_sheet`: one field of all their jumps, and each jump's draw."""
     if not (np.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
     if not np.isfinite(region.area):
         raise ValueError("region must have finite area")
-    n = int(rng.poisson(rate * region.area))
-    locs = region.sample(rng, n)
-    jumps = jump_dist.sample(rng, n) if n else np.zeros((0, jump_dist.dim))
-    return JumpField(region, locs, np.atleast_2d(jumps))
+    owner = np.repeat(np.arange(n_draws), rng.poisson(rate * region.area, size=n_draws))
+    locs = region.sample(rng, owner.size)
+    return JumpField(region, locs, jump_dist.sample(rng, owner.size)), owner
 
 
-def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
-    """Events of the sheet restricted to the path: value(t) = sheet((0,x(t)] x (0,y(t)]).
+def simulate_cpp_sheet(rate: float, jump_dist, region, rng) -> JumpField:
+    """Poisson(rate * area) jumps, uniform locations, i.i.d. jump values."""
+    return simulate_cpp_sheets(rate, jump_dist, region, 1, rng)[0]
+
+
+def _restrict_events(field: JumpField, path: DecreasingPath):
+    """Events of the field's jumps along the path: (jump index, times, increments).
 
     A jump at (u, v) contributes +J at the entry time inf{t : x(t) >= u}
     provided v <= y(entry), and -J at the exit time sup{t : y(t) >= v}
-    unless v <= y(t_hi), in which case it stays for good.
+    unless v <= y(t_hi), in which case it stays for good.  Events are in
+    jump order, each jump's entry before its exit.
     """
     if not field.region.covers_path(path):
         raise ValueError("field region does not cover the path's sweep")
-    y_end = float(path.y(path.t_hi))
-    times: list[float] = []
-    incs: list[np.ndarray] = []
-    for (u, v), jump in zip(field.locations, field.jumps):
-        entry = path.first_time_x_at_least(u)
-        if entry is None:
-            continue
-        exit_ = path.last_time_y_at_least(v)
-        if exit_ is None or entry > exit_:
-            continue
-        times.append(entry)
-        incs.append(jump)
-        if v > y_end:
-            times.append(exit_)
-            incs.append(-jump)
-    if not times:
-        return EventPath.from_events(np.zeros(0), np.zeros((0, field.dim)),
-                                     path.t_lo, path.t_hi)
-    return EventPath.from_events(np.array(times), np.array(incs),
-                                 path.t_lo, path.t_hi)
+    u, v = field.locations[:, 0], field.locations[:, 1]
+    entry = path.first_time_x_at_least(u)
+    exit_ = path.last_time_y_at_least(v)
+    enters = entry <= exit_  # False where either is NaN
+    keep = np.column_stack([enters, enters & (v > float(path.y(path.t_hi)))]).ravel()
+    incs = np.stack([field.jumps, -field.jumps], axis=1).reshape(-1, field.jumps.shape[1])
+    return (np.repeat(np.arange(field.count), 2)[keep],
+            np.column_stack([entry, exit_]).ravel()[keep], incs[keep])
+
+
+def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
+    """Events of the sheet restricted to the path: value(t) = sheet((0,x(t)] x (0,y(t)])."""
+    _, times, incs = _restrict_events(field, path)
+    return EventPath.from_events(times, incs, path.t_lo, path.t_hi)
+
+
+def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
+                      n_draws: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n_draws sheets as in `simulate_cpp_sheets`, restricted to the path.
+
+    Returns their values at the times ts, (n_draws, k, d), and per draw the
+    count of events less that of jumps under the terminal rectangle, which
+    enter and never leave: the events that come in cancelling pairs.
+    """
+    x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
+    values, paired = [], []
+    for size in _chunks(n_draws, rate * region.area):
+        field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, rng)
+        jump, times, incs = _restrict_events(field, path)
+        u, v = field.locations[:, 0], field.locations[:, 1]
+        values.append(_batch_values(owner[jump], times, incs, size, ts))
+        paired.append(np.bincount(owner[jump], minlength=size)
+                      - np.bincount(owner[(u <= x_end) & (v <= y_end)], minlength=size))
+    return np.concatenate(values), np.concatenate(paired)
 
 
 def rectangle_sum(field: JumpField, x_val: float, y_val: float) -> np.ndarray:
     """Brute-force sheet value over (0, x_val] x (0, y_val]."""
-    if field.count == 0:
-        return np.zeros(field.dim)
     u, v = field.locations[:, 0], field.locations[:, 1]
-    inside = (u <= x_val) & (v <= y_val)
-    return field.jumps[inside].sum(axis=0) if np.any(inside) else np.zeros(field.dim)
+    return field.jumps[(u <= x_val) & (v <= y_val)].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +358,19 @@ def triangle_to_order_stats(xi, b: float, c: float, l: float):
 # Rearrangement construction and bridge-limit experiments
 # ---------------------------------------------------------------------------
 
-def simulate_cpp_path(rate: float, jump_dist, t_lo: float, t_hi: float, rng) -> EventPath:
-    """One-parameter compound Poisson path on [t_lo, t_hi] starting at 0."""
+def _cpp_path_jumps(rate: float, jump_dist, t_lo: float, t_hi: float, n_draws: int, rng):
+    """Owner, times and values of the jumps of n_draws compound-Poisson paths on [t_lo, t_hi]."""
     if not t_hi > t_lo:
         raise ValueError("domain must satisfy t_lo < t_hi")
-    n = int(rng.poisson(rate * (t_hi - t_lo)))
-    times = rng.uniform(t_lo, t_hi, size=n)
-    jumps = jump_dist.sample(rng, n) if n else np.zeros((0, jump_dist.dim))
-    return EventPath.from_events(times, np.atleast_2d(jumps), t_lo, t_hi)
+    owner = np.repeat(np.arange(n_draws), rng.poisson(rate * (t_hi - t_lo), size=n_draws))
+    times = rng.uniform(t_lo, t_hi, size=owner.size)
+    return owner, times, jump_dist.sample(rng, owner.size)
+
+
+def simulate_cpp_path(rate: float, jump_dist, t_lo: float, t_hi: float, rng) -> EventPath:
+    """One-parameter compound Poisson path on [t_lo, t_hi] starting at 0."""
+    _, times, jumps = _cpp_path_jumps(rate, jump_dist, t_lo, t_hi, 1, rng)
+    return EventPath.from_events(times, jumps, t_lo, t_hi)
 
 
 def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPath]:
@@ -338,13 +390,27 @@ def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPat
     return y_prime, z
 
 
+def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
+                     rng) -> tuple[np.ndarray, np.ndarray]:
+    """Values at the times ts, (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l] and of
+    Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
+    ys, rearranged = [], []
+    for size in _chunks(n_draws, 2.0 * rate * l):
+        owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, size, rng)
+        new_times = rng.uniform(0.0, l, size=owner.size)
+        ys.append(_batch_values(owner, times, jumps, size, ts))
+        rearranged.append(_batch_values(owner, new_times, jumps, size, ts))
+    return np.concatenate(ys), np.concatenate(rearranged)
+
+
 @dataclass(frozen=True)
 class BridgeDraw:
-    """One diffusion-scaled draw of the rearrangement difference on a grid.
+    """Diffusion-scaled draws of the rearrangement difference on a grid.
 
     `values` is the scaled difference; the two `centered_*` arrays are the
     mean-centered, scaled original and rearranged paths whose difference it
-    is (each converging to a BM with variance parameter 1/2).
+    is (each converging to a BM with variance parameter 1/2).  Each holds one
+    value per grid time, (k,) for one draw and (n_draws, k) for a batch.
     """
 
     times: np.ndarray
@@ -353,26 +419,30 @@ class BridgeDraw:
     centered_rearranged: np.ndarray
 
 
-def bridge_experiment(rate: float, jump_dist, l: float, grid, rng) -> BridgeDraw:
-    """One draw of (Y - Y')/sqrt(2 m2 rate) on the grid, Y ~ CPP(rate) on [0, l]."""
+def bridge_experiments(rate: float, jump_dist, l: float, grid, n_draws: int, rng) -> BridgeDraw:
+    """n_draws draws of (Y - Y')/sqrt(2 m2 rate) on the grid, Y ~ CPP(rate) on [0, l]."""
     mu2 = jump_dist.abs_second_moment
     if not mu2 > 0:
         raise ValueError("jump distribution needs a positive second moment")
     if jump_dist.dim != 1:
         raise ValueError("bridge experiment is defined for real-valued jumps")
-    mu1 = float(jump_dist.mean[0])
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    y = simulate_cpp_path(rate, jump_dist, 0.0, l, rng)
-    y_prime, z = rearranged_difference(y, rng)
+    y, y_prime = rearranged_pairs(rate, jump_dist, l, ts, n_draws, rng)
+    y, y_prime = y[:, :, 0], y_prime[:, :, 0]
     norm = math.sqrt(2.0 * mu2 * rate)
-    zvals = z.values(ts)[:, 0] / norm
-    c_orig = (y.values(ts)[:, 0] - rate * mu1 * ts) / norm
-    c_rear = (y_prime.values(ts)[:, 0] - rate * mu1 * ts) / norm
-    return BridgeDraw(ts, zvals, c_orig, c_rear)
+    drift = rate * float(jump_dist.mean[0]) * ts
+    return BridgeDraw(ts, (y - y_prime) / norm, (y - drift) / norm, (y_prime - drift) / norm)
 
 
-def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathGrid:
-    """One draw of the permuted-minus-original random walk.
+def bridge_experiment(rate: float, jump_dist, l: float, grid, rng) -> BridgeDraw:
+    """One draw of (Y - Y')/sqrt(2 m2 rate) on the grid, Y ~ CPP(rate) on [0, l]."""
+    draws = bridge_experiments(rate, jump_dist, l, grid, 1, rng)
+    return BridgeDraw(draws.times, draws.values[0], draws.centered_original[0],
+                      draws.centered_rearranged[0])
+
+
+def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None) -> np.ndarray:
+    """n_draws draws of the permuted-minus-original random walk, (n_draws, k).
 
     With partial sums S_k of i.i.d. steps and S'_k of the same steps in a
     uniformly permuted order, the value at t is
@@ -385,16 +455,24 @@ def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathG
     mu2 = xi_dist.abs_second_moment
     if not mu2 > 0:
         raise ValueError("step distribution needs a positive second moment")
-    steps = xi_dist.sample(rng, total)[:, 0]
-    perm = rng.permutation(total)
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    cum_perm = np.concatenate([[0.0], np.cumsum(steps[perm])])
-    diff = (cum - cum_perm) / math.sqrt(2.0 * mu2 * n)
     if grid is None:
-        return SamplePathGrid(np.arange(1, total + 1) / n, diff[1:])
-    ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    idx = np.clip(np.floor(n * ts).astype(int), 0, total)
-    return SamplePathGrid(ts, diff[idx])
+        idx = np.arange(1, total + 1)
+    else:
+        idx = np.clip(np.floor(n * np.atleast_1d(np.asarray(grid, dtype=float))).astype(int), 0, total)
+    parts = []
+    for size in _chunks(n_draws, total):
+        steps = xi_dist.sample(rng, size * total)[:, 0].reshape(size, total)
+        gap = np.zeros((size, total + 1))
+        gap[:, 1:] = np.cumsum(steps, axis=1) - np.cumsum(rng.permuted(steps, axis=1), axis=1)
+        parts.append(gap[:, idx])
+    return np.concatenate(parts) / math.sqrt(2.0 * mu2 * n)
+
+
+def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathGrid:
+    """One draw of `random_walk_bridges` at the grid times, or at every step time k/n."""
+    vals = random_walk_bridges(n, l, xi_dist, 1, rng, grid)[0]
+    ts = np.arange(1, vals.size + 1) / n if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
+    return SamplePathGrid(ts, vals)
 
 
 def rw_bridge_cov(n: int, l: float, mu1: float, mu2: float, s: float, t: float) -> float:
@@ -426,6 +504,7 @@ class JumpCountReport:
     all_even: bool
     mean_half_count: float
     chi2_statistic: float
+    chi2_critical: float  # the statistic's value at the test's p-value threshold
     chi2_pvalue: float
     passed: bool
 
@@ -445,34 +524,22 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
     dist = TwoPoint(np.array([1.0])) if jump_dist is None else jump_dist
     p = sheet_rate * swept_exit_area(path)
     region = RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
-    y_end = float(path.y(path.t_hi))
-    x_end = float(path.x(path.t_hi))
-    halves = np.empty(n_sims, dtype=int)
-    all_even = True
-    for i in range(n_sims):
-        field = simulate_cpp_sheet(sheet_rate, dist, region, rng)
-        events = restrict_to_path(field, path)
-        if field.count:
-            u, v = field.locations[:, 0], field.locations[:, 1]
-            persistent = int(np.sum((u <= x_end) & (v <= y_end)))
-        else:
-            persistent = 0
-        paired = events.times.size - persistent
-        if paired % 2:
-            all_even = False
-        halves[i] = paired // 2
+    _, paired = restricted_sheets(sheet_rate, dist, region, path, [], n_sims, rng)
+    halves = paired // 2
     chi2 = chi2_counts(
         halves,
         lambda k: math.exp(-p) * p ** k / math.factorial(k),
         name="jump-count-poisson",
         p_threshold=p_threshold,
     )
+    all_even = bool(np.all(paired % 2 == 0))
     return JumpCountReport(
         n_sims=n_sims,
         expected_half_rate=p,
         all_even=all_even,
         mean_half_count=float(halves.mean()),
         chi2_statistic=chi2.statistic,
+        chi2_critical=chi2.threshold,
         chi2_pvalue=chi2.extra["pvalue"],
         passed=all_even and chi2.passed,
     )

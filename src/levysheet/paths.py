@@ -57,6 +57,14 @@ TABULATED_TOL = 1e-6
 _PROBE_COUNT = 33
 
 
+def _none_if_nan(t: np.ndarray):
+    """Arrays pass through; a 0-d result becomes a float, or None where it is NaN."""
+    if t.ndim:
+        return t
+    t = float(t)
+    return None if math.isnan(t) else t
+
+
 class DecreasingPath:
     """Shared behavior for all path forms; concrete forms are dataclasses."""
 
@@ -86,9 +94,27 @@ class DecreasingPath:
         return self.t_hi - self.t_lo
 
     # -- sweep inverses (used when restricting jump fields to the path) -----
-    # Each form implements exactly, with no iteration,
-    #   first_time_x_at_least(u): inf{t: x(t) >= u}, or None when x never reaches u;
-    #   last_time_y_at_least(v):  sup{t: y(t) >= v}, or None when y starts below v.
+    # Each form inverts x and y exactly, on arrays and with no iteration, in
+    # _x_inverse(u) for x(t_lo) < u <= x(t_hi) and _y_inverse(v) for
+    # y(t_hi) < v <= y(t_lo).  They are evaluated at every argument, and
+    # np.where keeps their values only there.  A scalar argument arrives as a
+    # NumPy scalar (`[()]`), whose arithmetic is cheaper than a 0-d array's.
+
+    def first_time_x_at_least(self, u):
+        """inf{t : x(t) >= u} elementwise: NaN where x never reaches u, None for a scalar u."""
+        u = np.asarray(u, dtype=float)[()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = self._x_inverse(u)
+        return _none_if_nan(np.where(u <= self._x(self.t_lo), self.t_lo,
+                                     np.where(u > self._x(self.t_hi), np.nan, inside)))
+
+    def last_time_y_at_least(self, v):
+        """sup{t : y(t) >= v} elementwise: NaN where y starts below v, None for a scalar v."""
+        v = np.asarray(v, dtype=float)[()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = self._y_inverse(v)
+        return _none_if_nan(np.where(v > self._y(self.t_lo), np.nan,
+                                     np.where(v <= self._y(self.t_hi), self.t_hi, inside)))
 
     # -- construction checks -------------------------------------------------
 
@@ -146,18 +172,10 @@ class LinearPath(DecreasingPath):
     def _y(self, t):
         return self.c - self.d * t
 
-    def first_time_x_at_least(self, u):
-        if u <= self.a + self.b * self.t_lo:
-            return self.t_lo
-        if u > self.a + self.b * self.t_hi:
-            return None
+    def _x_inverse(self, u):
         return (u - self.a) / self.b
 
-    def last_time_y_at_least(self, v):
-        if v > self.c - self.d * self.t_lo:
-            return None
-        if v <= self.c - self.d * self.t_hi:
-            return self.t_hi
+    def _y_inverse(self, v):
         return (self.c - v) / self.d
 
 
@@ -183,19 +201,11 @@ class ExponentialPath(DecreasingPath):
     def _y(self, t):
         return self.b * np.exp(-self.c * t)
 
-    def first_time_x_at_least(self, u):
-        if u <= self.a * math.exp(self.c * self.t_lo):
-            return self.t_lo
-        if u > self.a * math.exp(self.c * self.t_hi):
-            return None
-        return math.log(u / self.a) / self.c
+    def _x_inverse(self, u):
+        return np.log(u / self.a) / self.c
 
-    def last_time_y_at_least(self, v):
-        if v > self.b * math.exp(-self.c * self.t_lo):
-            return None
-        if v <= self.b * math.exp(-self.c * self.t_hi):
-            return self.t_hi
-        return math.log(self.b / v) / self.c
+    def _y_inverse(self, v):
+        return np.log(self.b / v) / self.c
 
 
 @dataclass(frozen=True)
@@ -229,18 +239,10 @@ class VThenHPath(DecreasingPath):
         t = np.asarray(t, dtype=float)
         return self.b + self.c * np.where(t <= self.s_star, self.s_star - t, 0.0)
 
-    def first_time_x_at_least(self, u):
-        if u <= self.a:
-            return self.t_lo
-        if u > self.a + self.d * (self.t_hi - self.s_star):
-            return None
+    def _x_inverse(self, u):
         return self.s_star + (u - self.a) / self.d
 
-    def last_time_y_at_least(self, v):
-        if v > self.b + self.c * (self.s_star - self.t_lo):
-            return None
-        if v <= self.b:
-            return self.t_hi
+    def _y_inverse(self, v):
         return self.s_star - (v - self.b) / self.c
 
 
@@ -272,15 +274,11 @@ class HorizontalPath(DecreasingPath):
     def _y(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.y_const)
 
-    def first_time_x_at_least(self, u):
-        if u <= self.x_intercept + self.x_slope * self.t_lo:
-            return self.t_lo
-        if u > self.x_intercept + self.x_slope * self.t_hi:
-            return None
+    def _x_inverse(self, u):
         return (u - self.x_intercept) / self.x_slope
 
-    def last_time_y_at_least(self, v):
-        return self.t_hi if v <= self.y_const else None
+    def _y_inverse(self, v):  # y is constant: never used
+        return v
 
 
 @dataclass(frozen=True)
@@ -311,14 +309,10 @@ class VerticalPath(DecreasingPath):
     def _y(self, t):
         return self.y_intercept - self.y_slope * np.asarray(t, dtype=float)
 
-    def first_time_x_at_least(self, u):
-        return self.t_lo if u <= self.x_const else None
+    def _x_inverse(self, u):  # x is constant: never used
+        return u
 
-    def last_time_y_at_least(self, v):
-        if v > self.y_intercept - self.y_slope * self.t_lo:
-            return None
-        if v <= self.y_intercept - self.y_slope * self.t_hi:
-            return self.t_hi
+    def _y_inverse(self, v):
         return (self.y_intercept - v) / self.y_slope
 
 
@@ -379,23 +373,16 @@ class TabulatedPath(DecreasingPath):
     def _y(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.ys)
 
-    def first_time_x_at_least(self, u):
+    # Searching the inner knots keeps k in [1, n - 1].
+    def _x_inverse(self, u):
         ts, xs = self.times, self.xs
-        if u <= xs[0]:
-            return self.t_lo
-        if u > xs[-1]:
-            return None
-        k = int(np.searchsorted(xs, u))  # xs[k-1] < u <= xs[k]
-        return float(ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1]))
+        k = np.searchsorted(xs[1:-1], u) + 1  # xs[k-1] < u <= xs[k]
+        return ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1])
 
-    def last_time_y_at_least(self, v):
+    def _y_inverse(self, v):
         ts, ys = self.times, self.ys
-        if v > ys[0]:
-            return None
-        if v <= ys[-1]:
-            return self.t_hi
-        k = int(np.searchsorted(self._neg_ys, -v, side="right"))  # ys[k-1] >= v > ys[k]
-        return float(ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1]))
+        k = np.searchsorted(self._neg_ys[1:-1], -v, side="right") + 1  # ys[k-1] >= v > ys[k]
+        return ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1])
 
 
 @dataclass(frozen=True)

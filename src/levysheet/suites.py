@@ -14,7 +14,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fdd, gauss, jumpsim, stationary, verify
 from .exponent import (
@@ -220,6 +219,8 @@ def criterion_3(seed: int = DEFAULT_SEED, n_paths: int = 100_000):
 # ---------------------------------------------------------------------------
 
 def criterion_4(seed: int = DEFAULT_SEED, n_paths: int = 100_000, grid_points: int = 10_000):
+    from scipy.integrate import quad  # deferred: scipy is slow to import
+
     rng = _rng(seed, 4)
     start = time.perf_counter()
     path = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
@@ -289,8 +290,9 @@ def criterion_5(seed: int = DEFAULT_SEED, n_fields: int = 100, n_sims: int = 10_
                 seed, n=n_fields * 25),
         _report("c5.even-counts", 0.0 if count_report.all_even else 1.0, 0.5,
                 count_report.all_even, seed, n=n_sims),
-        _report("c5.half-count-poisson", count_report.chi2_pvalue, 1e-3,
+        _report("c5.half-count-poisson", count_report.chi2_statistic, count_report.chi2_critical,
                 count_report.chi2_pvalue > 1e-3, seed, n=n_sims,
+                pvalue=count_report.chi2_pvalue,
                 mean_half_count=count_report.mean_half_count,
                 expected=count_report.expected_half_rate),
     ]
@@ -334,12 +336,8 @@ def criterion_6(seed: int = DEFAULT_SEED, n_samples: int = 100_000):
 def criterion_7(seed: int = DEFAULT_SEED, n_rep: int = 100_000):
     rng = _rng(seed, 7)
     start = time.perf_counter()
-    dist = TwoPoint(1.0)
-    zvals = np.empty((n_rep, 2))
-    for i in range(n_rep):
-        y = jumpsim.simulate_cpp_path(2.0, dist, 0.0, 1.0, rng)
-        _, z = jumpsim.rearranged_difference(y, rng)
-        zvals[i] = z.values([0.3, 0.7])[:, 0]
+    y, y_prime = jumpsim.rearranged_pairs(2.0, TwoPoint(1.0), 1.0, [0.3, 0.7], n_rep, rng)
+    zvals = (y - y_prime)[:, :, 0]
     sheet = cpp_from_atoms([(1.0, 2.0), (-1.0, 2.0)])  # nu + dual(nu) for rate-2 +/-1 jumps
     path = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
     reports = []
@@ -358,21 +356,12 @@ def criterion_7(seed: int = DEFAULT_SEED, n_rep: int = 100_000):
 def criterion_8(seed: int = DEFAULT_SEED, rate: int = 1000, n_rep: int = 10_000):
     rng = _rng(seed, 8)
     dist = TwoPoint(1.0)
-    mid = np.empty(n_rep)
-    comp_a = np.empty(n_rep)
-    comp_b = np.empty(n_rep)
-    for i in range(n_rep):
-        draw = jumpsim.bridge_experiment(rate, dist, 1.0, [0.5, 1.0], rng)
-        mid[i] = draw.values[0]
-        comp_a[i] = draw.centered_original[1]
-        comp_b[i] = draw.centered_rearranged[1]
-    var_mid = float(mid.var())
-    var_a, var_b = float(comp_a.var()), float(comp_b.var())
+    draws = jumpsim.bridge_experiments(rate, dist, 1.0, [0.5, 1.0], n_rep, rng)
+    var_mid = float(draws.values[:, 0].var())
+    var_a = float(draws.centered_original[:, 1].var())
+    var_b = float(draws.centered_rearranged[:, 1].var())
 
-    walk = np.empty((n_rep, 2))
-    for i in range(n_rep):
-        walk[i] = jumpsim.random_walk_bridge(rate, 1.0, dist, rng,
-                                             grid=[0.3, 0.6]).values[:, 0]
+    walk = jumpsim.random_walk_bridges(rate, 1.0, dist, n_rep, rng, grid=[0.3, 0.6])
     prods = walk[:, 0] * walk[:, 1]
     cov = float(prods.mean() - walk[:, 0].mean() * walk[:, 1].mean())
     cov_target = jumpsim.rw_bridge_cov(rate, 1.0, 0.0, 1.0, 0.3, 0.6)
@@ -476,12 +465,8 @@ def criterion_11(seed: int = DEFAULT_SEED, n_pairs: int = 20_000, n_sims: int = 
 
     sheet = cpp_from_atoms([(1.0, 4.0)])  # mean of the law at (1,1) is 4
     mean11 = float(sheet.mean11[0])
-    region = jumpsim.RectRegion(1.0, 1.0)
-    cpp_pairs = np.empty((n_sims, 2))
-    for i in range(n_sims):
-        field = jumpsim.simulate_cpp_sheet(4.0, PointMass(1.0), region, rng)
-        events = jumpsim.restrict_to_path(field, path)
-        cpp_pairs[i] = events.values([s, t])[:, 0]
+    cpp_pairs = jumpsim.restricted_sheets(4.0, PointMass(1.0), jumpsim.RectRegion(1.0, 1.0),
+                                          path, [s, t], n_sims, rng)[0][:, :, 0]
     reports.append(verify.conditional_mean_regression(
         cpp_pairs, path, s, t, mean11=mean11, name="c11.regression-cpp", seed=seed))
     return reports

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "EmpiricalCF",
@@ -249,6 +248,8 @@ def _pool_small_cells(observed: np.ndarray, expected: np.ndarray,
 
 
 def _chi2_report(obs, exp, n, p_threshold, name, seed) -> TestReport:
+    from scipy import stats  # deferred, like every scipy import: it is slow to load
+
     total = exp.sum()
     if total <= 0:
         raise ValueError("expected counts must be positive")
@@ -272,7 +273,13 @@ def _chi2_report(obs, exp, n, p_threshold, name, seed) -> TestReport:
 
 def ks_1d(samples, cdf, p_threshold: float = P_THRESHOLD,
           name: str = "ks-1d", seed: int | None = None) -> TestReport:
-    """Kolmogorov-Smirnov test of real samples against a CDF callable."""
+    """Kolmogorov-Smirnov test of real samples against a CDF callable.
+
+    Reports the statistic D against the critical D at which the p-value
+    reaches p_threshold; the test passes iff the p-value exceeds it.
+    """
+    from scipy import stats
+
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 10_000:
         raise ValueError("KS test needs at least 10^4 samples")
@@ -280,7 +287,7 @@ def ks_1d(samples, cdf, p_threshold: float = P_THRESHOLD,
     return TestReport(
         name=name,
         statistic=float(result.statistic),
-        threshold=p_threshold,
+        threshold=float(stats.kstwo.isf(p_threshold, arr.size)),
         passed=bool(result.pvalue > p_threshold),
         seed=seed,
         n=arr.size,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levysheet.paths import TabulatedPath
+from levysheet import paths as pth
 
 
 @pytest.fixture
@@ -12,4 +12,17 @@ def flat_stretch_path():
     steps = np.diff(ts, prepend=0.0)
     xs = 0.1 + np.cumsum(np.where((ts > 0.3) & (ts <= 0.45), 0.0, steps))
     ys = 1.1 - np.cumsum(np.where((ts > 0.6) & (ts <= 0.8), 0.0, steps))
-    return TabulatedPath(ts, xs, ys)
+    return pth.TabulatedPath(ts, xs, ys)
+
+
+@pytest.fixture
+def six_forms(flat_stretch_path):
+    """One path of each form, flat stretches included."""
+    return {
+        "linear": pth.LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0),
+        "exponential": pth.ExponentialPath(0.7, 1.1, 1.3, 0.0, 1.0),
+        "corner": pth.VThenHPath(0.5, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0),
+        "horizontal": pth.HorizontalPath.affine(0.5, 2.0, 1.5, 0.0, 1.0),
+        "vertical": pth.VerticalPath.affine(3.0, 1.0, 2.0, 0.0, 1.0),
+        "tabulated": flat_stretch_path,
+    }

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levysheet
 from levysheet.cli import main
 
 
@@ -208,3 +213,13 @@ class TestErrors:
         bad.write_text(json.dumps({"form": "spiral"}))
         assert main(["classify", "--path", str(bad)]) == 1
         assert "spiral" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported where a statistic needs it, so one-shot commands start fast."""
+    src = str(Path(levysheet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, levysheet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -178,6 +178,14 @@ class TestZeroCrossing:
         assert gauss.zero_prob(law, 0.5, 0.5) == 0.0
         assert gauss.zero_prob(law, 1e-12, 0.9) == pytest.approx(1.0, abs=1e-5)
 
+    def test_frequency_unbiased_on_a_coarse_grid(self):
+        # a plain sign-change count on 100 points gives about 0.746 here
+        law, n = bridge_law(), 20_000
+        target = gauss.zero_prob(law, 0.25, 0.75)
+        freq = gauss.zero_crossing_frequency(law, 0.25, 0.75, n, 100, np.random.default_rng(26))
+        # per-path values lie in [0, 1], so their variance is at most p (1 - p)
+        assert abs(freq - target) <= 4.0 * math.sqrt(target * (1.0 - target) / n)
+
     def test_unconditional_at_vanishing_y(self):
         # the bridge is pinned to 0 at t = 1, where y(1) = 0 and r(t) -> infinity
         law = bridge_law()

@@ -13,6 +13,16 @@ def bridge():
     return LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
 
 
+def dyadic_dist(dim):
+    """Jump values whose partial sums are exact in any order."""
+    atoms = np.array([[1.0, -0.5], [-0.25, 2.0], [1.5, 0.75]])[:, :dim]
+    return Categorical(atoms, [0.5, 0.25, 0.25])
+
+
+def covering_rect(path):
+    return jumpsim.RectRegion(float(path.x(path.t_hi)) * 1.2, float(path.y(path.t_lo)) * 1.2)
+
+
 class TestSheetSimulation:
     def test_zero_rate_gives_empty_field(self):
         rng = np.random.default_rng(50)
@@ -109,6 +119,72 @@ class TestRestriction:
         events = jumpsim.restrict_to_path(field, path)
         assert events.times[0] == pytest.approx(math.log(0.7 / 0.5), abs=1e-12)
         assert events.times[1] == pytest.approx(math.log(1.0 / 0.6), abs=1e-12)
+
+    @pytest.mark.parametrize("count", [0, 60])
+    def test_exact_for_two_dimensional_and_empty_fields(self, count, six_forms):
+        rng = np.random.default_rng(56)
+        for path in six_forms.values():
+            region = covering_rect(path)
+            field = jumpsim.JumpField(region, region.sample(rng, count),
+                                      dyadic_dist(2).sample(rng, count).reshape(count, 2))
+            events = jumpsim.restrict_to_path(field, path)
+            probes = rng.uniform(path.t_lo, path.t_hi, size=50)
+            got = events.values(probes)
+            assert got.shape == (50, 2)
+            for t, row in zip(probes, got):
+                want = jumpsim.rectangle_sum(field, float(path.x(t)), float(path.y(t)))
+                assert np.array_equal(row, want)
+
+
+class TestRestrictedSheets:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_draw_equals_its_rectangle_sums(self, dim, flat_stretch_path):
+        path = flat_stretch_path
+        region, dist, rate, n = covering_rect(path), dyadic_dist(dim), 20.0, 300
+        probes = np.concatenate([path.times[::7], [0.123, 0.77]])
+        values, paired = jumpsim.restricted_sheets(rate, dist, region, path, probes, n,
+                                                   np.random.default_rng(57))
+        # the same stream, drawn as one field per sheet
+        field, owner = jumpsim.simulate_cpp_sheets(rate, dist, region, n, np.random.default_rng(57))
+        assert values.shape == (n, probes.size, dim)
+        x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
+        for i in range(n):
+            sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
+            for j, t in enumerate(probes):
+                want = jumpsim.rectangle_sum(sheet, float(path.x(t)), float(path.y(t)))
+                assert np.array_equal(values[i, j], want)
+            u, v = sheet.locations[:, 0], sheet.locations[:, 1]
+            persistent = np.sum((u <= x_end) & (v <= y_end))
+            assert paired[i] == jumpsim.restrict_to_path(sheet, path).times.size - persistent
+
+    def test_single_sheet_is_the_first_draw_of_a_batch(self):
+        region = jumpsim.RectRegion(1.0, 1.0)
+        one = jumpsim.simulate_cpp_sheet(6.0, dyadic_dist(1), region, np.random.default_rng(58))
+        many, owner = jumpsim.simulate_cpp_sheets(6.0, dyadic_dist(1), region, 1,
+                                                  np.random.default_rng(58))
+        assert np.array_equal(one.locations, many.locations)
+        assert np.array_equal(one.jumps, many.jumps)
+        assert np.all(owner == 0)
+
+    def test_draws_spread_over_several_chunks(self, monkeypatch):
+        monkeypatch.setattr(jumpsim, "_EVENT_CHUNK", 40)
+        rng = np.random.default_rng(59)
+        values, paired = jumpsim.restricted_sheets(4.0, TwoPoint(1.0), jumpsim.RectRegion(1.0, 1.0),
+                                                   bridge(), [0.5, 1.0], 37, rng)
+        assert values.shape == (37, 2, 1)
+        assert np.all(values[:, 1] == 0.0)  # y(1) = 0: every jump has left
+        assert paired.shape == (37,) and np.all(paired % 2 == 0)
+        draws = jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5, 1.0], 37, rng)
+        assert draws.values.shape == (37, 2)
+        assert np.all(draws.values[:, 1] == 0.0)
+        walks = jumpsim.random_walk_bridges(30, 1.0, TwoPoint(1.0), 37, rng, grid=[0.5, 1.0])
+        assert walks.shape == (37, 2)
+        assert np.all(walks[:, 1] == 0.0)
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ValueError):
+            jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5], 0,
+                                       np.random.default_rng(60))
 
 
 class TestEventPath:
@@ -229,6 +305,17 @@ class TestRandomWalkBridge:
         rng = np.random.default_rng(63)
         sample = jumpsim.random_walk_bridge(100, 1.0, TwoPoint(1.0), rng, grid=[0.0, 0.5])
         assert sample.values[0, 0] == 0.0
+
+    def test_step_times_by_default(self):
+        n, l, dist = 50, 1.3, Categorical([[1.0], [-0.5], [0.25]], [0.5, 0.25, 0.25])
+        sample = jumpsim.random_walk_bridge(n, l, dist, np.random.default_rng(66))
+        # the same draw written out: the steps, then their uniform permutation
+        rng = np.random.default_rng(66)
+        steps = dist.sample(rng, 65)[:, 0]
+        shuffled = rng.permuted(steps)
+        want = (np.cumsum(steps) - np.cumsum(shuffled)) / math.sqrt(2.0 * dist.abs_second_moment * n)
+        assert np.array_equal(sample.times, np.arange(1, 66) / n)
+        assert np.array_equal(sample.values[:, 0], want)
 
     def test_covariance_formula_symmetric_walk(self):
         assert jumpsim.rw_bridge_cov(1000, 1.0, 0.0, 1.0, 0.3, 0.6) \

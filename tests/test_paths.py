@@ -272,6 +272,30 @@ class TestTabulatedInverses:
             path.times[on_flat_y[-1]], abs=1e-15)
 
 
+@pytest.mark.parametrize("form", ["linear", "exponential", "corner", "horizontal",
+                                  "vertical", "tabulated"])
+def test_array_inverses_match_scalar_calls(form, six_forms):
+    """One implementation serves both: NaN in an array exactly where a scalar call gives None."""
+    path = six_forms[form]
+    rng = np.random.default_rng(25)
+    knots = path.times if form == "tabulated" else np.array([path.t_lo, path.t_hi, 0.5])
+    x_lo, x_hi = float(path.x(path.t_lo)), float(path.x(path.t_hi))
+    y_hi, y_lo = float(path.y(path.t_lo)), float(path.y(path.t_hi))
+    us = np.concatenate([path.x(knots), rng.uniform(x_lo - 0.2, x_hi + 0.2, 300)])
+    vs = np.concatenate([path.y(knots), rng.uniform(y_lo - 0.2, y_hi + 0.2, 300)])
+    for inverse, reference, probes in (
+            (path.first_time_x_at_least, _bisect_first_x, us),
+            (path.last_time_y_at_least, _bisect_last_y, vs)):
+        batch = inverse(probes)
+        assert batch.shape == probes.shape
+        for w, got in zip(probes, batch):
+            one, want = inverse(float(w)), reference(path, float(w))
+            assert (one is None) == (want is None) == bool(np.isnan(got))
+            if want is not None:
+                assert one == got
+                assert abs(got - want) <= 1e-12
+
+
 class TestSerialization:
     @pytest.mark.parametrize("path", [
         pth.LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levysheet import verify
+from levysheet import suites, verify
 from levysheet.paths import LinearPath
 
 
@@ -149,6 +149,24 @@ class TestKS:
         report = verify.ks_1d(rng.normal(0.1, 1.0, size=20_000),
                               stats.norm.cdf)
         assert not report.passed
+
+
+class TestReportUnits:
+    """The statistic is compared with its critical value, and passes iff it is at most that."""
+
+    def test_ks_reports_critical_statistic(self):
+        rng = np.random.default_rng(90)
+        for samples, cdf in ((rng.uniform(size=20_000), lambda x: np.clip(x, 0, 1)),
+                             (rng.normal(0.1, 1.0, size=20_000), stats.norm.cdf)):
+            report = verify.ks_1d(samples, cdf)
+            assert report.threshold == stats.kstwo.isf(1e-3, 20_000)
+            assert report.passed == (report.statistic <= report.threshold)
+
+    def test_half_count_reports_chi2_statistic(self):
+        reports = {r.name: r for r in suites.criterion_5(seed=1, n_fields=2, n_sims=2000)}
+        report = reports["c5.half-count-poisson"]
+        assert report.statistic != report.extra["pvalue"]
+        assert report.passed == (report.statistic <= report.threshold)
 
 
 class TestReportJSON:
