@@ -56,7 +56,8 @@ def _as_vector(v, name="vector"):
 
 # ---------------------------------------------------------------------------
 # Named jump distributions.  Each carries a closed-form characteristic
-# function, a sampler, and the truncated first moment needed by the exponent.
+# function, evaluated at the rows of an (m, d) array of arguments, a sampler,
+# and the truncated first moment needed by the exponent.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -75,9 +76,8 @@ class UniformJumps:
     def dim(self) -> int:
         return 1
 
-    def cf(self, z) -> complex:
-        zz = float(np.atleast_1d(z)[0])
-        return complex(np.sinc(self.halfwidth * zz / np.pi))
+    def cf(self, z: np.ndarray) -> np.ndarray:
+        return np.sinc(self.halfwidth * z[:, 0] / np.pi).astype(complex)
 
     def sample(self, rng, size: int) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=(size, 1))
@@ -127,9 +127,8 @@ class GaussianJumps:
     def dim(self) -> int:
         return self.dim_
 
-    def cf(self, z) -> complex:
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        return complex(np.exp(-0.5 * self.sigma ** 2 * float(np.dot(zz, zz))))
+    def cf(self, z: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * self.sigma ** 2 * (z * z).sum(axis=1)).astype(complex)
 
     def sample(self, rng, size: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=(size, self.dim_))
@@ -200,9 +199,9 @@ class Categorical:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def cf(self, z) -> complex:
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        return complex(np.sum(self.probs * np.exp(1j * self.points @ zz)))
+    def cf(self, z: np.ndarray) -> np.ndarray:
+        phases = (z[:, None, :] * self.points).sum(axis=2)  # (m, k)
+        return (self.probs * np.exp(1j * phases)).sum(axis=1)
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
@@ -309,9 +308,10 @@ class ScaledJumps:
     def dim(self) -> int:
         return self.dist.dim
 
-    def psi_jump(self, z: np.ndarray) -> complex:
+    def psi_jump(self, z: np.ndarray) -> np.ndarray:
+        """Jump part of the exponent at the rows of z, shape (m, d)."""
         return (self.rate * (self.dist.cf(z) - 1.0)
-                - 1j * float(np.dot(z, self.truncated_first_moment)))
+                - 1j * (z * self.truncated_first_moment).sum(axis=1))
 
     @property
     def first_moment(self) -> np.ndarray:
@@ -414,19 +414,22 @@ class LevyTriplet:
         return self.jumps is None
 
 
-def eval_psi(triplet: LevyTriplet, z) -> complex:
-    """Characteristic exponent psi(z) of the triplet; psi(0) = 0 exactly."""
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    if zz.shape != (triplet.dim,):
-        raise ValueError(f"z must have shape ({triplet.dim},), got {zz.shape}")
-    if not np.all(np.isfinite(zz)):
+def eval_psi(triplet: LevyTriplet, z):
+    """Exponent psi at z, shape (d,) (a scalar if d = 1), as a complex, or at each
+    row of z, shape (m, d), as an (m,) array: one array pass over the rows, the
+    single z being the m = 1 batch.  A zero row gives exactly 0j."""
+    zz = np.asarray(z, dtype=float)
+    rows = np.atleast_1d(zz)[None, :] if zz.ndim <= 1 else zz
+    if rows.ndim != 2 or rows.shape[1] != triplet.dim:
+        raise ValueError(f"z has shape {zz.shape}, not ({triplet.dim},) or (m, {triplet.dim})")
+    if not np.isfinite(rows).all():
         raise ValueError("z must be finite")
-    if not np.any(zz):
-        return 0j
-    val = 1j * float(np.dot(triplet.gamma, zz)) - 0.5 * float(zz @ triplet.gaussian @ zz)
+    az = (rows[:, :, None] * triplet.gaussian).sum(axis=1)  # rows of z A
+    val = 1j * (rows * triplet.gamma).sum(axis=1) - 0.5 * (az * rows).sum(axis=1)
     if triplet.jumps is not None:
-        val = val + triplet.jumps.psi_jump(zz)
-    return complex(val)
+        val = val + triplet.jumps.psi_jump(rows)
+    val[~rows.any(axis=1)] = 0j
+    return complex(val[0]) if zz.ndim <= 1 else val
 
 
 def is_symmetric(triplet: LevyTriplet, tol: float = SYMMETRY_TOL) -> bool:

@@ -10,6 +10,10 @@ and the joint characteristic function of the restricted process is
 
     exp[ sum_ij m(B_ij) psi(z_i + ... + z_{i+j-1}) ].
 
+`joint_cf` forms the n(n+1)/2 rectangle sums of z as differences of its
+prefix sums and evaluates psi on all of them as one (m, d) batch, so its
+cost is O(n^2) array work with no Python loop over rectangles.
+
 Single increments only involve the lower rectangle (x(s), x(t)] x (0, y(t)]
 and the upper rectangle (0, x(s)] x (y(t), y(s)].
 """
@@ -56,17 +60,12 @@ class RectangleGrid:
         if np.any(np.diff(ts) <= 0):
             raise ValueError("times must be strictly increasing")
         xs, ys = path.eval(ts)
-        xs = np.atleast_1d(xs)
-        ys = np.atleast_1d(ys)
         n = ts.size
         x_ext = np.concatenate([[0.0], xs])  # x(t_0) = 0
         y_ext = np.concatenate([ys, [0.0]])  # y(t_{n+1}) = 0
-        areas = np.zeros((n, n))
-        for i in range(n):
-            dx = x_ext[i + 1] - x_ext[i]
-            for j in range(n - i):
-                dy = y_ext[i + j] - y_ext[i + j + 1]
-                areas[i, j] = dx * dy
+        dx, dy = x_ext[1:] - x_ext[:-1], y_ext[:-1] - y_ext[1:]
+        last = np.arange(n)[:, None] + np.arange(n)  # areas[i, j] = dx[i] dy[i + j]
+        areas = np.where(last < n, dx[:, None] * dy[np.minimum(last, n - 1)], 0.0)
         return cls(ts, xs, ys, areas)
 
     @property
@@ -75,10 +74,8 @@ class RectangleGrid:
 
     def covered_area(self, k: int) -> float:
         """Total area of the rectangles composing the value at times[k]."""
-        total = 0.0
-        for i in range(k + 1):
-            total += float(self.areas[i, k - i:].sum())
-        return total
+        i, j = np.indices(self.areas.shape)
+        return float(self.areas[(i <= k) & (i + j >= k)].sum())
 
 
 def lower_area(path: DecreasingPath, s: float, t: float) -> float:
@@ -103,17 +100,19 @@ def _as_z_matrix(zs, n: int, dim: int) -> np.ndarray:
 
 
 def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
-    """Joint characteristic function of the path values at the given times."""
+    """Joint characteristic function of the path values at the given times.
+
+    One psi call on the sums z_i + ... + z_k of the rectangles of nonzero
+    area, O(n^2) in the number of times n.
+    """
     grid = RectangleGrid.from_path(path, times)
     z = _as_z_matrix(zs, grid.n, triplet.dim)
-    total = 0j
-    for i in range(grid.n):
-        for j in range(grid.n - i):
-            area = grid.areas[i, j]
-            if area == 0.0:
-                continue
-            total += area * eval_psi(triplet, z[i: i + j + 1].sum(axis=0))
-    return cmath.exp(total)
+    prefix = np.concatenate([np.zeros((1, triplet.dim)), np.cumsum(z, axis=0)])
+    first, last = np.triu_indices(grid.n)  # B_ij covers z_first .. z_last
+    areas = grid.areas[first, last - first]
+    keep = areas != 0.0
+    sums = prefix[last[keep] + 1] - prefix[first[keep]]
+    return cmath.exp(complex((areas[keep] * eval_psi(triplet, sums)).sum()))
 
 
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,
@@ -122,10 +121,10 @@ def increment_cf(triplet: LevyTriplet, path: DecreasingPath,
     if not s < t:
         raise ValueError("increment needs s < t")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
-    path.eval(s), path.eval(t)  # domain check
-    exponent = lower_area(path, s, t) * eval_psi(triplet, zz) \
-        + upper_area(path, s, t) * eval_psi(triplet, -zz)
-    return cmath.exp(exponent)
+    (x_s, x_t), (y_s, y_t) = path.eval(np.array([s, t]))
+    psi = eval_psi(triplet, np.stack([zz, -zz]))
+    # lower rectangle (x(s), x(t)] x (0, y(t)], upper (0, x(s)] x (y(t), y(s)]
+    return cmath.exp((x_t - x_s) * y_t * psi[0] + x_s * (y_s - y_t) * psi[1])
 
 
 def stationary_increment_cf(triplet: LevyTriplet, cls: PathClass,
@@ -140,13 +139,11 @@ def stationary_increment_cf(triplet: LevyTriplet, cls: PathClass,
         raise ValueError("path class has no stationary increments")
     ph = cls.phi(u)
     zz = np.atleast_1d(np.asarray(z, dtype=float))
-    if is_symmetric(triplet):
+    if is_symmetric(triplet) or cls.tag is PathTag.HORIZONTAL:
         return cmath.exp(ph * eval_psi(triplet, zz))
     if cls.tag is PathTag.EXPONENTIAL:
-        half = 0.5 * (eval_psi(triplet, zz) + eval_psi(triplet, -zz))
-        return cmath.exp(ph * half)
-    if cls.tag is PathTag.HORIZONTAL:
-        return cmath.exp(ph * eval_psi(triplet, zz))
+        psi = eval_psi(triplet, np.stack([zz, -zz]))
+        return cmath.exp(ph * (0.5 * (psi[0] + psi[1])))
     if cls.tag is PathTag.VERTICAL:
         return cmath.exp(ph * eval_psi(triplet, -zz))
     raise ValueError(

@@ -529,13 +529,18 @@ def _candidate_vertical(ts, xs, ys, span, tol):
 
 def _candidate_corner(ts, xs, ys, span, tol):
     best = None
-    for k in range(1, ts.size - 1):
+    scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
+    # A corner at knot k needs xs[:k+1] and ys[k:] flat within tol * scale, and a
+    # residual is at least half a stretch's range: skip ranges over 2 tol scale.
+    spread = lambda v: np.maximum.accumulate(v) - np.minimum.accumulate(v)  # noqa: E731
+    flat = np.maximum(spread(xs), spread(ys[::-1])[::-1]) <= 2.0 * tol * scale * (1.0 + 1e-9)
+    for k in np.flatnonzero(flat[1:-1]) + 1:
         s_star = ts[k]
         a = float(xs[: k + 1].mean())
         b = float(ys[k:].mean())
         left, right = ts[: k + 1], ts[k:]
-        c = float(np.polynomial.polynomial.polyfit(s_star - left, ys[: k + 1] - b, 1)[1]) if k >= 1 else 0.0
-        d = float(np.polynomial.polynomial.polyfit(right - s_star, xs[k:] - a, 1)[1]) if k <= ts.size - 2 else 0.0
+        c = float(np.polynomial.polynomial.polyfit(s_star - left, ys[: k + 1] - b, 1)[1])
+        d = float(np.polynomial.polynomial.polyfit(right - s_star, xs[k:] - a, 1)[1])
         if a <= 0 or b <= 0 or c <= 0 or d <= 0:
             continue
         resid = max(
@@ -544,7 +549,6 @@ def _candidate_corner(ts, xs, ys, span, tol):
             float(np.max(np.abs(ys[: k + 1] - (b + c * (s_star - left))))),
             float(np.max(np.abs(xs[k:] - (a + d * (right - s_star))))),
         )
-        scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
         if resid > tol * scale:
             continue
         if abs(a * c - b * d) > tol * max(a * c, b * d):

@@ -142,17 +142,27 @@ def simulate_stationary(law: StationaryLaw, grid, rng) -> gauss.SamplePathGrid:
 # Ornstein-Uhlenbeck-type discrimination
 # ---------------------------------------------------------------------------
 
+def _probe_exponents(triplet: LevyTriplet, c: float, t, z):
+    """Exponents of `ou_cf` and `exp_path_cf` at the probe (t, z), or at the
+    probes (t[k], z[k]), from one psi call on the rows e^{ct} z, z,
+    (e^{ct} - 1) z and -z."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    zs = np.asarray(z, dtype=float).reshape(ts.size, triplet.dim)
+    if not (c > 0 and np.all(ts > 0)):
+        raise ValueError("c and t must be positive")
+    ect, emct = np.exp(c * ts)[:, None], np.exp(-c * ts)
+    rows = np.concatenate([ect * zs, zs, (ect - 1.0) * zs, -zs])
+    up, base, diff, neg = eval_psi(triplet, rows).reshape(4, ts.size)
+    return up - base, emct * diff + (1.0 - emct) * (up + neg)
+
+
 def ou_cf(triplet: LevyTriplet, c: float, t: float, z) -> complex:
     """CF of the integrated driver e^{ct} V_t - V_0 of a stationary OU-type process.
 
     Equals exp[psi(e^{ct} z) - psi(z)] when the stationary marginal has
     exponent psi.
     """
-    if not (c > 0 and t > 0):
-        raise ValueError("c and t must be positive")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    ect = math.exp(c * t)
-    return cmath.exp(eval_psi(triplet, ect * zz) - eval_psi(triplet, zz))
+    return cmath.exp(_probe_exponents(triplet, c, t, z)[0][0])
 
 
 def exp_path_cf(triplet: LevyTriplet, c: float, t: float, z) -> complex:
@@ -161,14 +171,7 @@ def exp_path_cf(triplet: LevyTriplet, c: float, t: float, z) -> complex:
     Equals exp[e^{-ct} psi((e^{ct}-1) z)
                + (1 - e^{-ct}) (psi(e^{ct} z) + psi(-z))].
     """
-    if not (c > 0 and t > 0):
-        raise ValueError("c and t must be positive")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    ect = math.exp(c * t)
-    emct = math.exp(-c * t)
-    exponent = emct * eval_psi(triplet, (ect - 1.0) * zz) \
-        + (1.0 - emct) * (eval_psi(triplet, ect * zz) + eval_psi(triplet, -zz))
-    return cmath.exp(exponent)
+    return cmath.exp(_probe_exponents(triplet, c, t, z)[1][0])
 
 
 @dataclass(frozen=True)
@@ -202,15 +205,8 @@ class OUDistinguishReport:
 
 def default_ou_probes(dim: int):
     """Times {ln 2, ln 3, 1} crossed with 16 log-spaced |z| along each axis."""
-    probes = []
-    mags = np.geomspace(0.1, 10.0, 16)
-    for t in (math.log(2.0), math.log(3.0), 1.0):
-        for axis in range(dim):
-            for m in mags:
-                z = np.zeros(dim)
-                z[axis] = m
-                probes.append((t, z))
-    return probes
+    return [(t, m * np.eye(dim)[axis]) for t in (math.log(2.0), math.log(3.0), 1.0)
+            for axis in range(dim) for m in np.geomspace(0.1, 10.0, 16)]
 
 
 def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
@@ -222,14 +218,14 @@ def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
     """
     if probes is None:
         probes = default_ou_probes(triplet.dim)
+    ts = np.array([t for t, _ in probes], dtype=float)
+    zs = np.array([np.atleast_1d(z) for _, z in probes], dtype=float)
+    ou, sheet = _probe_exponents(triplet, c, ts, zs)
+    gaps = np.abs(np.exp(ou) - np.exp(sheet))
+    hits = np.flatnonzero(gaps > gap_threshold)
     witness = None
-    max_gap = 0.0
-    for t, z in probes:
-        gap = abs(ou_cf(triplet, c, t, z) - exp_path_cf(triplet, c, t, z))
-        if gap > max_gap:
-            max_gap = gap
-        if witness is None and gap > gap_threshold:
-            zz = np.atleast_1d(np.asarray(z, dtype=float))
-            witness = OUWitness(t=float(t), z=tuple(float(v) for v in zz), gap=float(gap))
-    return OUDistinguishReport(witness=witness, max_gap=float(max_gap),
+    if hits.size:  # the first probe, in probe order, over the threshold
+        k = hits[0]
+        witness = OUWitness(float(ts[k]), tuple(zs[k].tolist()), float(gaps[k]))
+    return OUDistinguishReport(witness=witness, max_gap=float(np.max(gaps, initial=0.0)),
                                n_probes=len(probes), gap_threshold=gap_threshold)

@@ -75,6 +75,57 @@ class TestEvalPsi:
             assert left == pytest.approx(right, abs=1e-12)
 
 
+def batch_laws():
+    """One law of each kind the exponent distinguishes, with d = 1 and 2."""
+    return {
+        "uniform": ex.cpp(1.3, ex.UniformJumps(0.8), drift=0.3),
+        "gaussian-d1": ex.cpp(0.9, ex.GaussianJumps(0.7), drift=-0.2),
+        "gaussian-d2": ex.LevyTriplet([0.1, -0.3], [[1.0, 0.3], [0.3, 0.5]],
+                                      ex.ScaledJumps(1.1, ex.GaussianJumps(0.6, 2))),
+        "categorical-d1": ex.cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1), (2.5, 0.3)], drift=0.15),
+        "categorical-d2": ex.cpp_from_atoms([([1.0, 0.5], 0.8), ([-0.6, 0.2], 1.1)],
+                                            drift=[0.1, 0.2]),
+        "drift": ex.pure_drift([0.7, -1.2]),
+        "brownian-d1": ex.brownian(1),
+        "brownian-d2": ex.LevyTriplet(np.zeros(2), [[1.0, 0.4], [0.4, 0.6]]),
+    }
+
+
+class TestEvalPsiBatch:
+    @pytest.mark.parametrize("name", list(batch_laws()))
+    def test_rows_equal_single_calls(self, name):
+        triplet = batch_laws()[name]
+        rng = np.random.default_rng(14)
+        zs = rng.normal(0.0, 2.0, size=(500, triplet.dim))
+        zs[::9] = 0.0
+        batch = ex.eval_psi(triplet, zs)
+        assert batch.shape == (500,) and batch.dtype == complex
+        single = np.array([ex.eval_psi(triplet, z) for z in zs])
+        assert np.array_equal(batch, single)
+        assert np.all(batch[::9] == 0j)
+        assert not np.any(np.signbit(batch[::9].real) | np.signbit(batch[::9].imag))
+
+    def test_single_call_returns_python_complex(self):
+        for triplet in batch_laws().values():
+            val = ex.eval_psi(triplet, np.full(triplet.dim, 0.5))
+            assert type(val) is complex
+        assert type(ex.eval_psi(ex.brownian(1), 0.0)) is complex
+
+    def test_empty_batch(self):
+        assert ex.eval_psi(one_atom_cpp(), np.zeros((0, 1))).shape == (0,)
+
+    def test_rejects_bad_shapes_and_nonfinite_rows(self):
+        law2 = batch_laws()["categorical-d2"]
+        for z in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 3, 2)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                ex.eval_psi(law2, z)
+        for bad in (np.nan, np.inf, -np.inf):
+            zs = np.ones((4, 2))
+            zs[2, 1] = bad
+            with pytest.raises(ValueError):
+                ex.eval_psi(law2, zs)
+
+
 class TestPredicates:
     def test_symmetry(self):
         assert ex.is_symmetric(ex.brownian(1))

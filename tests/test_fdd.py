@@ -11,6 +11,7 @@ from levysheet.paths import (
     HorizontalPath,
     LinearPath,
     VerticalPath,
+    VThenHPath,
     classify,
 )
 
@@ -100,6 +101,61 @@ class TestJointCF:
             fdd.joint_cf(brownian(1), bridge(), [0.5, 0.2], np.zeros((2, 1)))
 
 
+def loop_areas(path, times):
+    """Rectangle areas by the double loop over (i, j), the reference layout."""
+    xs, ys = path.eval(np.asarray(times, dtype=float))
+    n = len(times)
+    x_ext, y_ext = np.concatenate([[0.0], xs]), np.concatenate([ys, [0.0]])
+    areas = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n - i):
+            areas[i, j] = (x_ext[i + 1] - x_ext[i]) * (y_ext[i + j] - y_ext[i + j + 1])
+    return areas
+
+
+def loop_joint_cf(triplet, path, times, zs):
+    """One scalar psi call per rectangle of nonzero area, each on a re-summed
+    slice of z: the O(n^3) evaluation of the closed form."""
+    areas = loop_areas(path, times)
+    total = 0j
+    for i in range(len(times)):
+        for j in range(len(times) - i):
+            if areas[i, j] != 0.0:
+                total += areas[i, j] * eval_psi(triplet, zs[i: i + j + 1].sum(axis=0))
+    return cmath.exp(total)
+
+
+class TestJointCFBatch:
+    N = 200
+    CASES = {
+        "horizontal": (HorizontalPath.affine(0.2, 1.1, 0.9, 0.0, 1.0),
+                       cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1)], drift=0.15)),
+        "corner": (VThenHPath(0.5, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0),
+                   cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1)], drift=0.15)),
+        "linear-d2": (LinearPath(0.1, 1.0, 1.3, 1.1, 0.0, 1.0),
+                      cpp_from_atoms([([1.0, 0.5], 0.8), ([-0.6, 0.2], 1.1)], drift=[0.1, 0.2])),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_rectangle_loop(self, name):
+        path, triplet = self.CASES[name]
+        rng = np.random.default_rng(36)
+        times = np.sort(rng.uniform(0.02, 0.98, size=self.N))
+        zs = rng.normal(0.0, 1.0 / math.sqrt(self.N), size=(self.N, triplet.dim))
+        got = fdd.joint_cf(triplet, path, times, zs)
+        want = loop_joint_cf(triplet, path, times, zs)
+        assert abs(got - want) <= 64 * np.finfo(float).eps * self.N ** 2
+        assert np.array_equal(fdd.RectangleGrid.from_path(path, times).areas,
+                              loop_areas(path, times))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_zero_probe_is_exactly_one(self, name):
+        path, triplet = self.CASES[name]
+        times = np.linspace(0.02, 0.98, self.N)
+        val = fdd.joint_cf(triplet, path, times, np.zeros((self.N, triplet.dim)))
+        assert val == 1.0 + 0j and not math.copysign(1.0, val.imag) < 0
+
+
 class TestIncrementCF:
     def test_pinned_bridge_increment(self):
         # both endpoints pinned at zero: the total increment is a.s. zero
@@ -137,6 +193,17 @@ class TestIncrementCF:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             fdd.increment_cf(brownian(1), bridge(), 0.5, 0.5, 1.0)
+
+    def test_equals_rectangle_formula(self):
+        rng = np.random.default_rng(37)
+        laws = (cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1)], drift=0.15), brownian(1))
+        for path in random_paths(rng, 20):
+            for trip in laws:
+                s, t = np.sort(rng.uniform(path.t_lo, path.t_hi, size=2))
+                z = float(rng.normal())
+                want = cmath.exp(fdd.lower_area(path, s, t) * eval_psi(trip, z)
+                                 + fdd.upper_area(path, s, t) * eval_psi(trip, -z))
+                assert abs(fdd.increment_cf(trip, path, s, t, z) - want) <= 1e-15
 
 
 class TestStationaryIncrementCF:

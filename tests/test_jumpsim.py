@@ -247,14 +247,9 @@ class TestRearrangement:
     def test_rearranged_preserves_law(self):
         rng = np.random.default_rng(58)
         n = 20_000
-        vals = np.empty((n, 2))
-        for i in range(n):
-            y = jumpsim.simulate_cpp_path(2.0, TwoPoint(1.0), 0.0, 1.0, rng)
-            y_prime, _ = jumpsim.rearranged_difference(y, rng)
-            vals[i, 0] = y.values([0.6])[0, 0]
-            vals[i, 1] = y_prime.values([0.6])[0, 0]
-        target = empirical_cf(vals[:, 0], 1.0)
-        rearranged = empirical_cf(vals[:, 1], 1.0)
+        ys, rearr = jumpsim.rearranged_pairs(2.0, TwoPoint(1.0), 1.0, [0.6], n, rng)
+        target = empirical_cf(ys[:, 0, 0], 1.0)
+        rearranged = empirical_cf(rearr[:, 0, 0], 1.0)
         # both match the analytic CPP characteristic function
         analytic = complex(np.exp(0.6 * 2.0 * (math.cos(1.0) - 1.0)))
         assert cf_match(target, analytic).passed
@@ -263,11 +258,8 @@ class TestRearrangement:
     def test_difference_matches_symmetrized_sheet(self):
         rng = np.random.default_rng(59)
         n = 20_000
-        vals = np.empty((n, 1))
-        for i in range(n):
-            y = jumpsim.simulate_cpp_path(2.0, TwoPoint(1.0), 0.0, 1.0, rng)
-            _, z = jumpsim.rearranged_difference(y, rng)
-            vals[i, 0] = z.values([0.5])[0, 0]
+        ys, rearr = jumpsim.rearranged_pairs(2.0, TwoPoint(1.0), 1.0, [0.5], n, rng)
+        vals = (ys - rearr)[:, 0, :]
         sheet = cpp_from_atoms([(1.0, 2.0), (-1.0, 2.0)])
         target = fdd.joint_cf(sheet, bridge(), [0.5], [[1.0]])
         assert cf_match(empirical_cf(vals, np.array([1.0])), target).passed

@@ -134,6 +134,74 @@ class TestClassify:
                     assert other.phi(u) == pytest.approx(cls.phi(u), abs=1e-9)
 
 
+def unpruned_corner(ts, xs, ys, span, tol):
+    """The corner search over every inner knot, with no range pruning."""
+    best = None
+    scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
+    for k in range(1, ts.size - 1):
+        s_star = ts[k]
+        a, b = float(xs[: k + 1].mean()), float(ys[k:].mean())
+        left, right = ts[: k + 1], ts[k:]
+        c = float(np.polynomial.polynomial.polyfit(s_star - left, ys[: k + 1] - b, 1)[1])
+        d = float(np.polynomial.polynomial.polyfit(right - s_star, xs[k:] - a, 1)[1])
+        if a <= 0 or b <= 0 or c <= 0 or d <= 0:
+            continue
+        resid = max(float(np.max(np.abs(xs[: k + 1] - a))), float(np.max(np.abs(ys[k:] - b))),
+                    float(np.max(np.abs(ys[: k + 1] - (b + c * (s_star - left))))),
+                    float(np.max(np.abs(xs[k:] - (a + d * (right - s_star))))))
+        if resid > tol * scale or abs(a * c - b * d) > tol * max(a * c, b * d):
+            continue
+        if best is None or resid < best[0]:
+            best = (resid, pth.PathClass(pth.PathTag.V_THEN_H, {
+                "s_star": float(s_star), "a": a, "b": b, "c": c, "d": d}, span))
+    return None if best is None else best[1]
+
+
+class TestCornerSearch:
+    @staticmethod
+    def corner_knots(n, s_star=0.5, a=1.0, b=2.0, c=4.0, d=2.0):
+        corner = pth.VThenHPath(s_star, a, b, c, d, 0.0, 1.0)
+        ts = np.union1d(np.linspace(0.0, 1.0, n), [s_star])
+        return ts, corner.x(ts), corner.y(ts)
+
+    def tabulations(self, flat_stretch_path):
+        """True corners, corners bent or unbalanced just past the tolerance,
+        and paths with flat stretches of x and y."""
+        scale = 4.0  # max |x|, |y| of the corners above
+        yield self.corner_knots(17)
+        yield self.corner_knots(64, s_star=0.37)
+        for factor in (0.5, 0.99, 1.01, 1.99, 2.01, 3.0):
+            ts, xs, ys = self.corner_knots(64, s_star=0.37)
+            k = int(np.searchsorted(ts, 0.37))
+            bent_x, bent_y = xs.copy(), ys.copy()
+            # one knot of the vertical leg off x = a, one of the horizontal leg off y = b
+            bent_x[k // 2] += factor * pth.TABULATED_TOL * scale
+            bent_y[(k + ts.size) // 2] -= factor * pth.TABULATED_TOL * scale
+            yield ts, bent_x, ys
+            yield ts, xs, bent_y
+        for imbalance in (1.0 - 2e-6, 1.0 + 2e-6, 1.0 + 5e-7):
+            yield self.corner_knots(64, d=2.0 * imbalance)
+        yield flat_stretch_path.times, flat_stretch_path.xs, flat_stretch_path.ys
+        ts = np.linspace(0.0, 1.0, 40)  # a staircase: x and y flat in turn
+        yield ts, 0.2 + np.floor(4 * ts) / 4, 1.5 - np.ceil(4 * ts) / 4
+
+    @pytest.mark.parametrize("tol", [pth.TABULATED_TOL, 1e-3, 0.1])
+    def test_pruned_equals_unpruned(self, flat_stretch_path, tol):
+        found = 0
+        for ts, xs, ys in self.tabulations(flat_stretch_path):
+            span = float(ts[-1] - ts[0])
+            got = pth._candidate_corner(ts, xs, ys, span, tol)
+            assert got == unpruned_corner(ts, xs, ys, span, tol)
+            found += got is not None
+        assert found >= 3
+
+    def test_true_corner_classified(self):
+        ts, xs, ys = self.corner_knots(64, s_star=0.37)
+        cls = pth.classify(pth.TabulatedPath(ts, xs, ys))
+        assert cls.tag is pth.PathTag.V_THEN_H
+        assert cls.params["s_star"] == 0.37
+
+
 class TestPhi:
     def test_nonnegative_on_lags(self):
         rng = np.random.default_rng(22)

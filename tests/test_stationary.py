@@ -178,6 +178,71 @@ class TestOUDiscrimination:
         assert d["witness"] is not None and "gap" in d["witness"]
 
 
+def probe_loop(triplet, c, probes, gap_threshold=1e-3):
+    """Witness (t, z, gap) and max gap of the probes, one probe at a time."""
+    witness, max_gap = None, 0.0
+    for t, z in probes:
+        zz = np.atleast_1d(np.asarray(z, dtype=float))
+        ect, emct = math.exp(c * t), math.exp(-c * t)
+        ou = cmath.exp(eval_psi(triplet, ect * zz) - eval_psi(triplet, zz))
+        sheet = cmath.exp(emct * eval_psi(triplet, (ect - 1.0) * zz)
+                          + (1.0 - emct) * (eval_psi(triplet, ect * zz) + eval_psi(triplet, -zz)))
+        gap = abs(ou - sheet)
+        max_gap = max(max_gap, gap)
+        if witness is None and gap > gap_threshold:
+            witness = (float(t), tuple(zz.tolist()), gap)
+    return witness, max_gap
+
+
+class TestOUProbeBatch:
+    LAWS = {
+        "one-atom": cpp_from_atoms([(1.0, 1.0)]),
+        "three-atom": cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1), (2.5, 0.3)], drift=0.15),
+        "atoms-d2": cpp_from_atoms([([1.0, 0.5], 0.8), ([-0.6, 0.2], 1.1)], drift=[0.1, 0.2]),
+        "brownian-d1": brownian(1),
+        "brownian-d2": brownian(2),
+        "drift": pure_drift(2.0),
+    }
+
+    @staticmethod
+    def assert_same(report, witness, max_gap):
+        tol = lambda v: 4 * np.finfo(float).eps * max(1.0, v)  # noqa: E731
+        assert abs(report.max_gap - max_gap) <= tol(max_gap)
+        if witness is None:
+            assert report.witness is None
+            return
+        assert (report.witness.t, report.witness.z) == witness[:2]
+        assert abs(report.witness.gap - witness[2]) <= tol(witness[2])
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_matches_probe_loop(self, name):
+        triplet = self.LAWS[name]
+        for c in (0.5, 1.0, 1.7):
+            report = stationary.distinguish_ou(triplet, c)
+            self.assert_same(report, *probe_loop(triplet, c, stationary.default_ou_probes(triplet.dim)))
+            assert report.distinguishable == (triplet.jumps is not None)
+
+    def test_default_probes_in_order(self):
+        probes, k = stationary.default_ou_probes(2), 0
+        for t in (math.log(2.0), math.log(3.0), 1.0):
+            for axis in range(2):
+                for m in np.geomspace(0.1, 10.0, 16):
+                    z = np.zeros(2)
+                    z[axis] = m
+                    assert probes[k][0] == t and np.array_equal(probes[k][1], z)
+                    k += 1
+        assert k == len(probes)
+
+    def test_custom_probes(self):
+        triplet = self.LAWS["three-atom"]
+        probes = [(0.3, 0.01), (1.5, np.array([0.2])), (0.7, [3.0]), (0.9, 0.5)]
+        for threshold in (1e-3, 1e-2, 10.0):
+            report = stationary.distinguish_ou(triplet, 0.8, probes, gap_threshold=threshold)
+            self.assert_same(report, *probe_loop(triplet, 0.8, probes, threshold))
+        empty = stationary.distinguish_ou(triplet, 0.8, [])
+        assert empty.witness is None and empty.max_gap == 0.0 and empty.n_probes == 0
+
+
 class TestStationaryLaw:
     def test_marginal_exponent(self):
         law = stationary.StationaryLaw(brownian(1), a=2.0, b=0.5, c=1.0)
