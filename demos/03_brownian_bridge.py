@@ -38,15 +38,10 @@ print(f"\ntransition density peak at its mean {mean}: {dens:.4f} "
 
 # Zero crossings of the bridge over (0.25, 0.75).
 exact = gauss.zero_prob(law, 0.25, 0.75)
-grid = np.linspace(0.25, 0.75, 4000)
-hits = 0
 n = 40_000
-for start in range(0, n, 2000):
-    block = gauss.simulate_paths(law, grid, rng, n_paths=2000)[:, :, 0]
-    signs = np.signbit(block)
-    hits += int(np.sum(np.any(signs[:, 1:] != signs[:, :-1], axis=1)))
+freq = gauss.zero_crossing_frequency(law, 0.25, 0.75, n, 4000, rng)
 print(f"\nP(zero in (0.25, 0.75)) = (2/pi) arccos(1/3) = {exact:.4f}")
-print(f"Monte Carlo sign-change frequency ({n} paths): {hits / n:.4f}")
+print(f"Monte Carlo crossing frequency ({n} paths, 4000-point grid): {freq:.4f}")
 
 cond = gauss.zero_prob_conditional(law, 0.25, 0.75, 0.1)
 print(f"conditional on the value 0.1 at time 0.25: {cond:.4f}")

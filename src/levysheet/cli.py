@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import fdd, gauss, jumpsim, stationary, suites
+from . import fdd, gauss, jumpsim, stationary, suites, verify
 from .exponent import TwoPoint, triplet_from_dict
 from .paths import classify, equivalent, path_from_dict
 
@@ -186,18 +185,17 @@ def _cmd_experiment(args) -> int:
     # rwbridge
     pairs = jumpsim.random_walk_bridges(args.rate, args.l, TwoPoint(1.0), args.n, rng,
                                         grid=[args.s, args.t])
-    prods = pairs[:, 0] * pairs[:, 1]
-    cov = float(prods.mean() - pairs[:, 0].mean() * pairs[:, 1].mean())
+    cov, se = verify.pair_covariance(pairs)
     _emit_json({"covariance": cov,
                 "covariance_target": jumpsim.rw_bridge_cov(args.rate, args.l, 0.0, 1.0,
                                                            args.s, args.t),
-                "se": float(prods.std(ddof=1) / math.sqrt(args.n)),
+                "se": se,
                 "n": args.n, "rate": args.rate}, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    reports = suites.run_suite(args.suite, seed=args.seed, threads=args.threads)
+    reports = suites.run_suite(args.suite, seed=args.seed)
     lines = [r.to_json() for r in reports]
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:  # still summarize on stdout when writing to a file
@@ -221,11 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def common(p):
+        p.add_argument("--out", help="output file (default stdout)")
+
+    def seeded(p):
         p.add_argument("--seed", type=int, default=suites.DEFAULT_SEED,
                        help="RNG seed (default %(default)s)")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+        common(p)
 
     p = sub.add_parser("classify", help="classify a path's stationarity family")
     p.add_argument("--path", required=True)
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
-    common(p, fmt_default="csv")
+    seeded(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a named verification experiment")
@@ -284,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "N"),
                    default=(0.0, 1.0, 11))
     p.add_argument("--grid-points", type=int, default=2000)
-    common(p)
+    seeded(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=suites.SUITE_NAMES, default="all")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: LEVY_SHEET_THREADS, 0 = auto)")
-    common(p)
+    seeded(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

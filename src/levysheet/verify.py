@@ -20,6 +20,7 @@ __all__ = [
     "EmpiricalCF",
     "TestReport",
     "empirical_cf",
+    "pair_covariance",
     "cf_match",
     "conditional_mean_regression",
     "chi2_binned",
@@ -93,6 +94,18 @@ def empirical_cf(samples, z) -> EmpiricalCF:
         se_re=float(cos.std(ddof=1) / math.sqrt(n)),
         se_im=float(sin.std(ddof=1) / math.sqrt(n)),
     )
+
+
+def pair_covariance(pairs) -> tuple[float, float]:
+    """Sample covariance of the two columns of an (N, 2) array, with its SE.
+
+    The covariance is mean(x y) - mean(x) mean(y); the standard error is that
+    of mean(x y), std(x y) / sqrt(N) with ddof 1.
+    """
+    arr = np.asarray(pairs, dtype=float)
+    prods = arr[:, 0] * arr[:, 1]
+    cov = float(prods.mean() - arr[:, 0].mean() * arr[:, 1].mean())
+    return cov, float(prods.std(ddof=1) / math.sqrt(arr.shape[0]))
 
 
 def cf_match(emp: EmpiricalCF, analytic: complex, k: float = 4.0,

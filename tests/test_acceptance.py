@@ -30,8 +30,8 @@ DESCRIPTIONS = {
        "component variances in 0.5 +/- 0.03, walk covariance within 4 SE",
     9: "exponential-path stationarity: lag correlations within 0.02 of "
        "exp(-c u); joint CF shift-invariant to 1e-12",
-    10: "OU-type discrimination: jump law yields a CF gap > 1e-3; Gaussian "
-        "max gap < 1e-10",
+    10: "OU-type discrimination: jump law yields a CF gap >= 1e-3; Gaussian "
+        "max gap <= 1e-10",
     11: "joint CF invariant under path rescaling to 1e-12; conditional-mean "
         "regressions pass on Gaussian and compound-Poisson sheets",
 }
@@ -45,3 +45,11 @@ def test_criterion(number):
           f"{DESCRIPTIONS[number]}")
     for report in reports:
         assert report.passed, report.to_json()
+        assert report.passed == (report.statistic <= report.threshold), report.to_json()
+
+
+def test_suite_runs_its_criteria_in_order():
+    # Neither criterion has a runtime budget, so the whole JSON is reproducible.
+    expected = suites.CRITERIA[9](SEED) + suites.CRITERIA[10](SEED)
+    got = suites.run_suite("stationary", SEED)
+    assert [r.to_json() for r in got] == [r.to_json() for r in expected]

@@ -84,6 +84,15 @@ class TestCF:
         assert code == 1
         assert "--z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "3"]])
+    def test_rejects_unused_flags(self, capsys, brownian_file, bridge_file, flag):
+        # cf draws nothing and writes JSON only, so it takes neither flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["cf", "--triplet", brownian_file, "--path", bridge_file,
+                  "--times", "0.5", "--z", "1"] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestEquivalent:
     def test_scaled(self, capsys, bridge_file, tmp_path):

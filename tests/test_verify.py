@@ -38,6 +38,14 @@ class TestEmpiricalCF:
             verify.empirical_cf(np.zeros(50), 1.0)
 
 
+class TestPairCovariance:
+    def test_hand_values(self):
+        # x y = 1, 1, 3, 3: mean 2, sample variance 4/3; mean x = mean y = 3/2.
+        cov, se = verify.pair_covariance([[1.0, 1.0], [1.0, 1.0], [1.0, 3.0], [3.0, 1.0]])
+        assert cov == pytest.approx(2.0 - 2.25)
+        assert se == pytest.approx(math.sqrt(4.0 / 3.0) / 2.0)
+
+
 class TestCFMatch:
     def test_exact_match_passes(self):
         emp = verify.empirical_cf(np.zeros(10_000), 1.0)
