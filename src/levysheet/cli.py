@@ -3,7 +3,8 @@
 Inputs are JSON files (triplets and paths use the same schemas as
 `exponent.triplet_from_dict` / `paths.path_from_dict`); outputs are JSON or
 CSV.  Runs are reproducible: the same argv and seed produce byte-identical
-output.  Exit codes: 0 success, 1 validation error, 2 verification failure.
+output.  Exit codes: 0 success, 1 validation error, 2 verification failure
+or usage error (such as a flag the command or experiment kind does not take).
 """
 
 from __future__ import annotations
@@ -156,12 +157,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    rng = np.random.default_rng(args.seed)
     if args.kind == "ou":
         triplet = _load_triplet(args.triplet)
         report = stationary.distinguish_ou(triplet, args.c)
         _emit_json(report.to_dict(), args.out)
         return 0
+    rng = np.random.default_rng(args.seed)
     if args.kind == "zerocross":
         law = gauss.GaussPathLaw(_load_path(args.path))
         analytic = gauss.zero_prob(law, args.s, args.t)
@@ -272,21 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a named verification experiment")
-    p.add_argument("kind", choices=("bridge", "rwbridge", "ou", "zerocross"))
-    p.add_argument("--triplet")
-    p.add_argument("--path")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--rate", type=int, default=1000)
-    p.add_argument("--l", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.25)
-    p.add_argument("--t", type=float, default=0.75)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "N"),
-                   default=(0.0, 1.0, 11))
-    p.add_argument("--grid-points", type=int, default=2000)
-    seeded(p)
     p.set_defaults(func=_cmd_experiment)
+    kinds = p.add_subparsers(dest="kind", required=True)  # each kind takes only its own flags
+    ou = kinds.add_parser("ou", help="CF discrimination against OU-type processes")
+    ou.add_argument("--triplet", required=True)
+    ou.add_argument("--c", type=float, default=1.0)
+    common(ou)
+    zerocross = kinds.add_parser("zerocross", help="zero-crossing probability of a Brownian sheet")
+    zerocross.add_argument("--path", required=True)
+    zerocross.add_argument("--z", type=float, default=None)
+    zerocross.add_argument("--grid-points", type=int, default=2000)
+    bridge = kinds.add_parser("bridge", help="diffusion-scale bridge from jump rearrangement")
+    bridge.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "N"),
+                        default=(0.0, 1.0, 11))
+    rwbridge = kinds.add_parser("rwbridge", help="permuted random-walk bridge covariance")
+    for q in (bridge, rwbridge):
+        q.add_argument("--rate", type=int, default=1000)
+        q.add_argument("--l", type=float, default=1.0)
+    for q in (zerocross, rwbridge):
+        q.add_argument("--s", type=float, default=0.25)
+        q.add_argument("--t", type=float, default=0.75)
+    for q in (zerocross, bridge, rwbridge):
+        q.add_argument("--n", type=int, default=10_000)
+        seeded(q)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=suites.SUITE_NAMES, default="all")

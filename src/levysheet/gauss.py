@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import (
-    DecreasingPath,
-    ExponentialPath,
-    LinearPath,
-    TabulatedPath,
-    _fit_affine,
-    _fit_exponential,
-)
+from .paths import DecreasingPath, PathTag, classify
 
 __all__ = [
     "GaussPathLaw",
@@ -333,49 +326,23 @@ def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
 
 def identify_bridge(path: DecreasingPath, tol: float = 1e-9):
     """(l, p) if the path is (p t, (1 - t/l)/p) on [0, l]; None otherwise."""
-    if isinstance(path, LinearPath):
-        p = path.b
-        l = path.c / path.d
-        ok = (
-            abs(path.a) <= tol * max(1.0, p)
-            and abs(path.t_lo) <= tol * max(1.0, l)
-            and abs(path.t_hi - l) <= tol * max(1.0, l)
-            and abs(path.b * path.c - 1.0) <= tol
-        )
-        return (l, p) if ok else None
-    if isinstance(path, TabulatedPath):
-        ts, xs, ys = path.times, path.xs, path.ys
-        if abs(ts[0]) > tol:
-            return None
-        denom = float(np.dot(ts, ts))
-        if denom == 0.0:
-            return None
-        p = float(np.dot(ts, xs) / denom)
-        if p <= 0:
-            return None
-        w = ys * p  # should be 1 - t/l
-        _, slope, _ = _fit_affine(ts, w)
-        if slope >= 0:
-            return None
-        l = -1.0 / slope
-        resid = max(
-            float(np.max(np.abs(xs - p * ts))),
-            float(np.max(np.abs(w - (1.0 - ts / l)))),
-        )
-        scale = max(1.0, float(np.max(np.abs(xs))))
-        if resid > tol * scale or abs(ts[-1] - l) > tol * max(1.0, l):
-            return None
-        return (l, p)
-    return None
+    cls = classify(path, tol)
+    if cls.tag is not PathTag.LINEAR:
+        return None
+    a, b, c, d = (cls.params[k] for k in "abcd")
+    l = c / d
+    ok = (
+        abs(a) <= tol * max(1.0, b)
+        and abs(path.t_lo) <= tol * max(1.0, l)
+        and abs(path.t_hi - l) <= tol * max(1.0, l)
+        and abs(b * c - 1.0) <= tol
+    )
+    return (l, b) if ok else None
 
 
 def identify_ou(path: DecreasingPath, tol: float = 1e-9):
     """(a, b, c) if the path is (a e^{ct}, b e^{-ct}); the stationary variance is ab."""
-    if isinstance(path, ExponentialPath):
-        return (path.a, path.b, path.c)
-    if isinstance(path, TabulatedPath):
-        fit = _fit_exponential(path.times, path.xs, path.ys)
-        if fit is None or fit[3] > tol:
-            return None
-        return fit[:3]
-    return None
+    cls = classify(path, tol)
+    if cls.tag is not PathTag.EXPONENTIAL:
+        return None
+    return cls.params["a"], cls.params["b"], cls.params["c"]

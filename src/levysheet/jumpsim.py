@@ -506,7 +506,6 @@ class JumpCountReport:
     chi2_statistic: float
     chi2_critical: float  # the statistic's value at the test's p-value threshold
     chi2_pvalue: float
-    passed: bool
 
 
 def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
@@ -522,7 +521,10 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
     if not isinstance(path, LinearPath):
         raise TypeError("the jump-count law check applies to straight-line paths")
     dist = TwoPoint(np.array([1.0])) if jump_dist is None else jump_dist
-    p = sheet_rate * swept_exit_area(path)
+    area = swept_exit_area(path)
+    if area == 0.0:
+        raise ValueError("no jump leaves a horizontal path: its swept exit area is 0")
+    p = sheet_rate * area
     region = RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
     _, paired = restricted_sheets(sheet_rate, dist, region, path, [], n_sims, rng)
     halves = paired // 2
@@ -541,5 +543,4 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
         chi2_statistic=chi2.statistic,
         chi2_critical=chi2.threshold,
         chi2_pvalue=chi2.extra["pvalue"],
-        passed=all_even and chi2.passed,
     )

@@ -11,12 +11,14 @@ exactly when the path solves
 for some function phi, which happens for exactly four families:
 
   (i)   horizontal (y = a, x = b + c t) or vertical (x = a, y = b - c t),
-        phi(u) = a c u;
+        phi(u) = a c u: the straight lines of (iii) with one slope zero;
   (ii)  vertical-then-horizontal with corner at s* and a c = b d,
         phi(u) = a c u;
   (iii) linear x = a + b t, y = c - d t, phi(u) = (a d + b c) u - b d u^2;
   (iv)  exponential x = a e^{c t}, y = b e^{-c t}, phi(u) = 2 a b (1 - e^{-c u}).
 
+There are four path forms: `LinearPath` (families (i) and (iii)),
+`ExponentialPath`, `VThenHPath` and the piecewise-linear `TabulatedPath`.
 `classify` reads the family off closed forms and fits/validates tabulated
 data; everything else here is evaluation plumbing around the forms.
 """
@@ -151,7 +153,11 @@ class DecreasingPath:
 
 @dataclass(frozen=True)
 class LinearPath(DecreasingPath):
-    """x = a + b t, y = c - d t with b, d > 0."""
+    """x = a + b t, y = c - d t with b, d >= 0.
+
+    A zero slope is family (i): d = 0 is a horizontal line and b = 0 a
+    vertical one.  Both slopes zero is a constant, which is no path.
+    """
 
     a: float
     b: float
@@ -162,8 +168,8 @@ class LinearPath(DecreasingPath):
 
     def __post_init__(self):
         self._validate_domain()
-        if not (self.b > 0 and self.d > 0):
-            raise ValueError("linear path needs positive slopes b and d")
+        if not (self.b >= 0 and self.d >= 0):
+            raise ValueError("linear path needs nonnegative slopes b and d")
         self._validate_probes()
 
     def _x(self, t):
@@ -246,74 +252,20 @@ class VThenHPath(DecreasingPath):
         return self.s_star - (v - self.b) / self.c
 
 
-@dataclass(frozen=True)
-class HorizontalPath(DecreasingPath):
-    """Constant level y with x = x_intercept + x_slope t, x_slope > 0."""
+class HorizontalPath:
+    """Family (i) with y constant: the `LinearPath` with d = 0."""
 
-    y_const: float
-    x_intercept: float
-    x_slope: float
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        self._validate_domain()
-        if not self.y_const > 0:
-            raise ValueError("horizontal path needs a positive level")
-        if not self.x_slope > 0:
-            raise ValueError("affine horizontal path needs a positive slope")
-        self._validate_probes()
-
-    @classmethod
-    def affine(cls, intercept: float, slope: float, y_const: float, t_lo: float, t_hi: float):
-        return cls(y_const, intercept, slope, t_lo, t_hi)
-
-    def _x(self, t):
-        return self.x_intercept + self.x_slope * np.asarray(t, dtype=float)
-
-    def _y(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.y_const)
-
-    def _x_inverse(self, u):
-        return (u - self.x_intercept) / self.x_slope
-
-    def _y_inverse(self, v):  # y is constant: never used
-        return v
+    @staticmethod
+    def affine(intercept: float, slope: float, y_const: float, t_lo: float, t_hi: float):
+        return LinearPath(intercept, slope, y_const, 0.0, t_lo, t_hi)
 
 
-@dataclass(frozen=True)
-class VerticalPath(DecreasingPath):
-    """Constant level x with y = y_intercept - y_slope t, y_slope > 0."""
+class VerticalPath:
+    """Family (i) with x constant: the `LinearPath` with b = 0."""
 
-    x_const: float
-    y_intercept: float
-    y_slope: float
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        self._validate_domain()
-        if not self.x_const > 0:
-            raise ValueError("vertical path needs a positive level")
-        if not self.y_slope > 0:
-            raise ValueError("affine vertical path needs a positive decay slope")
-        self._validate_probes()
-
-    @classmethod
-    def affine(cls, intercept: float, slope: float, x_const: float, t_lo: float, t_hi: float):
-        return cls(x_const, intercept, slope, t_lo, t_hi)
-
-    def _x(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.x_const)
-
-    def _y(self, t):
-        return self.y_intercept - self.y_slope * np.asarray(t, dtype=float)
-
-    def _x_inverse(self, u):  # x is constant: never used
-        return u
-
-    def _y_inverse(self, v):
-        return (self.y_intercept - v) / self.y_slope
+    @staticmethod
+    def affine(intercept: float, slope: float, x_const: float, t_lo: float, t_hi: float):
+        return LinearPath(x_const, 0.0, intercept, slope, t_lo, t_hi)
 
 
 @dataclass(frozen=True)
@@ -486,16 +438,14 @@ def _fit_affine(ts, vals):
     return float(coef[0]), float(coef[1]), float(np.max(np.abs(resid)))
 
 
-def _functional_equation_holds(path, cls, tol, grid_size=50, times=None):
-    """Validate phi against the functional equation on a (s, t) grid.
+def _functional_equation_holds(path, cls, tol, times, grid_size=50):
+    """Validate phi against the functional equation on a (s, t) grid of knots.
 
-    For tabulated paths the grid is aligned with the knots, where the values
+    The grid is aligned with the tabulated path's knot times, where the values
     are exact; between knots the interpolant of a curved family is not an
     exact solution of the equation.
     """
-    if times is None:
-        ts = np.linspace(path.t_lo, path.t_hi, grid_size)
-    elif times.size > grid_size:
+    if times.size > grid_size:
         ts = times[np.linspace(0, times.size - 1, grid_size).round().astype(int)]
     else:
         ts = times
@@ -574,9 +524,8 @@ def _candidate_linear(ts, xs, ys, span, tol):
     return PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span)
 
 
-def _fit_exponential(ts, xs, ys):
-    """Log-linear fit (a, b, c) of x = a e^{ct}, y = b e^{-ct}, plus the max abs
-    residual over max(1, max |x|, max |y|); None for data no such curve fits."""
+def _candidate_exponential(ts, xs, ys, span, tol):
+    """Log-linear fit of x = a e^{ct}, y = b e^{-ct}, if no such curve is far off."""
     if np.any(xs <= 0) or np.any(ys <= 0):
         return None
     _, cx, _ = _fit_affine(ts, np.log(xs))
@@ -591,14 +540,8 @@ def _fit_exponential(ts, xs, ys):
         float(np.max(np.abs(ys - b * np.exp(-c * ts)))),
     )
     scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-    return a, b, c, resid / scale
-
-
-def _candidate_exponential(ts, xs, ys, span, tol):
-    fit = _fit_exponential(ts, xs, ys)
-    if fit is None or fit[3] > np.sqrt(tol):  # loose pre-filter; the functional equation decides
+    if resid / scale > np.sqrt(tol):  # loose pre-filter; the functional equation decides
         return None
-    a, b, c, _ = fit
     return PathClass(PathTag.EXPONENTIAL, {"a": a, "b": b, "c": c}, span)
 
 
@@ -614,7 +557,7 @@ def _classify_tabulated(path: TabulatedPath, tol: float) -> PathClass:
         _candidate_exponential(ts, xs, ys, span, tol),
     ]
     for cand in candidates:  # tie-break: fewest-parameter family first
-        if cand is not None and _functional_equation_holds(path, cand, tol, times=ts):
+        if cand is not None and _functional_equation_holds(path, cand, tol, ts):
             return cand
     return PathClass(PathTag.NON_STATIONARY, {}, span)
 
@@ -622,8 +565,9 @@ def _classify_tabulated(path: TabulatedPath, tol: float) -> PathClass:
 def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
     """Classify a path into the stationary-increment families, or NON_STATIONARY.
 
-    Closed forms are read off structurally (the corner family additionally
-    checks its a c = b d constraint); tabulated paths are classified by
+    Closed forms are read off structurally (a straight line with a zero slope
+    is horizontal or vertical; the corner family additionally checks its
+    a c = b d constraint); tabulated paths are classified by
     least-squares family fitting validated against the functional equation.
     """
     if isinstance(path, TabulatedPath):
@@ -631,8 +575,12 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
     tol = CLOSED_FORM_TOL if tol is None else tol
     span = path.span
     if isinstance(path, LinearPath):
-        return PathClass(PathTag.LINEAR,
-                         {"a": path.a, "b": path.b, "c": path.c, "d": path.d}, span)
+        a, b, c, d = path.a, path.b, path.c, path.d
+        if d == 0:
+            return PathClass(PathTag.HORIZONTAL, {"a": c, "b": a, "c": b}, span)
+        if b == 0:
+            return PathClass(PathTag.VERTICAL, {"a": a, "b": c, "c": d}, span)
+        return PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span)
     if isinstance(path, ExponentialPath):
         return PathClass(PathTag.EXPONENTIAL,
                          {"a": path.a, "b": path.b, "c": path.c}, span)
@@ -643,12 +591,6 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
         return PathClass(PathTag.V_THEN_H,
                          {"s_star": path.s_star, "a": path.a, "b": path.b,
                           "c": path.c, "d": path.d}, span)
-    if isinstance(path, HorizontalPath):
-        return PathClass(PathTag.HORIZONTAL,
-                         {"a": path.y_const, "b": path.x_intercept, "c": path.x_slope}, span)
-    if isinstance(path, VerticalPath):
-        return PathClass(PathTag.VERTICAL,
-                         {"a": path.x_const, "b": path.y_intercept, "c": path.y_slope}, span)
     raise TypeError(f"cannot classify object of type {type(path).__name__}")
 
 
@@ -690,12 +632,6 @@ def scaled(path: DecreasingPath, p: float) -> DecreasingPath:
     if isinstance(path, VThenHPath):
         return VThenHPath(path.s_star, p * path.a, path.b / p, path.c / p,
                           p * path.d, path.t_lo, path.t_hi)
-    if isinstance(path, HorizontalPath):
-        return HorizontalPath(path.y_const / p, p * path.x_intercept, p * path.x_slope,
-                              path.t_lo, path.t_hi)
-    if isinstance(path, VerticalPath):
-        return VerticalPath(p * path.x_const, path.y_intercept / p, path.y_slope / p,
-                            path.t_lo, path.t_hi)
     if isinstance(path, TabulatedPath):
         return TabulatedPath(path.times, p * path.xs, path.ys / p)
     raise TypeError(f"cannot rescale object of type {type(path).__name__}")
@@ -746,14 +682,6 @@ def path_to_dict(path: DecreasingPath) -> dict:
     if isinstance(path, VThenHPath):
         return {"form": "v_then_h", "s_star": path.s_star, "a": path.a,
                 "b": path.b, "c": path.c, "d": path.d,
-                "t_lo": path.t_lo, "t_hi": path.t_hi}
-    if isinstance(path, HorizontalPath):
-        return {"form": "horizontal", "y": path.y_const,
-                "x_intercept": path.x_intercept, "x_slope": path.x_slope,
-                "t_lo": path.t_lo, "t_hi": path.t_hi}
-    if isinstance(path, VerticalPath):
-        return {"form": "vertical", "x": path.x_const,
-                "y_intercept": path.y_intercept, "y_slope": path.y_slope,
                 "t_lo": path.t_lo, "t_hi": path.t_hi}
     if isinstance(path, TabulatedPath):
         knots = [[float(t), float(x), float(y)]

@@ -51,7 +51,7 @@ def _rng(seed: int, tag: int):
 def _report(name, statistic, threshold, seed, n=None, **extra):
     statistic, threshold = float(statistic), float(threshold)
     return verify.TestReport(name=name, statistic=statistic, threshold=threshold,
-                             passed=statistic <= threshold, seed=seed, n=n, extra=extra)
+                             seed=seed, n=n, extra=extra)
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,18 @@ class EmpiricalCF:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one deterministic check."""
+    """Outcome of one deterministic check; it passes iff statistic <= threshold."""
 
     name: str
     statistic: float
     threshold: float
-    passed: bool
     seed: int | None = None
     n: int | None = None
     extra: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
 
     def to_json(self) -> str:
         out = {
@@ -110,7 +113,7 @@ def pair_covariance(pairs) -> tuple[float, float]:
 
 def cf_match(emp: EmpiricalCF, analytic: complex, k: float = 4.0,
              name: str = "cf-match", seed: int | None = None) -> TestReport:
-    """Pass iff both real and imaginary gaps are within k / sqrt(N)."""
+    """Compare the larger of the real and imaginary gaps with k / sqrt(N)."""
     if k < 3:
         raise ValueError("band width k must be at least 3")
     band = k / math.sqrt(emp.n)
@@ -119,7 +122,6 @@ def cf_match(emp: EmpiricalCF, analytic: complex, k: float = 4.0,
         name=name,
         statistic=gap,
         threshold=band,
-        passed=gap <= band,
         seed=seed,
         n=emp.n,
         extra={"re": emp.re, "im": emp.im,
@@ -173,13 +175,11 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
     floor = 1e-9 * max(1.0, abs(slope_target), abs(intercept_target))
     gap_slope = abs(slope - slope_target)
     gap_intercept = abs(intercept - intercept_target)
-    passed = gap_slope <= k * se_slope + floor and gap_intercept <= k * se_intercept + floor
     return TestReport(
         name=name,
-        statistic=max(gap_slope / max(k * se_slope + floor, 1e-300),
-                      gap_intercept / max(k * se_intercept + floor, 1e-300)),
+        statistic=max(gap_slope / (k * se_slope + floor),
+                      gap_intercept / (k * se_intercept + floor)),
         threshold=1.0,
-        passed=passed,
         seed=seed,
         n=arr.shape[0],
         extra={"slope": slope, "slope_target": slope_target,
@@ -207,7 +207,8 @@ def chi2_binned(samples2d, density=None, bins: int = 10, support=None,
 
     Expected cell masses come from `cell_prob(x0, x1, y0, y1)` when given and
     otherwise from midpoint integration of `density`.  Cells with expected
-    count below 5 are pooled (standard practice).  Pass iff p > p_threshold.
+    count below 5 are pooled (standard practice).  The threshold is the
+    statistic's value at p-value p_threshold.
     """
     arr = np.asarray(samples2d, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -277,7 +278,6 @@ def _chi2_report(obs, exp, n, p_threshold, name, seed) -> TestReport:
         name=name,
         statistic=stat,
         threshold=float(stats.chi2.isf(p_threshold, dof)),
-        passed=pvalue > p_threshold,
         seed=seed,
         n=n,
         extra={"pvalue": pvalue, "dof": dof},
@@ -289,7 +289,7 @@ def ks_1d(samples, cdf, p_threshold: float = P_THRESHOLD,
     """Kolmogorov-Smirnov test of real samples against a CDF callable.
 
     Reports the statistic D against the critical D at which the p-value
-    reaches p_threshold; the test passes iff the p-value exceeds it.
+    reaches p_threshold.
     """
     from scipy import stats
 
@@ -301,7 +301,6 @@ def ks_1d(samples, cdf, p_threshold: float = P_THRESHOLD,
         name=name,
         statistic=float(result.statistic),
         threshold=float(stats.kstwo.isf(p_threshold, arr.size)),
-        passed=bool(result.pvalue > p_threshold),
         seed=seed,
         n=arr.size,
         extra={"pvalue": float(result.pvalue)},

@@ -182,6 +182,24 @@ class TestExperiments:
         assert code == 0
         assert abs(out["covariance"] - out["covariance_target"]) <= 6 * out["se"]
 
+    @pytest.mark.parametrize("argv", [
+        ["rwbridge", "--n", "200", "--rate", "50", "--grid", "0", "1", "3",
+         "--path", "nonexistent.json", "--z", "5"],
+        ["ou", "--triplet", "t.json", "--seed", "3"],
+    ])
+    def test_flags_of_other_kinds_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment"] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_required_inputs(self, capsys):
+        for kind, flag in (("ou", "--triplet"), ("zerocross", "--path")):
+            with pytest.raises(SystemExit) as exc:
+                main(["experiment", kind])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
 
 class TestVerify:
     def test_stationary_suite_passes(self, capsys, tmp_path):

@@ -6,7 +6,13 @@ from scipy.integrate import quad
 
 from levysheet import fdd, gauss
 from levysheet.exponent import brownian
-from levysheet.paths import ExponentialPath, LinearPath, TabulatedPath
+from levysheet.paths import (
+    ExponentialPath,
+    HorizontalPath,
+    LinearPath,
+    TabulatedPath,
+    VerticalPath,
+)
 from levysheet.verify import cf_match, empirical_cf
 
 
@@ -222,6 +228,14 @@ class TestIdentification:
 
     def test_ou_rejects_linear(self):
         assert gauss.identify_ou(bridge()) is None
+
+    @pytest.mark.parametrize("path", [
+        HorizontalPath.affine(0.0, 1.0, 1.0, 0.0, 1.0),
+        VerticalPath.affine(1.0, 1.0, 1.0, 0.0, 1.0),
+    ])
+    def test_zero_slope_lines_are_neither(self, path):
+        assert gauss.identify_bridge(path) is None
+        assert gauss.identify_ou(path) is None
 
     def test_ou_tabulated(self):
         ts = np.linspace(0.0, 1.0, 33)

@@ -350,3 +350,24 @@ class TestJumpCountLaw:
         assert jumpsim.swept_exit_area(bridge()) == pytest.approx(0.5)
         assert jumpsim.swept_exit_area(LinearPath(1.0, 1.0, 3.0, 2.0, 0.0, 1.0)) \
             == pytest.approx(2.0 * (1.0 + 0.5))
+
+    def test_swept_area_of_zero_slope_lines(self):
+        horizontal = LinearPath(0.5, 2.0, 1.5, 0.0, 0.0, 1.0)
+        vertical = LinearPath(2.0, 0.0, 3.0, 1.0, 0.0, 1.0)
+        assert jumpsim.swept_exit_area(horizontal) == 0.0
+        y_lo, y_hi = float(vertical.y(0.0)), float(vertical.y(1.0))
+        assert jumpsim.swept_exit_area(vertical) == pytest.approx(2.0 * (y_lo - y_hi))
+
+    def test_horizontal_line_has_no_pairs_to_count(self):
+        rng = np.random.default_rng(67)
+        with pytest.raises(ValueError, match="swept exit area is 0"):
+            jumpsim.jump_count_law_check(LinearPath(0.5, 2.0, 1.5, 0.0, 0.0, 1.0), 4.0, 200, rng)
+
+    def test_vertical_line_poisson_counts(self):
+        rng = np.random.default_rng(68)
+        vertical = LinearPath(2.0, 0.0, 3.0, 1.0, 0.0, 1.0)  # swept area 2
+        report = jumpsim.jump_count_law_check(vertical, 3.0, 4000, rng)
+        assert report.expected_half_rate == pytest.approx(6.0)
+        assert report.all_even
+        assert report.chi2_statistic <= report.chi2_critical
+        assert abs(report.mean_half_count - 6.0) <= 4.0 * math.sqrt(6.0 / 4000)

@@ -52,6 +52,16 @@ class TestConstruction:
             pth.TabulatedPath(np.array([0.0, 0.5, 1.0]),
                               np.full(3, 1.0), np.full(3, 2.0))
 
+    def test_zero_slope_lines_are_linear_paths(self):
+        h = pth.HorizontalPath.affine(0.5, 2.0, 1.5, 0.0, 1.0)
+        v = pth.VerticalPath.affine(3.0, 1.0, 2.0, 0.0, 1.0)
+        assert h == pth.LinearPath(0.5, 2.0, 1.5, 0.0, 0.0, 1.0)
+        assert v == pth.LinearPath(2.0, 0.0, 3.0, 1.0, 0.0, 1.0)
+
+    def test_both_slopes_zero_rejected(self):
+        with pytest.raises(ValueError, match="non-constant"):
+            pth.LinearPath(1.0, 0.0, 2.0, 0.0, 0.0, 1.0)
+
     def test_endpoint_zero_admitted(self):
         p = bridge_path()  # x(0) = 0 and y(1) = 0 are both fine
         assert p.eval(0.0) == (0.0, 1.0)
@@ -378,6 +388,22 @@ class TestSerialization:
         spec = pth.path_to_dict(path)
         back = pth.path_from_dict(spec)
         assert pth.path_to_dict(back) == spec
+
+    @pytest.mark.parametrize("spec,tag,params", [
+        ({"form": "horizontal", "y": 1.5, "x_intercept": 0.5, "x_slope": 2.0,
+          "t_lo": 0.0, "t_hi": 1.0}, pth.PathTag.HORIZONTAL, {"a": 1.5, "b": 0.5, "c": 2.0}),
+        ({"form": "vertical", "x": 2.0, "y_intercept": 3.0, "y_slope": 1.0,
+          "t_lo": 0.0, "t_hi": 1.0}, pth.PathTag.VERTICAL, {"a": 2.0, "b": 3.0, "c": 1.0}),
+    ])
+    def test_zero_slope_specs_load_as_linear(self, spec, tag, params):
+        path = pth.path_from_dict(spec)
+        assert isinstance(path, pth.LinearPath)
+        cls = pth.classify(path)
+        assert cls.tag is tag
+        assert cls.params == params
+        out = pth.path_to_dict(path)
+        assert out["form"] == "linear"
+        assert pth.path_from_dict(out) == path
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="form"):

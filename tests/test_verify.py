@@ -177,9 +177,14 @@ class TestReportUnits:
         assert report.passed == (report.statistic <= report.threshold)
 
 
+    def test_passed_is_statistic_at_most_threshold(self):
+        assert verify.TestReport("at", 1.0, 1.0).passed
+        assert not verify.TestReport("above", 1.0 + 1e-12, 1.0).passed
+
+
 class TestReportJSON:
     def test_round_trip(self):
-        report = verify.TestReport("demo", 0.5, 1.0, True, seed=7, n=100,
+        report = verify.TestReport("demo", 0.5, 1.0, seed=7, n=100,
                                    extra={"pvalue": 0.2})
         parsed = json.loads(report.to_json())
         assert parsed["name"] == "demo"
