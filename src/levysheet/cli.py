@@ -133,7 +133,8 @@ def _cmd_simulate(args) -> int:
         if triplet.jumps is None:
             raise ValueError("triplet field 'jumps' is required for --law cpp")
         path = _load_path(args.path)
-        region = jumpsim.RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
+        _, x_end, y_start, _ = path.ends
+        region = jumpsim.RectRegion(x_end, y_start)
         field = jumpsim.simulate_cpp_sheet(triplet.jumps.rate, triplet.jumps.dist, region, rng)
         events = jumpsim.restrict_to_path(field, path)
         if args.format == "csv":

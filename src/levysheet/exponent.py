@@ -185,7 +185,7 @@ class Categorical:
             raise ValueError("points and probs must be finite")
         if np.any(pr <= 0):
             raise ValueError("probs must be positive")
-        if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+        if np.any(np.all(pts == 0.0, axis=1)):
             raise ValueError("jump distribution may not put mass at 0")
         total = pr.sum()
         if abs(total - 1.0) > 4 * pr.size * np.finfo(float).eps:

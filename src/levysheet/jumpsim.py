@@ -111,8 +111,8 @@ class RectRegion:
 
     def covers_path(self, path: DecreasingPath) -> bool:
         tol = 1e-9
-        return (float(path.x(path.t_hi)) <= self.x_max * (1 + tol)
-                and float(path.y(path.t_lo)) <= self.y_max * (1 + tol))
+        _, x_end, y_start, _ = path.ends
+        return x_end <= self.x_max * (1 + tol) and y_start <= self.y_max * (1 + tol)
 
     def to_dict(self) -> dict:
         return {"shape": "rect", "x_max": self.x_max, "y_max": self.y_max}
@@ -170,7 +170,7 @@ class JumpField:
             raise ValueError("locations and jumps must have matching lengths")
         if locs.size and not np.all(self.region.contains(locs)):
             raise ValueError("all jump locations must lie strictly inside the region")
-        if js.size and np.any(np.linalg.norm(js, axis=1) == 0.0):
+        if js.size and np.any(np.all(js == 0.0, axis=1)):
             raise ValueError("zero jumps are not allowed")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "jumps", js)
@@ -292,7 +292,7 @@ def _restrict_events(field: JumpField, path: DecreasingPath):
     entry = path.first_time_x_at_least(u)
     exit_ = path.last_time_y_at_least(v)
     enters = entry <= exit_  # False where either is NaN
-    keep = np.column_stack([enters, enters & (v > float(path.y(path.t_hi)))]).ravel()
+    keep = np.column_stack([enters, enters & (v > path.ends[3])]).ravel()
     incs = np.stack([field.jumps, -field.jumps], axis=1).reshape(-1, field.jumps.shape[1])
     return (np.repeat(np.arange(field.count), 2)[keep],
             np.column_stack([entry, exit_]).ravel()[keep], incs[keep])
@@ -312,7 +312,7 @@ def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
     count of events less that of jumps under the terminal rectangle, which
     enter and never leave: the events that come in cancelling pairs.
     """
-    x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
+    _, x_end, _, y_end = path.ends
     values, paired = [], []
     for size in _chunks(n_draws, rate * region.area):
         field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, rng)
@@ -525,7 +525,8 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
     if area == 0.0:
         raise ValueError("no jump leaves a horizontal path: its swept exit area is 0")
     p = sheet_rate * area
-    region = RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
+    _, x_end, y_start, _ = path.ends
+    region = RectRegion(x_end, y_start)
     _, paired = restricted_sheets(sheet_rate, dist, region, path, [], n_sims, rng)
     halves = paired // 2
     chi2 = chi2_counts(

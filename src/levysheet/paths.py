@@ -26,7 +26,7 @@ data; everything else here is evaluation plumbing around the forms.
 from __future__ import annotations
 
 import enum
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,12 +59,8 @@ TABULATED_TOL = 1e-6
 _PROBE_COUNT = 33
 
 
-def _none_if_nan(t: np.ndarray):
-    """Arrays pass through; a 0-d result becomes a float, or None where it is NaN."""
-    if t.ndim:
-        return t
-    t = float(t)
-    return None if math.isnan(t) else t
+# Argument types that the sweep inverses answer with float arithmetic.
+_SCALARS = (float, int, np.generic)
 
 
 class DecreasingPath:
@@ -95,28 +91,50 @@ class DecreasingPath:
     def span(self) -> float:
         return self.t_hi - self.t_lo
 
+    @functools.cached_property
+    def ends(self) -> tuple[float, float, float, float]:
+        """(x(t_lo), x(t_hi), y(t_lo), y(t_hi)) as floats, computed once per path."""
+        lo, hi = self.t_lo, self.t_hi
+        return (float(self._x(lo)), float(self._x(hi)),
+                float(self._y(lo)), float(self._y(hi)))
+
     # -- sweep inverses (used when restricting jump fields to the path) -----
-    # Each form inverts x and y exactly, on arrays and with no iteration, in
-    # _x_inverse(u) for x(t_lo) < u <= x(t_hi) and _y_inverse(v) for
-    # y(t_hi) < v <= y(t_lo).  They are evaluated at every argument, and
-    # np.where keeps their values only there.  A scalar argument arrives as a
-    # NumPy scalar (`[()]`), whose arithmetic is cheaper than a 0-d array's.
+    # Each form inverts x and y exactly, with no iteration, by one formula
+    # that takes arrays and floats alike: _x_inverse(u) for
+    # x(t_lo) < u <= x(t_hi) and _y_inverse(v) for y(t_hi) < v <= y(t_lo).
+    # An array is inverted everywhere, with division and log warnings off,
+    # and np.where keeps the values inside that range.  A scalar is
+    # range-tested as a float against `ends` first, so the formula runs only
+    # strictly inside the range, where no form divides by zero: np.where and
+    # errstate on a 0-d value cost many times what the formula does.
 
     def first_time_x_at_least(self, u):
         """inf{t : x(t) >= u} elementwise: NaN where x never reaches u, None for a scalar u."""
-        u = np.asarray(u, dtype=float)[()]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = self._x_inverse(u)
-        return _none_if_nan(np.where(u <= self._x(self.t_lo), self.t_lo,
-                                     np.where(u > self._x(self.t_hi), np.nan, inside)))
+        x_lo, x_hi, _, _ = self.ends
+        if not isinstance(u, _SCALARS):
+            u = np.asarray(u, dtype=float)
+            if u.ndim:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    inside = self._x_inverse(u)
+                return np.where(u <= x_lo, self.t_lo, np.where(u > x_hi, np.nan, inside))
+        u = float(u)
+        if u <= x_lo:
+            return float(self.t_lo)
+        return float(self._x_inverse(u)) if u <= x_hi else None
 
     def last_time_y_at_least(self, v):
         """sup{t : y(t) >= v} elementwise: NaN where y starts below v, None for a scalar v."""
-        v = np.asarray(v, dtype=float)[()]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = self._y_inverse(v)
-        return _none_if_nan(np.where(v > self._y(self.t_lo), np.nan,
-                                     np.where(v <= self._y(self.t_hi), self.t_hi, inside)))
+        _, _, y_lo, y_hi = self.ends
+        if not isinstance(v, _SCALARS):
+            v = np.asarray(v, dtype=float)
+            if v.ndim:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    inside = self._y_inverse(v)
+                return np.where(v > y_lo, np.nan, np.where(v <= y_hi, self.t_hi, inside))
+        v = float(v)
+        if v <= y_hi:
+            return float(self.t_hi)
+        return float(self._y_inverse(v)) if v <= y_lo else None
 
     # -- construction checks -------------------------------------------------
 
@@ -328,12 +346,12 @@ class TabulatedPath(DecreasingPath):
     # Searching the inner knots keeps k in [1, n - 1].
     def _x_inverse(self, u):
         ts, xs = self.times, self.xs
-        k = np.searchsorted(xs[1:-1], u) + 1  # xs[k-1] < u <= xs[k]
+        k = xs[1:-1].searchsorted(u) + 1  # xs[k-1] < u <= xs[k]
         return ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1])
 
     def _y_inverse(self, v):
         ts, ys = self.times, self.ys
-        k = np.searchsorted(self._neg_ys[1:-1], -v, side="right") + 1  # ys[k-1] >= v > ys[k]
+        k = self._neg_ys[1:-1].searchsorted(-v, side="right") + 1  # ys[k-1] >= v > ys[k]
         return ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1])
 
 

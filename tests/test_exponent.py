@@ -201,6 +201,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ex.PointMass(0.0)
 
+    def test_tiny_atom_is_not_zero(self):
+        # Its squared norm underflows to 0, but the atom itself is nonzero.
+        trip = ex.cpp_from_atoms([(1e-200, 1.0)])
+        assert trip.jumps.dist.points.tolist() == [[1e-200]]
+        with pytest.raises(ValueError, match="mass at 0"):
+            ex.Categorical([[1e-200, 0.0], [0.0, 0.0]], [0.5, 0.5])
+
     def test_masses_positive(self):
         with pytest.raises(ValueError):
             ex.cpp_from_atoms([(1.0, -0.5)])

@@ -72,6 +72,14 @@ class TestRestriction:
         assert events.times.size == 0
         assert np.all(events.values([0.1, 0.9]) == 0.0)
 
+    def test_tiny_jump_is_not_zero(self):
+        # Its squared norm underflows to 0, but the jump itself is nonzero.
+        field = jumpsim.JumpField(jumpsim.RectRegion(1.0, 1.0), [[0.5, 0.5]], [[1e-200]])
+        assert field.jumps.tolist() == [[1e-200]]
+        with pytest.raises(ValueError, match="zero jumps"):
+            jumpsim.JumpField(jumpsim.RectRegion(1.0, 1.0), [[0.5, 0.5], [0.2, 0.2]],
+                              [[1e-200, 0.0], [0.0, 0.0]])
+
     def test_brute_force_equality_exact(self):
         rng = np.random.default_rng(54)
         path = LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0)

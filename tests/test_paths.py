@@ -350,10 +350,13 @@ class TestTabulatedInverses:
             path.times[on_flat_y[-1]], abs=1e-15)
 
 
-@pytest.mark.parametrize("form", ["linear", "exponential", "corner", "horizontal",
-                                  "vertical", "tabulated"])
+SIX_FORMS = ["linear", "exponential", "corner", "horizontal", "vertical", "tabulated"]
+
+
+@pytest.mark.parametrize("form", SIX_FORMS)
 def test_array_inverses_match_scalar_calls(form, six_forms):
-    """One implementation serves both: NaN in an array exactly where a scalar call gives None."""
+    """Each form's one inverse formula, behind an array range test and a scalar one,
+    gives NaN in an array exactly where a scalar call gives None, and equal values elsewhere."""
     path = six_forms[form]
     rng = np.random.default_rng(25)
     knots = path.times if form == "tabulated" else np.array([path.t_lo, path.t_hi, 0.5])
@@ -372,6 +375,60 @@ def test_array_inverses_match_scalar_calls(form, six_forms):
             if want is not None:
                 assert one == got
                 assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("form", SIX_FORMS)
+class TestScalarInverses:
+    def test_ends_are_the_path_values(self, form, six_forms):
+        path = six_forms[form]
+        want = (float(path.x(path.t_lo)), float(path.x(path.t_hi)),
+                float(path.y(path.t_lo)), float(path.y(path.t_hi)))
+        assert path.ends == want
+        assert all(type(e) is float for e in path.ends)
+
+    def test_every_scalar_kind_gives_the_float_result(self, form, six_forms):
+        path = six_forms[form]
+        x_lo, x_hi, y_lo, y_hi = path.ends
+        rng = np.random.default_rng(26)
+        us = np.concatenate([path.ends, rng.uniform(x_lo - 0.2, x_hi + 0.2, 50)])
+        vs = np.concatenate([path.ends, rng.uniform(y_hi - 0.2, y_lo + 0.2, 50)])
+        for inverse, probes in ((path.first_time_x_at_least, us),
+                                (path.last_time_y_at_least, vs)):
+            for w in probes:
+                want = inverse(float(w))
+                assert want is None or type(want) is float
+                for kind in (np.float64, np.array):
+                    got = inverse(kind(w))
+                    assert type(got) is type(want) and got == want
+            for k in range(-1, 6):
+                got, want = inverse(k), inverse(float(k))
+                assert type(got) is type(want) and got == want
+
+    def test_array_keeps_its_shape(self, form, six_forms):
+        path = six_forms[form]
+        x_lo, x_hi, y_lo, y_hi = path.ends
+        us = np.linspace(x_lo - 0.1, x_hi + 0.1, 6).reshape(2, 3)
+        vs = np.linspace(y_hi - 0.1, y_lo + 0.1, 6).reshape(2, 3)
+        for inverse, probes in ((path.first_time_x_at_least, us),
+                                (path.last_time_y_at_least, vs)):
+            got = inverse(probes)
+            assert got.shape == (2, 3)
+            want = [np.nan if t is None else t for t in map(inverse, probes.ravel().tolist())]
+            assert np.array_equal(got.ravel(), want, equal_nan=True)
+
+    def test_probes_at_the_ends(self, form, six_forms):
+        path = six_forms[form]
+        x_lo, x_hi, y_lo, y_hi = path.ends
+        assert path.first_time_x_at_least(x_lo) == path.t_lo
+        assert path.last_time_y_at_least(y_hi) == path.t_hi
+        for inverse, reference, probes in (
+                (path.first_time_x_at_least, _bisect_first_x, (x_lo, x_hi)),
+                (path.last_time_y_at_least, _bisect_last_y, (y_lo, y_hi))):
+            for w in probes:
+                got, want = inverse(w), reference(path, w)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert abs(got - want) <= 1e-12
 
 
 class TestSerialization:
