@@ -16,6 +16,7 @@ rejected at construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -54,10 +55,17 @@ def _as_vector(v, name="vector"):
     return arr
 
 
+def _lead_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the short leading axis, left to right: each element is summed in
+    one order whatever the batch length (numpy's reductions go pairwise on long
+    axes), and every addition runs along the batch."""
+    return functools.reduce(np.add, terms)
+
+
 # ---------------------------------------------------------------------------
 # Named jump distributions.  Each carries a closed-form characteristic
-# function, evaluated at the rows of an (m, d) array of arguments, a sampler,
-# and the truncated first moment needed by the exponent.
+# function, evaluated at the rows of an (m, d) array as real and imaginary
+# parts (0.0 for a real cf), a sampler, and the truncated first moment.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ class UniformJumps:
     def dim(self) -> int:
         return 1
 
-    def cf(self, z: np.ndarray) -> np.ndarray:
-        return np.sinc(self.halfwidth * z[:, 0] / np.pi).astype(complex)
+    def cf(self, z: np.ndarray):
+        return np.sinc(self.halfwidth * z[:, 0] / np.pi), 0.0
 
     def sample(self, rng, size: int) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=(size, 1))
@@ -127,8 +135,8 @@ class GaussianJumps:
     def dim(self) -> int:
         return self.dim_
 
-    def cf(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * self.sigma ** 2 * (z * z).sum(axis=1)).astype(complex)
+    def cf(self, z: np.ndarray):
+        return np.exp(-0.5 * self.sigma ** 2 * _lead_sum(z.T * z.T)), 0.0
 
     def sample(self, rng, size: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=(size, self.dim_))
@@ -199,9 +207,10 @@ class Categorical:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def cf(self, z: np.ndarray) -> np.ndarray:
-        phases = (z[:, None, :] * self.points).sum(axis=2)  # (m, k)
-        return (self.probs * np.exp(1j * phases)).sum(axis=1)
+    def cf(self, z: np.ndarray):
+        phases = _lead_sum(self.points.T[:, :, None] * z.T[:, None, :])  # (k, m)
+        probs = self.probs[:, None]
+        return _lead_sum(probs * np.cos(phases)), _lead_sum(probs * np.sin(phases))
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
@@ -308,11 +317,6 @@ class ScaledJumps:
     def dim(self) -> int:
         return self.dist.dim
 
-    def psi_jump(self, z: np.ndarray) -> np.ndarray:
-        """Jump part of the exponent at the rows of z, shape (m, d)."""
-        return (self.rate * (self.dist.cf(z) - 1.0)
-                - 1j * (z * self.truncated_first_moment).sum(axis=1))
-
     @property
     def first_moment(self) -> np.ndarray:
         return self.rate * self.dist.mean
@@ -416,19 +420,24 @@ class LevyTriplet:
 
 def eval_psi(triplet: LevyTriplet, z):
     """Exponent psi at z, shape (d,) (a scalar if d = 1), as a complex, or at each
-    row of z, shape (m, d), as an (m,) array: one array pass over the rows, the
-    single z being the m = 1 batch.  A zero row gives exactly 0j."""
+    row of z, shape (m, d), as an (m,) array: one pass of real arithmetic over the
+    rows, the single z being the m = 1 batch.  A zero row gives exactly 0j."""
     zz = np.asarray(z, dtype=float)
     rows = np.atleast_1d(zz)[None, :] if zz.ndim <= 1 else zz
     if rows.ndim != 2 or rows.shape[1] != triplet.dim:
         raise ValueError(f"z has shape {zz.shape}, not ({triplet.dim},) or (m, {triplet.dim})")
     if not np.isfinite(rows).all():
         raise ValueError("z must be finite")
-    az = (rows[:, :, None] * triplet.gaussian).sum(axis=1)  # rows of z A
-    val = 1j * (rows * triplet.gamma).sum(axis=1) - 0.5 * (az * rows).sum(axis=1)
-    if triplet.jumps is not None:
-        val = val + triplet.jumps.psi_jump(rows)
-    val[~rows.any(axis=1)] = 0j
+    cols = rows.T  # (d, m): every array operation below runs along the m rows
+    az = _lead_sum(triplet.gaussian[:, :, None] * cols[:, None, :])  # (z A)_j as row j
+    re, im = -0.5 * _lead_sum(az * cols), _lead_sum(triplet.gamma[:, None] * cols)
+    jumps = triplet.jumps
+    if jumps is not None:  # rate * (cf(z) - 1) - i <truncated first moment, z>
+        cf_re, cf_im = jumps.dist.cf(rows)
+        re = re + jumps.rate * (cf_re - 1.0)
+        im = im + (jumps.rate * cf_im - _lead_sum(jumps.truncated_first_moment[:, None] * cols))
+    val = re + 1j * im
+    val[~cols.any(axis=0)] = 0j
     return complex(val[0]) if zz.ndim <= 1 else val
 
 

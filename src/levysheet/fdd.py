@@ -10,9 +10,9 @@ and the joint characteristic function of the restricted process is
 
     exp[ sum_ij m(B_ij) psi(z_i + ... + z_{i+j-1}) ].
 
-`joint_cf` forms the n(n+1)/2 rectangle sums of z as differences of its
-prefix sums and evaluates psi on all of them as one (m, d) batch, so its
-cost is O(n^2) array work with no Python loop over rectangles.
+`joint_cf` forms only these n(n+1)/2 cells, their areas as products of side
+lengths and their sums of z as differences of prefix sums, and evaluates psi
+on all of them as one batch: O(n^2) array work, no Python loop over cells.
 
 Single increments only involve the lower rectangle (x(s), x(t)] x (0, y(t)]
 and the upper rectangle (0, x(s)] x (y(t), y(s)].
@@ -54,18 +54,9 @@ class RectangleGrid:
 
     @classmethod
     def from_path(cls, path: DecreasingPath, times) -> "RectangleGrid":
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if ts.ndim != 1 or ts.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("times must be strictly increasing")
-        xs, ys = path.eval(ts)
-        n = ts.size
-        x_ext = np.concatenate([[0.0], xs])  # x(t_0) = 0
-        y_ext = np.concatenate([ys, [0.0]])  # y(t_{n+1}) = 0
-        dx, dy = x_ext[1:] - x_ext[:-1], y_ext[:-1] - y_ext[1:]
-        last = np.arange(n)[:, None] + np.arange(n)  # areas[i, j] = dx[i] dy[i + j]
-        areas = np.where(last < n, dx[:, None] * dy[np.minimum(last, n - 1)], 0.0)
+        ts, xs, ys, first, last, area = _cells(path, times)
+        areas = np.zeros((ts.size, ts.size))
+        areas[first, last - first] = area
         return cls(ts, xs, ys, areas)
 
     @property
@@ -76,6 +67,24 @@ class RectangleGrid:
         """Total area of the rectangles composing the value at times[k]."""
         i, j = np.indices(self.areas.shape)
         return float(self.areas[(i <= k) & (i + j >= k)].sum())
+
+
+def _cells(path: DecreasingPath, times):
+    """Times, path values and the cells (first, last, area) under the path, row
+    by row: B_ij covers z_first .. z_last (0-based, first = i - 1, last = i + j - 2)."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a nonempty 1-d array")
+    if (ts[1:] <= ts[:-1]).any():
+        raise ValueError("times must be strictly increasing")
+    xs, ys = path.eval(ts)
+    dx, dy = xs - np.concatenate(([0.0], xs[:-1])), ys - np.concatenate((ys[1:], [0.0]))
+    n = ts.size
+    rows = np.arange(n)
+    first = np.repeat(rows, n - rows)
+    start = rows * n - rows * (rows - 1) // 2  # where row i's first cell, (i, i), sits
+    last = np.arange(first.size) - (start - rows)[first]
+    return ts, xs, ys, first, last, dx[first] * dy[last]
 
 
 def lower_area(path: DecreasingPath, s: float, t: float) -> float:
@@ -105,14 +114,12 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
     One psi call on the sums z_i + ... + z_k of the rectangles of nonzero
     area, O(n^2) in the number of times n.
     """
-    grid = RectangleGrid.from_path(path, times)
-    z = _as_z_matrix(zs, grid.n, triplet.dim)
-    prefix = np.concatenate([np.zeros((1, triplet.dim)), np.cumsum(z, axis=0)])
-    first, last = np.triu_indices(grid.n)  # B_ij covers z_first .. z_last
-    areas = grid.areas[first, last - first]
+    ts, _, _, first, last, areas = _cells(path, times)
+    z = _as_z_matrix(zs, ts.size, triplet.dim)
+    prefix = np.concatenate([np.zeros((triplet.dim, 1)), z.T.cumsum(axis=1)], axis=1)
     keep = areas != 0.0
-    sums = prefix[last[keep] + 1] - prefix[first[keep]]
-    return cmath.exp(complex((areas[keep] * eval_psi(triplet, sums)).sum()))
+    sums = prefix[:, last[keep] + 1] - prefix[:, first[keep]]
+    return cmath.exp(complex((areas[keep] * eval_psi(triplet, sums.T)).sum()))
 
 
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,

@@ -19,6 +19,8 @@ for some function phi, which happens for exactly four families:
 
 There are four path forms: `LinearPath` (families (i) and (iii)),
 `ExponentialPath`, `VThenHPath` and the piecewise-linear `TabulatedPath`.
+Each is monotone by its parameter signs (a tabulated path by its knots), so
+its construction checks read the end values and knots, not a probe grid.
 `classify` reads the family off closed forms and fits/validates tabulated
 data; everything else here is evaluation plumbing around the forms.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,7 +83,7 @@ class DecreasingPath:
     def eval(self, t):
         """(x(t), y(t)) for t in the domain; raises outside it."""
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < self.t_lo - 1e-15) or np.any(tt > self.t_hi + 1e-15):
+        if (tt < self.t_lo - 1e-15).any() or (tt > self.t_hi + 1e-15).any():
             raise ValueError(f"t outside the path domain [{self.t_lo}, {self.t_hi}]")
         xv, yv = self._x(tt), self._y(tt)
         if np.ndim(t) == 0:
@@ -144,29 +147,23 @@ class DecreasingPath:
         if not self.t_hi > self.t_lo:
             raise ValueError("domain must satisfy t_lo < t_hi")
 
-    def _validate_probes(self, knots=None):
-        """Monotonicity / positivity / non-constancy checks on a probe grid.
-
-        A piecewise-linear path passes its knots, where alone it can turn.
-        """
-        ts = np.linspace(self.t_lo, self.t_hi, _PROBE_COUNT)
-        if knots is not None:
-            ts = np.union1d(ts, knots)
-        xs, ys = self._x(ts), self._y(ts)
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    def _validate_values(self):
+        """Finiteness, sign and non-constancy checks, read off `ends` (monotone forms)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_lo, x_hi, y_lo, y_hi = self.ends
+        if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
             raise ValueError("path values must be finite")
-        scale_x = max(1.0, float(np.max(np.abs(xs))))
-        scale_y = max(1.0, float(np.max(np.abs(ys))))
-        if np.any(np.diff(xs) < -1e-12 * scale_x):
-            raise ValueError("x must be nondecreasing")
-        if np.any(np.diff(ys) > 1e-12 * scale_y):
-            raise ValueError("y must be nonincreasing")
-        if xs[0] < -1e-12 * scale_x or ys[-1] < -1e-12 * scale_y:
+        scale_x, scale_y = max(1.0, abs(x_lo), abs(x_hi)), max(1.0, abs(y_lo), abs(y_hi))
+        if x_lo < -1e-12 * scale_x or y_hi < -1e-12 * scale_y:
             raise ValueError("path must be nonnegative")
-        if np.any(xs[1:-1] <= 0) or np.any(ys[1:-1] <= 0):
+        if not self._interior_positive(x_lo, x_hi, y_lo, y_hi):
             raise ValueError("path must be strictly positive on the interior")
-        if xs[-1] - xs[0] <= 1e-12 * scale_x and ys[0] - ys[-1] <= 1e-12 * scale_y:
+        if x_hi - x_lo <= 1e-12 * scale_x and y_lo - y_hi <= 1e-12 * scale_y:
             raise ValueError("at least one of x, y must be non-constant")
+
+    def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
+        # exponential and corner: positive by their parameter signs unless an end underflows
+        return x_lo > 0 and y_hi > 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,10 @@ class LinearPath(DecreasingPath):
         self._validate_domain()
         if not (self.b >= 0 and self.d >= 0):
             raise ValueError("linear path needs nonnegative slopes b and d")
-        self._validate_probes()
+        self._validate_values()
+
+    def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
+        return x_hi > 0 and y_lo > 0  # a line from (near) zero must leave it
 
     def _x(self, t):
         return self.a + self.b * t
@@ -217,7 +217,7 @@ class ExponentialPath(DecreasingPath):
         self._validate_domain()
         if not (self.a > 0 and self.b > 0 and self.c > 0):
             raise ValueError("exponential path needs positive a, b, c")
-        self._validate_probes()
+        self._validate_values()
 
     def _x(self, t):
         return self.a * np.exp(self.c * t)
@@ -253,15 +253,13 @@ class VThenHPath(DecreasingPath):
             raise ValueError("corner path needs positive a, b, c, d")
         if not (self.t_lo < self.s_star < self.t_hi):
             raise ValueError("corner s_star must be interior to the domain")
-        self._validate_probes()
+        self._validate_values()
 
     def _x(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a + self.d * np.where(t > self.s_star, t - self.s_star, 0.0)
+        return self.a + self.d * np.maximum(t - self.s_star, 0.0)
 
     def _y(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.b + self.c * np.where(t <= self.s_star, self.s_star - t, 0.0)
+        return self.b + self.c * np.maximum(self.s_star - t, 0.0)
 
     def _x_inverse(self, u):
         return self.s_star + (u - self.a) / self.d
@@ -301,20 +299,23 @@ class TabulatedPath(DecreasingPath):
     _neg_ys: np.ndarray = field(init=False, repr=False, compare=False)  # nondecreasing
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        ts, xs, ys = (np.asarray(v, dtype=float) for v in (self.times, self.xs, self.ys))
         if ts.ndim != 1 or ts.size < 2:
             raise ValueError("tabulated path needs at least two knots")
         if xs.shape != ts.shape or ys.shape != ts.shape:
             raise ValueError("knot arrays must have matching shapes")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("knot times must be strictly increasing")
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_neg_ys", -ys)
-        self._validate_probes(ts)
+        if not np.isfinite([ts, xs, ys]).all():
+            raise ValueError("path values must be finite")
+        # linear between knots, the path is monotone iff its knots are
+        if np.any(np.diff(xs) < -1e-12 * max(1.0, np.abs(xs).max())):
+            raise ValueError("x must be nondecreasing")
+        if np.any(np.diff(ys) > 1e-12 * max(1.0, np.abs(ys).max())):
+            raise ValueError("y must be nonincreasing")
+        for name, value in (("times", ts), ("xs", xs), ("ys", ys), ("_neg_ys", -ys)):
+            object.__setattr__(self, name, value)
+        self._validate_values()
 
     @classmethod
     def from_knots(cls, knots) -> "TabulatedPath":
@@ -336,6 +337,9 @@ class TabulatedPath(DecreasingPath):
     @property
     def t_hi(self) -> float:  # type: ignore[override]
         return float(self.times[-1])
+
+    def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
+        return bool((self.xs[1:] > 0).all() and (self.ys[:-1] > 0).all())  # LinearPath's, per piece
 
     def _x(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.xs)
@@ -456,43 +460,36 @@ def _fit_affine(ts, vals):
     return float(coef[0]), float(coef[1]), float(np.max(np.abs(resid)))
 
 
-def _functional_equation_holds(path, cls, tol, times, grid_size=50):
-    """Validate phi against the functional equation on a (s, t) grid of knots.
-
-    The grid is aligned with the tabulated path's knot times, where the values
-    are exact; between knots the interpolant of a curved family is not an
-    exact solution of the equation.
-    """
-    if times.size > grid_size:
-        ts = times[np.linspace(0, times.size - 1, grid_size).round().astype(int)]
-    else:
-        ts = times
-    s, t = np.meshgrid(ts, ts, indexing="ij")
-    mask = t > s
-    lhs = symmetric_increment_area(path, s[mask], t[mask])
-    ph = phi(cls, t[mask] - s[mask])
-    denom = np.maximum(1.0, np.abs(ph))
-    return bool(np.all(np.abs(lhs - ph) <= tol * denom))
+def _functional_equation_holds(path, cls, tol, grid_size=50):
+    """Validate phi at pairs s < t of (at most `grid_size`, evenly spread) knots, where the
+    values are exact; between knots the interpolant of a curved family solves it only roughly."""
+    ts, xs, ys = path.times, path.xs, path.ys
+    if ts.size > grid_size:
+        pick = np.linspace(0, ts.size - 1, grid_size).round().astype(int)
+        ts, xs, ys = ts[pick], xs[pick], ys[pick]
+    s, t = np.triu_indices(ts.size, 1)
+    lhs = xs[s] * ys[s] + xs[t] * ys[t] - 2.0 * xs[s] * ys[t]
+    ph = phi(cls, ts[t] - ts[s])
+    return bool((np.abs(lhs - ph) <= tol * np.maximum(1.0, np.abs(ph))).all())
 
 
-def _candidate_horizontal(ts, xs, ys, span, tol):
-    scale_y = max(1.0, float(np.max(np.abs(ys))))
-    if np.max(np.abs(ys - ys.mean())) > tol * scale_y:
-        return None
-    b, c, resid = _fit_affine(ts, xs)
-    if c <= 0 or resid > tol * max(1.0, float(np.max(np.abs(xs)))):
-        return None
-    return PathClass(PathTag.HORIZONTAL, {"a": float(ys.mean()), "b": b, "c": c}, span)
-
-
-def _candidate_vertical(ts, xs, ys, span, tol):
+def _line_candidates(ts, xs, ys, span, tol):
+    """One straight-line fit of x and y; every reading that fits within tol:
+    family (i) where a flat coordinate names it horizontal or vertical, then (iii)."""
+    a, b, resid_x = _fit_affine(ts, xs)
+    c, negd, resid_y = _fit_affine(ts, ys)
+    d = -negd
     scale_x = max(1.0, float(np.max(np.abs(xs))))
-    if np.max(np.abs(xs - xs.mean())) > tol * scale_x:
-        return None
-    b, negc, resid = _fit_affine(ts, ys)
-    if -negc <= 0 or resid > tol * max(1.0, float(np.max(np.abs(ys)))):
-        return None
-    return PathClass(PathTag.VERTICAL, {"a": float(xs.mean()), "b": b, "c": -negc}, span)
+    scale_y = max(1.0, float(np.max(np.abs(ys))))
+    level_x, level_y = float(xs.mean()), float(ys.mean())
+    found = []
+    if np.max(np.abs(ys - level_y)) <= tol * scale_y and b > 0 and resid_x <= tol * scale_x:
+        found.append(PathClass(PathTag.HORIZONTAL, {"a": level_y, "b": a, "c": b}, span))
+    if np.max(np.abs(xs - level_x)) <= tol * scale_x and d > 0 and resid_y <= tol * scale_y:
+        found.append(PathClass(PathTag.VERTICAL, {"a": level_x, "b": c, "c": d}, span))
+    if b > 0 and d > 0 and max(resid_x, resid_y) <= tol * max(scale_x, scale_y):
+        found.append(PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span))
+    return found
 
 
 def _candidate_corner(ts, xs, ys, span, tol):
@@ -530,18 +527,6 @@ def _candidate_corner(ts, xs, ys, span, tol):
     return None if best is None else best[1]
 
 
-def _candidate_linear(ts, xs, ys, span, tol):
-    a, b, resid_x = _fit_affine(ts, xs)
-    c, negd, resid_y = _fit_affine(ts, ys)
-    d = -negd
-    if b <= 0 or d <= 0:
-        return None
-    scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-    if max(resid_x, resid_y) > tol * scale:
-        return None
-    return PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span)
-
-
 def _candidate_exponential(ts, xs, ys, span, tol):
     """Log-linear fit of x = a e^{ct}, y = b e^{-ct}, if no such curve is far off."""
     if np.any(xs <= 0) or np.any(ys <= 0):
@@ -567,15 +552,14 @@ def _classify_tabulated(path: TabulatedPath, tol: float) -> PathClass:
     if path.times.size < 3:
         raise ValueError("classification needs at least three knots")
     ts, xs, ys, span = path.times, path.xs, path.ys, path.span
-    candidates = [
-        _candidate_horizontal(ts, xs, ys, span, tol),
-        _candidate_vertical(ts, xs, ys, span, tol),
-        _candidate_corner(ts, xs, ys, span, tol),
-        _candidate_linear(ts, xs, ys, span, tol),
-        _candidate_exponential(ts, xs, ys, span, tol),
-    ]
-    for cand in candidates:  # tie-break: fewest-parameter family first
-        if cand is not None and _functional_equation_holds(path, cand, tol, ts):
+
+    def candidates():  # fitted lazily: straight lines, then the corner, then the exponential
+        yield from _line_candidates(ts, xs, ys, span, tol)
+        yield _candidate_corner(ts, xs, ys, span, tol)
+        yield _candidate_exponential(ts, xs, ys, span, tol)
+
+    for cand in candidates():
+        if cand is not None and _functional_equation_holds(path, cand, tol):
             return cand
     return PathClass(PathTag.NON_STATIONARY, {}, span)
 

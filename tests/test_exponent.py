@@ -88,7 +88,29 @@ def batch_laws():
         "drift": ex.pure_drift([0.7, -1.2]),
         "brownian-d1": ex.brownian(1),
         "brownian-d2": ex.LevyTriplet(np.zeros(2), [[1.0, 0.4], [0.4, 0.6]]),
+        # enough atoms or coordinates that numpy's own sums would go pairwise
+        "categorical-10-atoms": ex.cpp_from_atoms(
+            [(float(x), 0.1 + 0.05 * i) for i, x in enumerate(np.linspace(-2.2, 2.3, 10))], drift=0.2),
+        "brownian-d9": ex.LevyTriplet(np.linspace(-0.4, 0.4, 9), np.eye(9) + 0.05),
     }
+
+
+def reference_psi(triplet, z):
+    """psi(z) term by term in Python complex arithmetic, the jump cf as a
+    complex exponential (an average of them for Uniform and Gaussian jumps)."""
+    z = np.asarray(z, dtype=float)
+    val = 1j * float(np.dot(triplet.gamma, z)) - 0.5 * float(z @ triplet.gaussian @ z)
+    if triplet.jumps is None:
+        return val
+    rate, dist = triplet.jumps.rate, triplet.jumps.dist
+    if isinstance(dist, ex.Categorical):
+        cf = sum(p * cmath.exp(1j * float(np.dot(x, z))) for x, p in zip(dist.points, dist.probs))
+    elif isinstance(dist, ex.UniformJumps):
+        hz = dist.halfwidth * float(z[0])
+        cf = (cmath.exp(1j * hz) - cmath.exp(-1j * hz)) / (2j * hz)
+    else:
+        cf = cmath.exp(-0.5 * dist.sigma ** 2 * float(z @ z))
+    return val + rate * (cf - 1.0) - 1j * float(np.dot(triplet.jumps.truncated_first_moment, z))
 
 
 class TestEvalPsiBatch:
@@ -104,6 +126,20 @@ class TestEvalPsiBatch:
         assert np.array_equal(batch, single)
         assert np.all(batch[::9] == 0j)
         assert not np.any(np.signbit(batch[::9].real) | np.signbit(batch[::9].imag))
+
+    @pytest.mark.parametrize("name", ["uniform", "gaussian-d1", "gaussian-d2", "categorical-d1",
+                                      "categorical-d2", "categorical-10-atoms"])
+    def test_real_arithmetic_matches_complex_exp(self, name):
+        """The cf's real and imaginary parts, summed apart, agree with the complex
+        exponential to a few ulps of the size of psi's terms."""
+        triplet = batch_laws()[name]
+        rng = np.random.default_rng(15)
+        zs = rng.normal(0.0, 2.0, size=(300, triplet.dim))
+        got = ex.eval_psi(triplet, zs)
+        for z, value in zip(zs, got):
+            size = (abs(float(np.dot(triplet.gamma, z))) + float(z @ triplet.gaussian @ z)
+                    + 2.0 * triplet.jumps.rate + 1.0)
+            assert abs(value - reference_psi(triplet, z)) <= 8 * np.finfo(float).eps * size
 
     def test_single_call_returns_python_complex(self):
         for triplet in batch_laws().values():

@@ -156,6 +156,47 @@ class TestJointCFBatch:
         assert val == 1.0 + 0j and not math.copysign(1.0, val.imag) < 0
 
 
+class TestJointCFCells:
+    """Paths with zero-area cells: a vertical or horizontal leg gives cells of
+    zero width or height, which joint_cf leaves out of the psi batch."""
+
+    PATHS = {
+        "horizontal": HorizontalPath.affine(0.2, 1.1, 0.9, 0.0, 1.0),
+        "vertical": VerticalPath.affine(2.5, 1.3, 1.2, 0.0, 1.0),
+        "corner": VThenHPath(0.5, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0),
+    }
+    LAWS = {
+        "cpp": cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1)], drift=0.15),
+        "brownian-d2": brownian(2),
+    }
+
+    @pytest.mark.parametrize("law", list(LAWS))
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_matches_rectangle_loop(self, name, law):
+        path, triplet = self.PATHS[name], self.LAWS[law]
+        rng = np.random.default_rng(37)
+        zero_cells = 0
+        for n in (1, 2, 3, 7, 30):
+            times = np.sort(rng.uniform(0.02, 0.98, size=n))
+            zs = rng.normal(0.0, 1.0 / math.sqrt(n), size=(n, triplet.dim))
+            areas = loop_areas(path, times)
+            i, j = np.indices(areas.shape)
+            zero_cells += int(((i + j < n) & (areas == 0.0)).sum())  # cells, not padding
+            got = fdd.joint_cf(triplet, path, times, zs)
+            assert abs(got - loop_joint_cf(triplet, path, times, zs)) <= 64 * np.finfo(float).eps * n ** 2
+            assert np.array_equal(fdd.RectangleGrid.from_path(path, times).areas, areas)
+        assert zero_cells > 0
+
+    @pytest.mark.parametrize("name", list(PATHS) + ["linear"])
+    def test_single_time(self, name):
+        path = self.PATHS.get(name, bridge())
+        triplet = self.LAWS["cpp"]
+        for t in (0.1, 0.5, 0.9):
+            x, y = path.eval(t)
+            want = cmath.exp(x * y * eval_psi(triplet, 0.7))
+            assert fdd.joint_cf(triplet, path, [t], [0.7]) == want
+
+
 class TestIncrementCF:
     def test_pinned_bridge_increment(self):
         # both endpoints pinned at zero: the total increment is a.s. zero

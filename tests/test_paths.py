@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,67 @@ class TestConstruction:
         p = bridge_path()  # x(0) = 0 and y(1) = 0 are both fine
         assert p.eval(0.0) == (0.0, 1.0)
         assert p.eval(1.0) == (1.0, 0.0)
+
+
+_KNOTS3 = np.array([0.0, 0.5, 1.0])
+_STAIRS = np.linspace(0.0, 1.0, 40)
+
+# (row, constructor, None if accepted else the ValueError message): the verdicts
+# of the earlier check on a 33-point probe grid, which the checks read off the
+# parameters, the end values and the knots keep.
+CONSTRUCTION_VERDICTS = [
+    ("x(t_lo) = 0, b > 0", lambda: pth.LinearPath(0.0, 1.0, 2.0, 1.0, 0.0, 1.0), None),
+    ("x(t_lo) = 0, b = 0", lambda: pth.LinearPath(0.0, 0.0, 2.0, 1.0, 0.0, 1.0),
+     "strictly positive on the interior"),
+    ("y(t_hi) = 0", lambda: pth.LinearPath(1.0, 1.0, 1.0, 1.0, 0.0, 1.0), None),
+    ("x(t_lo) = -1e-13", lambda: pth.LinearPath(-1e-13, 1.0, 2.0, 1.0, 0.0, 1.0), None),
+    ("y(t_hi) = -1e-13", lambda: pth.LinearPath(1.0, 1.0, 1.0 - 1e-13, 1.0, 0.0, 1.0), None),
+    ("tabulated x(t_lo) = -1e-13", lambda: pth.TabulatedPath(
+        _KNOTS3, np.array([-1e-13, 0.5, 1.0]), np.array([2.0, 1.5, 1.0])), None),
+    ("x(t_lo) = -1e-6", lambda: pth.LinearPath(-1e-6, 1.0, 2.0, 1.0, 0.0, 1.0),
+     "path must be nonnegative"),
+    ("tabulated y(t_hi) = -1e-6", lambda: pth.TabulatedPath(
+        _KNOTS3, np.array([1.0, 1.5, 2.0]), np.array([1.0, 0.5, -1e-6])), "path must be nonnegative"),
+    ("nan intercept", lambda: pth.LinearPath(np.nan, 1.0, 2.0, 1.0, 0.0, 1.0),
+     "path values must be finite"),
+    ("nan slope", lambda: pth.LinearPath(0.0, np.nan, 2.0, 1.0, 0.0, 1.0), "nonnegative slopes"),
+    ("inf intercept", lambda: pth.LinearPath(0.0, 1.0, np.inf, 1.0, 0.0, 1.0),
+     "path values must be finite"),
+    ("inf exponential a", lambda: pth.ExponentialPath(np.inf, 1.0, 1.0, 0.0, 1.0),
+     "path values must be finite"),
+    ("nan exponential c", lambda: pth.ExponentialPath(1.0, 1.0, np.nan, 0.0, 1.0),
+     "needs positive a, b, c"),
+    ("inf corner d", lambda: pth.VThenHPath(0.5, 1.0, 2.0, 4.0, np.inf, 0.0, 1.0),
+     "path values must be finite"),
+    ("inf t_hi", lambda: pth.LinearPath(0.0, 1.0, 2.0, 1.0, 0.0, np.inf),
+     "domain endpoints must be finite"),
+    ("nan knot value", lambda: pth.TabulatedPath(
+        _KNOTS3, np.array([1.0, np.nan, 2.0]), np.array([2.0, 1.5, 1.0])), "path values must be finite"),
+    ("exp(c t_hi) overflows", lambda: pth.ExponentialPath(1.0, 1.0, 1000.0, 0.0, 1.0),
+     "path values must be finite"),
+    ("both slopes zero", lambda: pth.LinearPath(1.0, 0.0, 2.0, 0.0, 0.0, 1.0), "non-constant"),
+    ("two knots, x = 0", lambda: pth.TabulatedPath(
+        np.array([0.0, 1.0]), np.zeros(2), np.array([2.0, 1.0])), "strictly positive on the interior"),
+    ("flat x and y stretches", lambda: pth.TabulatedPath(
+        _STAIRS, 0.2 + np.floor(4 * _STAIRS) / 4, 1.5 - np.ceil(4 * _STAIRS) / 4), None),
+    ("x dips", lambda: pth.TabulatedPath(
+        _KNOTS3, np.array([1.0, 0.5, 2.0]), np.array([2.0, 1.5, 1.0])), "x must be nondecreasing"),
+    ("y rises", lambda: pth.TabulatedPath(
+        _KNOTS3, np.array([1.0, 1.5, 2.0]), np.array([2.0, 2.5, 1.0])), "y must be nonincreasing"),
+]
+
+
+@pytest.mark.parametrize("make,message", [row[1:] for row in CONSTRUCTION_VERDICTS],
+                         ids=[row[0] for row in CONSTRUCTION_VERDICTS])
+def test_construction_verdicts(make, message):
+    """Every row gets its verdict and message, and no path warns on its way there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            make()
+        else:
+            with pytest.raises(ValueError, match=message):
+                make()
 
 
 class TestClassify:
