@@ -1,9 +1,10 @@
 """The Brownian sheet along a straight path is a Brownian bridge.
 
 The Gaussian case is fully tractable: covariance x(min) y(max), exact
-simulation through scaled-Brownian-motion representations (no discretization
-error at the grid points), Gaussian transition densities, and closed-form
-zero-crossing probabilities.
+simulation as y(t) B(x(t)/y(t)), a Brownian motion run in the ratio time x/y
+and scaled by y (no discretization error at the grid points, and exactly 0
+where x y = 0), Gaussian transition densities, and closed-form zero-crossing
+probabilities.
 """
 
 import math

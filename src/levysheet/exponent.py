@@ -413,10 +413,6 @@ class LevyTriplet:
             var += self.jumps.abs_second_moment
         return var
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.jumps is None
-
 
 def eval_psi(triplet: LevyTriplet, z):
     """Exponent psi at z, shape (d,) (a scalar if d = 1), as a complex, or at each

@@ -3,15 +3,14 @@
 The restricted process is centered Gaussian with covariance
 x(s ^ t) y(s v t) per component.  It equals in law each of
 
-    y(t) B_{x(t)/y(t)}                      ("bm_ratio")
-    x(t) B_{y(t)/x(t)}                      ("bm_ratio_swapped")
-    (x+y)(t) B_{x/(x+y)}(t) - x(t) B_1      ("bm_pinned")
-    (x+y)(t) B_{y/(x+y)}(t) - y(t) B_1      ("bm_pinned_swapped")
+    y(t) B_{x(t)/y(t)}
+    x(t) B_{y(t)/x(t)}
+    (x+y)(t) B_{x/(x+y)}(t) - x(t) B_1
+    (x+y)(t) B_{y/(x+y)}(t) - y(t) B_1
 
 for a standard Brownian motion B, which gives exact-in-law simulation on any
-grid with no discretization error.  The ratio form is an O(n) recursion with
-independent Gaussian increments; the pinned forms keep BM time in [0, 1] and
-cover paths whose y vanishes at the right endpoint.
+grid with no discretization error.  The sampler uses the first: an O(n)
+recursion with independent Gaussian increments in the ratio time x/y.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "identify_ou",
 ]
 
-REPRESENTATIONS = ("auto", "bm_ratio", "bm_ratio_swapped", "bm_pinned", "bm_pinned_swapped")
 # Paths per simulate_paths call in zero_crossing_frequency: at 10^4 grid
 # points a batch's arrays stay near 20 MB, which the allocator reuses rather
 # than mapping fresh pages for each batch.
@@ -123,8 +121,6 @@ def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing")
-    xs, ys = law.path.eval(ts)
-    xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
     z = np.asarray(zs, dtype=float)
     if z.ndim == 0:
         z = z.reshape(1, 1)
@@ -132,90 +128,42 @@ def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
         z = z.reshape(ts.size, 1) if law.dim == 1 else z.reshape(1, law.dim)
     if z.shape != (ts.size, law.dim):
         raise ValueError(f"zs must have shape ({ts.size}, {law.dim})")
-    quad = float(np.sum(xs * ys * np.sum(z * z, axis=1)))
-    for i in range(ts.size - 1):
-        cross = z[i + 1:] @ z[i]
-        quad += 2.0 * float(np.sum(xs[i] * ys[i + 1:] * cross))
+    quad = float(np.sum(covariance_matrix(law, ts) * (z @ z.T)))
     return complex(math.exp(-0.5 * quad))
 
 
-def _bm_at(times: np.ndarray, rng, n_paths: int) -> np.ndarray:
-    """Standard BM sampled at arbitrary nonnegative times; output (n_paths, m)."""
-    presorted = bool(np.all(np.diff(times) >= 0))
-    order = None if presorted else np.argsort(times, kind="stable")
-    sorted_times = times if presorted else times[order]
-    if sorted_times.size and sorted_times[0] < 0:
-        raise ValueError("BM times must be nonnegative")
-    std = np.sqrt(np.diff(np.concatenate([[0.0], sorted_times])))
-    vals = rng.standard_normal((n_paths, sorted_times.size))
-    vals *= std
-    np.cumsum(vals, axis=1, out=vals)
-    if order is None:
-        return vals
-    out = np.empty_like(vals)
-    out[:, order] = vals
-    return out
-
-
-def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1,
-                   representation: str = "auto") -> np.ndarray:
+def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray:
     """Exact-in-law samples on the grid; returns an (n_paths, n, dim) array.
 
-    Values are exactly zero wherever x(t) y(t) = 0.  The default picks the
-    O(n) ratio recursion and falls back to the pinned form when y vanishes at
-    the right end of the grid.
+    Each component is y(t) B_{r(t)} for a standard BM B in the ratio time
+    r = x/y, drawn as the cumulative sum of independent N(0, diff(r))
+    increments, n normals per component.  Values are exactly +0.0 wherever
+    x(t) y(t) = 0.
     """
-    if representation not in REPRESENTATIONS:
-        raise ValueError(f"representation must be one of {REPRESENTATIONS}")
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("grid times must be strictly increasing")
+    if ts.size == 0 or np.any(np.diff(ts) <= 0):
+        raise ValueError("grid must be nonempty and strictly increasing")
     xs, ys = law.path.eval(ts)
     xs, ys = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))
     dead = xs * ys == 0.0
-    if representation == "auto":
-        representation = "bm_pinned" if ys[-1] == 0.0 else "bm_ratio"
-
-    if representation == "bm_ratio":
-        bm_times = np.where(ys > 0, xs / np.where(ys > 0, ys, 1.0), 0.0)
-        live = ~dead
-        if np.any(np.diff(bm_times[live]) < -1e-12):
-            raise ValueError("x/y must be nondecreasing along the grid")
-        coef, offset_coef = ys, None
-    elif representation == "bm_ratio_swapped":
-        bm_times = np.where(xs > 0, ys / np.where(xs > 0, xs, 1.0), 0.0)
-        coef, offset_coef = xs, None
-    elif representation == "bm_pinned":
-        tot = xs + ys
-        bm_times = np.where(tot > 0, xs / np.where(tot > 0, tot, 1.0), 0.0)
-        coef, offset_coef = tot, xs
-    else:  # bm_pinned_swapped
-        tot = xs + ys
-        bm_times = np.where(tot > 0, ys / np.where(tot > 0, tot, 1.0), 0.0)
-        coef, offset_coef = tot, ys
-
-    need_unit = offset_coef is not None
-    all_times = np.concatenate([bm_times, [1.0]]) if need_unit else bm_times
-    comps = []
-    for _ in range(law.dim):
-        bm = _bm_at(all_times, rng, n_paths)
-        if need_unit:
-            vals = coef * bm[:, :-1]
-            vals -= offset_coef * bm[:, -1][:, None]
-        else:
-            bm *= coef
-            vals = bm
-        if np.any(dead):
-            vals[:, dead] = 0.0
-        comps.append(vals)
-    if law.dim == 1:
-        return comps[0][:, :, None]
-    return np.stack(comps, axis=-1)
+    # y is nonincreasing, so y = 0 only on a final stretch of the grid; r = 0
+    # there makes its increments negative, which the clamp below turns into
+    # zero-variance steps, as if each point repeated the last live ratio time.
+    ratio = np.divide(xs, ys, out=np.zeros_like(xs), where=ys > 0)
+    if np.any(np.diff(ratio[~dead]) < -1e-12):
+        raise ValueError("x/y must be nondecreasing along the grid")
+    std = np.sqrt(np.maximum(np.diff(ratio, prepend=0.0), 0.0))
+    vals = rng.standard_normal((law.dim, n_paths, ts.size))
+    vals *= std
+    np.cumsum(vals, axis=2, out=vals)
+    vals *= ys
+    vals[:, :, dead] = 0.0
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
 
-def simulate(law: GaussPathLaw, grid, rng, representation: str = "auto") -> SamplePathGrid:
+def simulate(law: GaussPathLaw, grid, rng) -> SamplePathGrid:
     """One exact draw of the restricted sheet on the grid."""
-    vals = simulate_paths(law, grid, rng, n_paths=1, representation=representation)
+    vals = simulate_paths(law, grid, rng)
     return SamplePathGrid(np.atleast_1d(np.asarray(grid, dtype=float)), vals[0])
 
 
@@ -303,6 +251,8 @@ def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     grid = np.linspace(s, t, grid_points)
     xs, ys = law.path.x(grid), law.path.y(grid)
     gap = xs[1:] * ys[:-1] - xs[:-1] * ys[1:]  # y_i y_{i+1} (r_{i+1} - r_i)

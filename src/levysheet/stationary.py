@@ -60,10 +60,6 @@ class StationaryLaw:
     def path(self, t_hi: float, t_lo: float = 0.0) -> ExponentialPath:
         return ExponentialPath(self.a, self.b, self.c, t_lo, t_hi)
 
-    @property
-    def marginal_variance(self) -> float:
-        return self.a * self.b * self.triplet.variance11
-
 
 @dataclass(frozen=True)
 class RebasedLevy:

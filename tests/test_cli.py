@@ -168,6 +168,13 @@ class TestExperiments:
         assert abs(out["empirical"] - out["analytic"]) < 0.05
         assert 0.0 < out["conditional"] < 1.0
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_zerocross_rejects_degenerate_grid(self, capsys, bridge_file, points):
+        code = main(["experiment", "zerocross", "--path", bridge_file, "--s", "0.25",
+                     "--t", "0.75", "--n", "10", "--grid-points", points])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: grid_points")
+
     def test_bridge(self, capsys):
         code, out = run_json(capsys, ["experiment", "bridge", "--rate", "200",
                                       "--n", "400", "--grid", "0", "1", "5",

@@ -98,18 +98,40 @@ class TestSimulate:
             target = t * (1 - t)
             assert abs(vals[:, j].var() - target) <= 4.0 * target * math.sqrt(2.0 / n)
 
-    def test_representation_equivalence(self):
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("path, grid", [
+        (ExponentialPath(1.0, 0.5, 1.0, 0.0, 1.5), np.linspace(0.0, 1.5, 31)),
+        (bridge(), np.array([0.0, 0.3, 0.5, 0.6, 0.9])),
+    ])
+    def test_ratio_recursion_bit_for_bit(self, path, grid, dim):
+        # where y > 0: X = y(t) B_{x/y}, B summed from N(0, diff(x/y)) increments
+        n = 6
+        got = gauss.simulate_paths(gauss.GaussPathLaw(path, dim=dim), grid,
+                                   np.random.default_rng(46), n_paths=n)
         rng = np.random.default_rng(46)
-        law = gauss.GaussPathLaw(LinearPath(0.2, 1.0, 1.5, 1.0, 0.0, 1.0))
-        times = [0.2, 0.5, 0.9]
+        for k in range(dim):
+            normals = rng.standard_normal((n, grid.size))
+            want = np.zeros((n, grid.size))
+            for i in range(n):
+                bm, prev = 0.0, 0.0
+                for j, t in enumerate(grid):
+                    x, y = float(path.x(t)), float(path.y(t))
+                    bm += math.sqrt(x / y - prev) * normals[i, j]
+                    prev = x / y
+                    want[i, j] = y * bm if x * y != 0.0 else 0.0
+            assert got[:, :, k].tobytes() == want.tobytes()
+
+    def test_bridge_ends_pinned_inner_covariance(self):
+        rng = np.random.default_rng(48)
+        grid = [0.0, 0.3, 0.5, 0.6, 1.0]
         n = 40_000
-        for rep in ("bm_ratio", "bm_ratio_swapped", "bm_pinned", "bm_pinned_swapped"):
-            vals = gauss.simulate_paths(law, times, rng, n_paths=n,
-                                        representation=rep)[:, :, 0]
-            for j, (t, z) in enumerate(zip(times, (1.0, 0.7, 1.4))):
-                emp = empirical_cf(vals[:, j], z)
-                target = complex(math.exp(-0.5 * gauss.covariance(law, t, t) * z * z))
-                assert cf_match(emp, target, name=rep).passed
+        vals = gauss.simulate_paths(bridge_law(), grid, rng, n_paths=n)[:, :, 0]
+        ends = vals[:, [0, -1]]
+        assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
+        target = gauss.covariance_matrix(bridge_law(), grid[1:-1])
+        emp = np.cov(vals[:, 1:-1], rowvar=False)
+        se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / n)
+        assert np.all(np.abs(emp - target) <= 4.0 * se)
 
     def test_multidimensional_components_independent(self):
         rng = np.random.default_rng(47)
@@ -118,10 +140,9 @@ class TestSimulate:
         cross = float(np.corrcoef(vals[:, 0], vals[:, 1])[0, 1])
         assert abs(cross) < 4.0 / math.sqrt(30_000)
 
-    def test_auto_uses_pinned_when_y_vanishes(self):
-        rng = np.random.default_rng(48)
-        vals = gauss.simulate_paths(bridge_law(), [0.5, 1.0], rng, n_paths=10)
-        assert np.all(vals[:, 1, 0] == 0.0)
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            gauss.simulate_paths(bridge_law(), [], np.random.default_rng(48))
 
     def test_one_draw_wrapper(self):
         rng = np.random.default_rng(49)
@@ -191,6 +212,12 @@ class TestZeroCrossing:
         freq = gauss.zero_crossing_frequency(law, 0.25, 0.75, n, 100, np.random.default_rng(26))
         # per-path values lie in [0, 1], so their variance is at most p (1 - p)
         assert abs(freq - target) <= 4.0 * math.sqrt(target * (1.0 - target) / n)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_frequency_rejects_degenerate_grid(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points"):
+            gauss.zero_crossing_frequency(bridge_law(), 0.25, 0.75, 10, grid_points,
+                                          np.random.default_rng(27))
 
     def test_unconditional_at_vanishing_y(self):
         # the bridge is pinned to 0 at t = 1, where y(1) = 0 and r(t) -> infinity
