@@ -65,7 +65,8 @@ def _lead_sum(terms: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Named jump distributions.  Each carries a closed-form characteristic
 # function, evaluated at the rows of an (m, d) array as real and imaginary
-# parts (0.0 for a real cf), a sampler, and the truncated first moment.
+# parts (0.0 for a real cf), a sampler, and the truncated first moment; a
+# finitely supported law also gives its `atoms`.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -216,6 +217,11 @@ class Categorical:
         if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
             return np.repeat(self.points, size, axis=0)
         return self.points[np.searchsorted(self._cdf, rng.random(size), side="right")]
+
+    @property
+    def atoms(self):
+        """(points, probs): the law as a finite sum of point masses."""
+        return self.points, self.probs
 
     @property
     def truncated_mean(self) -> np.ndarray:

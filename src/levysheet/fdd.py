@@ -3,16 +3,21 @@
 For ordered times t_1 < ... < t_n on a decreasing path, the quadrant below
 the path decomposes into disjoint rectangles
 
-    B_ij = (x(t_{i-1}), x(t_i)] x (y(t_{i+j}), y(t_{i+j-1})],
-    i = 1..n, j = 1..n-i+1,   with x(t_0) = y(t_{n+1}) = 0,
+    B_ik = (x(t_{i-1}), x(t_i)] x (y(t_{k+1}), y(t_k)],   1 <= i <= k <= n,
+    with x(t_0) = y(t_{n+1}) = 0,
 
 and the joint characteristic function of the restricted process is
 
-    exp[ sum_ij m(B_ij) psi(z_i + ... + z_{i+j-1}) ].
+    exp[ sum_{i<=k} m(B_ik) psi(z_i + ... + z_k) ].
 
-`joint_cf` forms only these n(n+1)/2 cells, their areas as products of side
-lengths and their sums of z as differences of prefix sums, and evaluates psi
-on all of them as one batch: O(n^2) array work, no Python loop over cells.
+Each area is one x-side times one y-side, dx_i dy_k, and each argument a
+difference of prefix sums, P_k - P_{i-1}, so the sum separates for every part
+of psi built from characters, and `joint_cf` sums it in O(n) array passes: the
+drift as i gamma_0 . sum_l x_l y_l z_l, the Gaussian part as
+-1/2 sum_{l,m} z_l.A z_m x_min(l,m) y_max(l,m) with one running sum of x_l z_l,
+and atoms a_j of probability p_j as rate sum_j p_j sum_k dy_k (e^{i a_j.P_k} L_jk - x_k)
+with the running sums L_jk = sum_{i<=k} dx_i e^{-i a_j.P_{i-1}}.  Only the jumps
+of a law with no atoms (uniform, Gaussian) are still summed over the n(n+1)/2 cells.
 
 Single increments only involve the lower rectangle (x(s), x(t)] x (0, y(t)]
 and the upper rectangle (0, x(s)] x (y(t), y(s)].
@@ -21,7 +26,6 @@ and the upper rectangle (0, x(s)] x (y(t), y(s)].
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .exponent import LevyTriplet, eval_psi, is_symmetric
 from .paths import DecreasingPath, PathClass, PathTag
 
 __all__ = [
-    "RectangleGrid",
     "lower_area",
     "upper_area",
     "joint_cf",
@@ -39,52 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RectangleGrid:
-    """Rectangle areas under a path at ordered times.
-
-    `areas[i, j]` holds m(B_{i+1, j+1}) in the 1-based convention above;
-    entries with j >= n - i are identically zero padding.
-    """
-
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    areas: np.ndarray
-
-    @classmethod
-    def from_path(cls, path: DecreasingPath, times) -> "RectangleGrid":
-        ts, xs, ys, first, last, area = _cells(path, times)
-        areas = np.zeros((ts.size, ts.size))
-        areas[first, last - first] = area
-        return cls(ts, xs, ys, areas)
-
-    @property
-    def n(self) -> int:
-        return self.times.size
-
-    def covered_area(self, k: int) -> float:
-        """Total area of the rectangles composing the value at times[k]."""
-        i, j = np.indices(self.areas.shape)
-        return float(self.areas[(i <= k) & (i + j >= k)].sum())
-
-
-def _cells(path: DecreasingPath, times):
-    """Times, path values and the cells (first, last, area) under the path, row
-    by row: B_ij covers z_first .. z_last (0-based, first = i - 1, last = i + j - 2)."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if (ts[1:] <= ts[:-1]).any():
-        raise ValueError("times must be strictly increasing")
-    xs, ys = path.eval(ts)
-    dx, dy = xs - np.concatenate(([0.0], xs[:-1])), ys - np.concatenate((ys[1:], [0.0]))
-    n = ts.size
+def _cells(dx, dy):
+    """The cells (first, last, area) under the path, row by row: B_ik covers
+    z_first .. z_last (0-based, first = i - 1, last = k - 1)."""
+    n = dx.size
     rows = np.arange(n)
     first = np.repeat(rows, n - rows)
     start = rows * n - rows * (rows - 1) // 2  # where row i's first cell, (i, i), sits
     last = np.arange(first.size) - (start - rows)[first]
-    return ts, xs, ys, first, last, dx[first] * dy[last]
+    return first, last, dx[first] * dy[last]
 
 
 def lower_area(path: DecreasingPath, s: float, t: float) -> float:
@@ -111,15 +77,40 @@ def _as_z_matrix(zs, n: int, dim: int) -> np.ndarray:
 def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
     """Joint characteristic function of the path values at the given times.
 
-    One psi call on the sums z_i + ... + z_k of the rectangles of nonzero
-    area, O(n^2) in the number of times n.
+    The exponent is summed with running sums in O(n) (module docstring), except the
+    jumps of a law with no atoms, over the n(n+1)/2 cells; one time is x y psi(z).
     """
-    ts, _, _, first, last, areas = _cells(path, times)
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a nonempty 1-d array")
+    if (ts[1:] <= ts[:-1]).any():
+        raise ValueError("times must be strictly increasing")
+    xs, ys = path.eval(ts)
     z = _as_z_matrix(zs, ts.size, triplet.dim)
-    prefix = np.concatenate([np.zeros((triplet.dim, 1)), z.T.cumsum(axis=1)], axis=1)
-    keep = areas != 0.0
-    sums = prefix[:, last[keep] + 1] - prefix[:, first[keep]]
-    return cmath.exp(complex((areas[keep] * eval_psi(triplet, sums.T)).sum()))
+    if ts.size == 1:
+        return cmath.exp(xs[0] * ys[0] * eval_psi(triplet, z[0]))
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    dx, dy = xs - np.concatenate(([0.0], xs[:-1])), ys - np.concatenate((ys[1:], [0.0]))
+    xz = xs[:, None] * z
+    re, im = 0.0, float(triplet.drift @ (ys @ xz))
+    if triplet.gaussian.any():  # sum_m y_m z_m.A (z_m x_m + 2 sum_{l<m} x_l z_l)
+        re = -0.5 * float(np.vdot(ys[:, None] * (z @ triplet.gaussian), 2.0 * xz.cumsum(axis=0) - xz))
+    if (jumps := triplet.jumps) is not None:
+        prefix = np.concatenate([np.zeros((1, triplet.dim)), z.cumsum(axis=0)])  # P_0 .. P_n
+        atoms = getattr(jumps.dist, "atoms", None)
+        if atoms is None:
+            first, last, area = _cells(dx, dy)
+            cf_re, cf_im = jumps.dist.cf(prefix[last + 1] - prefix[first])
+            jump = area @ (cf_re - 1.0) + 1j * np.sum(area * cf_im)
+        else:
+            points, probs = atoms
+            wave = np.exp(1j * (prefix @ points.T))  # e^{i a_j.P_k}, (n + 1, atoms)
+            running = (dx[:, None] * wave[:-1].conj()).cumsum(axis=0)  # L_jk
+            # x_k as the running sum of dx: at z = 0, L_jk equals it bit for bit and cancels
+            jump = dy @ ((wave[1:] * running - dx.cumsum()[:, None]) @ probs)
+        re, im = re + jumps.rate * float(jump.real), im + jumps.rate * float(jump.imag)
+    return cmath.exp(complex(re, im + 0.0))  # + 0.0: a zero probe's -0.0 becomes 0.0
 
 
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,

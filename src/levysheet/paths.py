@@ -454,10 +454,13 @@ def symmetric_increment_area(path: DecreasingPath, s, t):
 
 
 def _fit_affine(ts, vals):
-    """Least-squares (intercept, slope) plus max abs residual."""
-    coef = np.polynomial.polynomial.polyfit(ts, vals, 1)
-    resid = vals - (coef[0] + coef[1] * ts)
-    return float(coef[0]), float(coef[1]), float(np.max(np.abs(resid)))
+    """Least-squares (intercept, slope), from two means and two dot products,
+    plus max abs residual."""
+    t_mean, v_mean = ts.mean(), vals.mean()
+    centred = ts - t_mean
+    slope = float(centred @ (vals - v_mean) / (centred @ centred))
+    intercept = float(v_mean - slope * t_mean)
+    return intercept, slope, float(np.max(np.abs(vals - (intercept + slope * ts))))
 
 
 def _functional_equation_holds(path, cls, tol, grid_size=50):
@@ -504,8 +507,8 @@ def _candidate_corner(ts, xs, ys, span, tol):
         a = float(xs[: k + 1].mean())
         b = float(ys[k:].mean())
         left, right = ts[: k + 1], ts[k:]
-        c = float(np.polynomial.polynomial.polyfit(s_star - left, ys[: k + 1] - b, 1)[1])
-        d = float(np.polynomial.polynomial.polyfit(right - s_star, xs[k:] - a, 1)[1])
+        c = _fit_affine(s_star - left, ys[: k + 1] - b)[1]
+        d = _fit_affine(right - s_star, xs[k:] - a)[1]
         if a <= 0 or b <= 0 or c <= 0 or d <= 0:
             continue
         resid = max(

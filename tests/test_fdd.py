@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from levysheet import fdd
-from levysheet.exponent import brownian, cpp_from_atoms, eval_psi
+from levysheet.exponent import (
+    Categorical,
+    GaussianJumps,
+    LevyTriplet,
+    ScaledJumps,
+    UniformJumps,
+    brownian,
+    cpp,
+    cpp_from_atoms,
+    eval_psi,
+    pure_drift,
+)
 from levysheet.paths import (
     ExponentialPath,
     HorizontalPath,
@@ -34,30 +45,6 @@ def random_paths(rng, count):
         else:
             yield HorizontalPath.affine(rng.uniform(0, 1), rng.uniform(0.5, 2),
                                         rng.uniform(0.5, 2), 0.0, t_hi)
-
-
-class TestRectangleGrid:
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(31)
-        for path in random_paths(rng, 20):
-            n = int(rng.integers(1, 6))
-            times = np.sort(rng.uniform(path.t_lo + 0.01 * path.span,
-                                        path.t_hi - 0.01 * path.span, size=n))
-            if np.any(np.diff(times) <= 0):
-                continue
-            grid = fdd.RectangleGrid.from_path(path, times)
-            for k in range(n):
-                want = float(path.x(times[k]) * path.y(times[k]))
-                assert grid.covered_area(k) == pytest.approx(want, abs=1e-12)
-
-    def test_areas_nonnegative(self):
-        grid = fdd.RectangleGrid.from_path(bridge(), [0.2, 0.5, 0.9])
-        assert np.all(grid.areas >= 0)
-
-    def test_increment_rectangles(self):
-        p = bridge()
-        assert fdd.lower_area(p, 0.3, 0.6) == pytest.approx(0.3 * 0.4)
-        assert fdd.upper_area(p, 0.3, 0.6) == pytest.approx(0.3 * 0.3)
 
 
 class TestJointCF:
@@ -99,6 +86,21 @@ class TestJointCF:
     def test_rejects_unordered_times(self):
         with pytest.raises(ValueError):
             fdd.joint_cf(brownian(1), bridge(), [0.5, 0.2], np.zeros((2, 1)))
+
+    def test_pure_drift_covers_area(self):
+        # the cells composing the value at t_l cover area x(t_l) y(t_l), so a
+        # drift gamma gives exp(i gamma . sum_l z_l x(t_l) y(t_l))
+        rng = np.random.default_rng(31)
+        for path in random_paths(rng, 20):
+            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+            times = np.sort(rng.uniform(path.t_lo + 0.01 * path.span,
+                                        path.t_hi - 0.01 * path.span, size=n))
+            if np.any(np.diff(times) <= 0):
+                continue
+            gamma, zs = rng.normal(size=d), rng.normal(size=(n, d))
+            xs, ys = path.eval(times)
+            want = cmath.exp(1j * float(gamma @ (zs * (xs * ys)[:, None]).sum(axis=0)))
+            assert abs(fdd.joint_cf(pure_drift(gamma), path, times, zs) - want) <= 1e-14
 
 
 def loop_areas(path, times):
@@ -145,8 +147,6 @@ class TestJointCFBatch:
         got = fdd.joint_cf(triplet, path, times, zs)
         want = loop_joint_cf(triplet, path, times, zs)
         assert abs(got - want) <= 64 * np.finfo(float).eps * self.N ** 2
-        assert np.array_equal(fdd.RectangleGrid.from_path(path, times).areas,
-                              loop_areas(path, times))
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_zero_probe_is_exactly_one(self, name):
@@ -184,7 +184,6 @@ class TestJointCFCells:
             zero_cells += int(((i + j < n) & (areas == 0.0)).sum())  # cells, not padding
             got = fdd.joint_cf(triplet, path, times, zs)
             assert abs(got - loop_joint_cf(triplet, path, times, zs)) <= 64 * np.finfo(float).eps * n ** 2
-            assert np.array_equal(fdd.RectangleGrid.from_path(path, times).areas, areas)
         assert zero_cells > 0
 
     @pytest.mark.parametrize("name", list(PATHS) + ["linear"])
@@ -195,6 +194,68 @@ class TestJointCFCells:
             x, y = path.eval(t)
             want = cmath.exp(x * y * eval_psi(triplet, 0.7))
             assert fdd.joint_cf(triplet, path, [t], [0.7]) == want
+
+
+def random_triplet(rng, d):
+    """A drift, a random nonnegative-definite Gaussian part of random rank and
+    one to three Categorical atoms, all in one law."""
+    root = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+    k = int(rng.integers(1, 4))
+    jumps = ScaledJumps(float(rng.uniform(0.5, 2.0)),
+                        Categorical(rng.normal(size=(k, d)), rng.uniform(0.2, 1.0, size=k)))
+    return LevyTriplet(rng.normal(size=d), root @ root.T, jumps)
+
+
+class TestJointCFProperty:
+    """joint_cf against the cell-by-cell loop for drift, Gaussian and atom parts
+    in d = 1, 2, 3, and for the two jump laws with no atoms, which go through
+    the cells, on every path form, including legs with zero-area cells."""
+
+    PATHS = {
+        "linear": LinearPath(0.1, 1.0, 1.3, 1.1, 0.0, 1.0),
+        "exponential": ExponentialPath(0.7, 1.2, 0.9, 0.0, 1.0),
+        "corner": VThenHPath(0.5, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0),
+        "horizontal": HorizontalPath.affine(0.2, 1.1, 0.9, 0.0, 1.0),
+        "vertical": VerticalPath.affine(2.5, 1.3, 1.2, 0.0, 1.0),
+    }
+    NS = (1, 2, 3, 7, 30)
+
+    @staticmethod
+    def assert_matches_loop(triplet, path, rng):
+        for n in TestJointCFProperty.NS:
+            times = np.sort(rng.uniform(0.02, 0.98, size=n))
+            zs = rng.normal(0.0, 1.0 / math.sqrt(n), size=(n, triplet.dim))
+            got = fdd.joint_cf(triplet, path, times, zs)
+            assert abs(got - loop_joint_cf(triplet, path, times, zs)) \
+                <= 64 * np.finfo(float).eps * n ** 2
+
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_character_laws_match_loop(self, name):
+        rng = np.random.default_rng([38, list(self.PATHS).index(name)])
+        for d in (1, 2, 3):
+            self.assert_matches_loop(random_triplet(rng, d), self.PATHS[name], rng)
+
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_laws_without_atoms_match_loop(self, name):
+        rng = np.random.default_rng(39)
+        for triplet in (cpp(1.3, UniformJumps(0.8), drift=0.2),
+                        LevyTriplet([0.1, -0.2], np.eye(2), ScaledJumps(0.9, GaussianJumps(0.7, 2)))):
+            self.assert_matches_loop(triplet, self.PATHS[name], rng)
+
+    def test_character_laws_build_no_cells(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("joint_cf built the cells")
+
+        monkeypatch.setattr(fdd, "_cells", no_cells)
+        rng = np.random.default_rng(40)
+        times = np.linspace(0.1, 0.9, 30)
+        laws = (brownian(1), brownian(2), pure_drift([0.3, -0.1]),
+                cpp_from_atoms([(1.0, 0.8), (-0.6, 1.1)], drift=0.15))
+        for triplet in laws:
+            for path in self.PATHS.values():
+                fdd.joint_cf(triplet, path, times, rng.normal(size=(30, triplet.dim)))
+        with pytest.raises(AssertionError, match="built the cells"):
+            fdd.joint_cf(cpp(1.0, UniformJumps(0.5)), bridge(), times, np.ones(30))
 
 
 class TestIncrementCF:
@@ -234,6 +295,11 @@ class TestIncrementCF:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             fdd.increment_cf(brownian(1), bridge(), 0.5, 0.5, 1.0)
+
+    def test_increment_rectangles(self):
+        p = bridge()
+        assert fdd.lower_area(p, 0.3, 0.6) == pytest.approx(0.3 * 0.4)
+        assert fdd.upper_area(p, 0.3, 0.6) == pytest.approx(0.3 * 0.3)
 
     def test_equals_rectangle_formula(self):
         rng = np.random.default_rng(37)

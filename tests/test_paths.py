@@ -207,15 +207,16 @@ class TestClassify:
 
 
 def unpruned_corner(ts, xs, ys, span, tol):
-    """The corner search over every inner knot, with no range pruning."""
+    """The corner search over every inner knot, with no range pruning; each leg
+    is fitted by the library's own line fit, so the two must agree exactly."""
     best = None
     scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
     for k in range(1, ts.size - 1):
         s_star = ts[k]
         a, b = float(xs[: k + 1].mean()), float(ys[k:].mean())
         left, right = ts[: k + 1], ts[k:]
-        c = float(np.polynomial.polynomial.polyfit(s_star - left, ys[: k + 1] - b, 1)[1])
-        d = float(np.polynomial.polynomial.polyfit(right - s_star, xs[k:] - a, 1)[1])
+        c = pth._fit_affine(s_star - left, ys[: k + 1] - b)[1]
+        d = pth._fit_affine(right - s_star, xs[k:] - a)[1]
         if a <= 0 or b <= 0 or c <= 0 or d <= 0:
             continue
         resid = max(float(np.max(np.abs(xs[: k + 1] - a))), float(np.max(np.abs(ys[k:] - b))),
