@@ -18,9 +18,6 @@ drift as i gamma_0 . sum_l x_l y_l z_l, the Gaussian part as
 and atoms a_j of probability p_j as rate sum_j p_j sum_k dy_k (e^{i a_j.P_k} L_jk - x_k)
 with the running sums L_jk = sum_{i<=k} dx_i e^{-i a_j.P_{i-1}}.  Only the jumps
 of a law with no atoms (uniform, Gaussian) are still summed over the n(n+1)/2 cells.
-
-Single increments only involve the lower rectangle (x(s), x(t)] x (0, y(t)]
-and the upper rectangle (0, x(s)] x (y(t), y(s)].
 """
 
 from __future__ import annotations
@@ -85,7 +82,9 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
         raise ValueError("times must be a nonempty 1-d array")
     if (ts[1:] <= ts[:-1]).any():
         raise ValueError("times must be strictly increasing")
-    xs, ys = path.eval(ts)
+    if ts[0] < path.t_lo - 1e-15 or ts[-1] > path.t_hi + 1e-15:  # the ends bound increasing times
+        raise ValueError(f"t outside the path domain [{path.t_lo}, {path.t_hi}]")
+    xs, ys = path.x(ts), path.y(ts)
     z = _as_z_matrix(zs, ts.size, triplet.dim)
     if ts.size == 1:
         return cmath.exp(xs[0] * ys[0] * eval_psi(triplet, z[0]))
@@ -115,14 +114,11 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
 
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,
                  s: float, t: float, z) -> complex:
-    """Characteristic function of the increment between path times s < t."""
+    """Characteristic function of the increment between path times s < t: `joint_cf` at (-z, z)."""
     if not s < t:
         raise ValueError("increment needs s < t")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
-    (x_s, x_t), (y_s, y_t) = path.eval(np.array([s, t]))
-    psi = eval_psi(triplet, np.stack([zz, -zz]))
-    # lower rectangle (x(s), x(t)] x (0, y(t)], upper (0, x(s)] x (y(t), y(s)]
-    return cmath.exp((x_t - x_s) * y_t * psi[0] + x_s * (y_s - y_t) * psi[1])
+    return joint_cf(triplet, path, [s, t], np.stack([-zz, zz]))
 
 
 def stationary_increment_cf(triplet: LevyTriplet, cls: PathClass,

@@ -3,9 +3,10 @@
 Each sheet jump at location (u, v) below the path's sweep produces a pair of
 cancelling events in the restricted process: the jump enters at the first
 time x(t) reaches u and leaves at the last time y(t) still covers v.  Jumps
-left under the terminal rectangle never leave.  Event times at equal values
-keep insertion order; the restricted process is not cadlag and no merging is
-attempted.
+left under the terminal rectangle never leave.  Event 2j is the entry of jump
+j and 2j + 1 its exit; the kept ones are sorted once, stably, by time, so
+equal times keep that order.  The restricted process is not cadlag and no
+merging is attempted.
 
 The uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
@@ -26,6 +27,7 @@ from .paths import DecreasingPath, LinearPath
 
 
 _EVENT_CHUNK = 1_000_000  # events (or walk steps) drawn at a time by the batched experiments
+_SIGNS = np.array([1.0, -1.0])  # of an entry (even event index) and an exit (odd)
 
 
 def _chunks(n_draws: int, per_draw: float):
@@ -212,10 +214,10 @@ class EventPath:
         ts = np.asarray(self.times, dtype=float)
         init = np.atleast_1d(np.asarray(self.initial, dtype=float))
         incs = _as_increments(self.increments, ts.size, init.size)
-        if ts.size and (ts.min() < self.t_lo - 1e-12 or ts.max() > self.t_hi + 1e-12):
-            raise ValueError("event times must lie within the domain")
-        if ts.size and np.any(np.diff(ts) < 0):
+        if (ts[1:] < ts[:-1]).any():
             raise ValueError("event times must be nondecreasing; use from_events")
+        if ts.size and (ts[0] < self.t_lo - 1e-12 or ts[-1] > self.t_hi + 1e-12):
+            raise ValueError("event times must lie within the domain")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "initial", init)
@@ -224,13 +226,9 @@ class EventPath:
     def from_events(cls, times, increments, t_lo: float, t_hi: float,
                     initial=None) -> "EventPath":
         ts = np.asarray(times, dtype=float)
-        incs = np.asarray(increments, dtype=float)
-        if incs.ndim == 1:
-            incs = incs[:, None]
-        if initial is None:
-            initial = np.zeros(incs.shape[1])
+        incs = _as_increments(increments, ts.size, 1)
         order = np.argsort(ts, kind="stable")
-        return cls(t_lo, t_hi, ts[order], incs[order], initial)
+        return cls(t_lo, t_hi, ts[order], incs[order], np.zeros(incs.shape[1]) if initial is None else initial)
 
     @property
     def dim(self) -> int:
@@ -239,13 +237,9 @@ class EventPath:
     def values(self, ts) -> np.ndarray:
         """Path values at query times; output (k, d)."""
         q = np.atleast_1d(np.asarray(ts, dtype=float))
-        cums = self.initial + np.cumsum(self.increments, axis=0) \
-            if self.times.size else np.zeros((0, self.dim))
-        idx = np.searchsorted(self.times, q, side="right")
-        out = np.tile(self.initial, (q.size, 1))
-        hit = idx > 0
-        out[hit] = cums[idx[hit] - 1]
-        return out
+        # row k sums the first k events; row 0 is -0.0, which adds to `initial` bit for bit
+        sums = np.cumsum(np.concatenate([np.full((1, self.dim), -0.0), self.increments]), axis=0)
+        return self.initial + sums[self.times.searchsorted(q, side="right")]
 
     def value(self, t: float) -> np.ndarray:
         return self.values([t])[0]
@@ -278,30 +272,33 @@ def simulate_cpp_sheet(rate: float, jump_dist, region, rng) -> JumpField:
     return simulate_cpp_sheets(rate, jump_dist, region, 1, rng)[0]
 
 
-def _restrict_events(field: JumpField, path: DecreasingPath):
+def _restrict_events(field: JumpField, path: DecreasingPath, sort: bool):
     """Events of the field's jumps along the path: (jump index, times, increments).
 
     A jump at (u, v) contributes +J at the entry time inf{t : x(t) >= u}
     provided v <= y(entry), and -J at the exit time sup{t : y(t) >= v}
-    unless v <= y(t_hi), in which case it stays for good.  Events are in
-    jump order, each jump's entry before its exit.
+    unless v <= y(t_hi), in which case it stays for good.  Event 2j is the
+    entry of jump j and 2j + 1 its exit, in that order or, with sort, by time.
     """
     if not field.region.covers_path(path):
         raise ValueError("field region does not cover the path's sweep")
     u, v = field.locations[:, 0], field.locations[:, 1]
-    entry = path.first_time_x_at_least(u)
-    exit_ = path.last_time_y_at_least(v)
+    entry, exit_ = path.first_time_x_at_least(u), path.last_time_y_at_least(v)
     enters = entry <= exit_  # False where either is NaN
-    keep = np.column_stack([enters, enters & (v > path.ends[3])]).ravel()
-    incs = np.stack([field.jumps, -field.jumps], axis=1).reshape(-1, field.jumps.shape[1])
-    return (np.repeat(np.arange(field.count), 2)[keep],
-            np.column_stack([entry, exit_]).ravel()[keep], incs[keep])
+    event = np.flatnonzero(np.column_stack([enters, enters & (v > path.ends[3])]))
+    times = np.column_stack([entry, exit_]).ravel().take(event)
+    if sort:
+        order = np.argsort(times, kind="stable")  # as `EventPath.from_events` sorts
+        event, times = event.take(order), times.take(order)
+    incs = field.jumps.take(event >> 1, axis=0)
+    incs *= _SIGNS.take(event & 1)[:, None]  # an exact sign flip at exits
+    return event >> 1, times, incs
 
 
 def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
     """Events of the sheet restricted to the path: value(t) = sheet((0,x(t)] x (0,y(t)])."""
-    _, times, incs = _restrict_events(field, path)
-    return EventPath.from_events(times, incs, path.t_lo, path.t_hi)
+    _, times, incs = _restrict_events(field, path, sort=True)
+    return EventPath(path.t_lo, path.t_hi, times, incs, np.zeros(field.dim))
 
 
 def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
@@ -316,7 +313,7 @@ def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
     values, paired = [], []
     for size in _chunks(n_draws, rate * region.area):
         field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, rng)
-        jump, times, incs = _restrict_events(field, path)
+        jump, times, incs = _restrict_events(field, path, sort=False)
         u, v = field.locations[:, 0], field.locations[:, 1]
         values.append(_batch_values(owner[jump], times, incs, size, ts))
         paired.append(np.bincount(owner[jump], minlength=size)

@@ -27,6 +27,7 @@ data; everything else here is evaluation plumbing around the forms.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -297,6 +298,7 @@ class TabulatedPath(DecreasingPath):
     xs: np.ndarray
     ys: np.ndarray
     _neg_ys: np.ndarray = field(init=False, repr=False, compare=False)  # nondecreasing
+    _knot_lists: tuple = field(init=False, repr=False, compare=False)  # times, xs, ys, -ys as floats
 
     def __post_init__(self):
         ts, xs, ys = (np.asarray(v, dtype=float) for v in (self.times, self.xs, self.ys))
@@ -313,7 +315,8 @@ class TabulatedPath(DecreasingPath):
             raise ValueError("x must be nondecreasing")
         if np.any(np.diff(ys) > 1e-12 * max(1.0, np.abs(ys).max())):
             raise ValueError("y must be nonincreasing")
-        for name, value in (("times", ts), ("xs", xs), ("ys", ys), ("_neg_ys", -ys)):
+        lists = tuple(a.tolist() for a in (ts, xs, ys, -ys))
+        for name, value in (("times", ts), ("xs", xs), ("ys", ys), ("_neg_ys", -ys), ("_knot_lists", lists)):
             object.__setattr__(self, name, value)
         self._validate_values()
 
@@ -332,11 +335,11 @@ class TabulatedPath(DecreasingPath):
 
     @property
     def t_lo(self) -> float:  # type: ignore[override]
-        return float(self.times[0])
+        return self._knot_lists[0][0]
 
     @property
     def t_hi(self) -> float:  # type: ignore[override]
-        return float(self.times[-1])
+        return self._knot_lists[0][-1]
 
     def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
         return bool((self.xs[1:] > 0).all() and (self.ys[:-1] > 0).all())  # LinearPath's, per piece
@@ -347,15 +350,22 @@ class TabulatedPath(DecreasingPath):
     def _y(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.ys)
 
-    # Searching the inner knots keeps k in [1, n - 1].
+    # Searching the inner knots keeps k in [1, n - 1].  Bisect on the knot lists takes
+    # searchsorted's steps, so a float finds the same k and runs the formula on floats.
     def _x_inverse(self, u):
-        ts, xs = self.times, self.xs
-        k = xs[1:-1].searchsorted(u) + 1  # xs[k-1] < u <= xs[k]
+        if isinstance(u, float):
+            ts, xs, _, _ = self._knot_lists
+            k = bisect.bisect_left(xs, u, 1, len(xs) - 1)
+        else:
+            ts, xs, k = self.times, self.xs, self.xs[1:-1].searchsorted(u) + 1  # xs[k-1] < u <= xs[k]
         return ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1])
 
     def _y_inverse(self, v):
-        ts, ys = self.times, self.ys
-        k = self._neg_ys[1:-1].searchsorted(-v, side="right") + 1  # ys[k-1] >= v > ys[k]
+        if isinstance(v, float):
+            ts, _, ys, neg_ys = self._knot_lists
+            k = bisect.bisect_right(neg_ys, -v, 1, len(ys) - 1)
+        else:  # ys[k-1] >= v > ys[k]
+            ts, ys, k = self.times, self.ys, self._neg_ys[1:-1].searchsorted(-v, side="right") + 1
         return ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1])
 
 

@@ -16,6 +16,7 @@ Levy process in law whose exponent is a*c times the sheet's.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,6 +206,20 @@ def default_ou_probes(dim: int):
             for axis in range(dim) for m in np.geomspace(0.1, 10.0, 16)]
 
 
+def _probe_arrays(probes):
+    """The probes' times, (k,), and z values, (k, dim)."""
+    return (np.array([t for t, _ in probes], dtype=float),
+            np.array([np.atleast_1d(z) for _, z in probes], dtype=float))
+
+
+@functools.lru_cache(maxsize=None)
+def _default_probe_arrays(dim: int):
+    """`_probe_arrays(default_ou_probes(dim))`, built once per dim and read-only."""
+    ts, zs = _probe_arrays(default_ou_probes(dim))
+    ts.flags.writeable = zs.flags.writeable = False
+    return ts, zs
+
+
 def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
                    gap_threshold: float = 1e-3) -> OUDistinguishReport:
     """Search for a probe where the OU-type and sheet-path CFs disagree.
@@ -212,10 +227,7 @@ def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
     Laws with jumps always admit a witness; the Gaussian case reports
     'indistinguishable by this test' (no witness, tiny max gap).
     """
-    if probes is None:
-        probes = default_ou_probes(triplet.dim)
-    ts = np.array([t for t, _ in probes], dtype=float)
-    zs = np.array([np.atleast_1d(z) for _, z in probes], dtype=float)
+    ts, zs = _default_probe_arrays(triplet.dim) if probes is None else _probe_arrays(probes)
     ou, sheet = _probe_exponents(triplet, c, ts, zs)
     gaps = np.abs(np.exp(ou) - np.exp(sheet))
     hits = np.flatnonzero(gaps > gap_threshold)
@@ -224,4 +236,4 @@ def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
         k = hits[0]
         witness = OUWitness(float(ts[k]), tuple(zs[k].tolist()), float(gaps[k]))
     return OUDistinguishReport(witness=witness, max_gap=float(np.max(gaps, initial=0.0)),
-                               n_probes=len(probes), gap_threshold=gap_threshold)
+                               n_probes=ts.size, gap_threshold=gap_threshold)

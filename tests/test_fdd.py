@@ -87,6 +87,14 @@ class TestJointCF:
         with pytest.raises(ValueError):
             fdd.joint_cf(brownian(1), bridge(), [0.5, 0.2], np.zeros((2, 1)))
 
+    def test_rejects_times_outside_the_domain(self):
+        path = bridge()
+        for times in ([-1e-14, 0.5], [0.5, 1.0 + 1e-14], [-1e-14, 0.5, 1.0 + 1e-14]):
+            with pytest.raises(ValueError, match="outside the path domain"):
+                fdd.joint_cf(brownian(1), path, times, np.ones((len(times), 1)))
+        # within the 1e-15 slack the times are accepted
+        assert cmath.isfinite(fdd.joint_cf(brownian(1), path, [-1e-16, 1.0 + 1e-16], np.ones((2, 1))))
+
     def test_pure_drift_covers_area(self):
         # the cells composing the value at t_l cover area x(t_l) y(t_l), so a
         # drift gamma gives exp(i gamma . sum_l z_l x(t_l) y(t_l))

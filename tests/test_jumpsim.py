@@ -144,6 +144,100 @@ class TestRestriction:
                 assert np.array_equal(row, want)
 
 
+def interleaved_restriction(field, path):
+    """Restriction the direct way: the entry and exit of every jump interleaved,
+    masked, with their +J and -J increments: (jump index, times, increments)."""
+    u, v = field.locations[:, 0], field.locations[:, 1]
+    entry, exit_ = path.first_time_x_at_least(u), path.last_time_y_at_least(v)
+    enters = entry <= exit_
+    keep = np.column_stack([enters, enters & (v > path.ends[3])]).ravel()
+    incs = np.stack([field.jumps, -field.jumps], axis=1).reshape(-1, field.dim)
+    return (np.repeat(np.arange(field.count), 2)[keep],
+            np.column_stack([entry, exit_]).ravel()[keep], incs[keep])
+
+
+def tie_heavy_field(path, dim, rng, count=400):
+    """Jumps over a covering rectangle with many entries at t_lo, many on the path
+    itself (entry equal to exit) and many on the levels of flat stretches."""
+    region = covering_rect(path)
+    x_lo = path.ends[0]
+    t = rng.uniform(path.t_lo, path.t_hi, size=count // 4)
+    knots = getattr(path, "times", np.array([path.t_lo, path.t_hi]))
+    levels_x = rng.choice(path.x(knots)[1:], size=count // 4)
+    levels_y = rng.choice(path.y(knots)[:-1], size=count // 4)
+    locs = np.concatenate([
+        region.sample(rng, count // 4),
+        np.column_stack([rng.uniform(0.0, x_lo, count // 4),
+                         rng.uniform(0.0, region.y_max, count // 4)]),
+        np.column_stack([path.x(t), path.y(t)]),
+        np.column_stack([levels_x, levels_y]),
+    ])
+    locs = locs[region.contains(locs)]
+    return jumpsim.JumpField(region, locs, rng.normal(size=(locs.shape[0], dim)))
+
+
+def tile_and_mask_values(events, ts):
+    """`EventPath.values` as a tile of the initial value overwritten where an event has passed."""
+    q = np.atleast_1d(np.asarray(ts, dtype=float))
+    cums = events.initial + np.cumsum(events.increments, axis=0) \
+        if events.times.size else np.zeros((0, events.dim))
+    idx = np.searchsorted(events.times, q, side="right")
+    out = np.tile(events.initial, (q.size, 1))
+    out[idx > 0] = cums[idx[idx > 0] - 1]
+    return out
+
+
+class TestEventIndices:
+    """The index pipeline gives the events of the interleaved one byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_restrict_equals_interleaved_restriction(self, dim, six_forms):
+        rng = np.random.default_rng(61)
+        for name, path in six_forms.items():
+            for count in (0, 1, 400):
+                field = tie_heavy_field(path, dim, rng, count) if count else jumpsim.JumpField(
+                    covering_rect(path), np.zeros((0, 2)), np.zeros((0, dim)))
+                _, times, incs = interleaved_restriction(field, path)
+                order = np.argsort(times, kind="stable")
+                events = jumpsim.restrict_to_path(field, path)
+                assert events.times.tobytes() == times[order].tobytes(), name
+                assert events.increments.shape == (times.size, dim)
+                assert events.increments.tobytes() == incs[order].tobytes(), name
+                probes = np.concatenate([events.times, rng.uniform(path.t_lo, path.t_hi, 20)])
+                assert events.values(probes).tobytes() == tile_and_mask_values(events, probes).tobytes()
+
+    def test_fields_have_the_ties_they_are_built_for(self, flat_stretch_path):
+        path = flat_stretch_path
+        field = tie_heavy_field(path, 1, np.random.default_rng(62))
+        entry = path.first_time_x_at_least(field.locations[:, 0])
+        exit_ = path.last_time_y_at_least(field.locations[:, 1])
+        assert np.sum(entry == path.t_lo) > 50
+        assert np.sum(entry == exit_) > 20
+        _, times, _ = interleaved_restriction(field, path)
+        assert times.size - np.unique(times).size > 100
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_restricted_sheets_equal_interleaved_restriction(self, dim, flat_stretch_path):
+        path = flat_stretch_path
+        region, rate, n = covering_rect(path), 30.0, 200
+        rng = np.random.default_rng(63)
+        dist = Categorical(rng.normal(size=(4, dim)), [0.4, 0.3, 0.2, 0.1])
+        probes = np.concatenate([[path.t_lo], path.times[::5], rng.uniform(0.0, 1.0, 10)])
+        values, paired = jumpsim.restricted_sheets(rate, dist, region, path, probes, n,
+                                                   np.random.default_rng(64))
+        field, owner = jumpsim.simulate_cpp_sheets(rate, dist, region, n, np.random.default_rng(64))
+        jump, times, incs = interleaved_restriction(field, path)
+        want = np.empty((n, probes.size, dim))
+        for j, t in enumerate(probes):
+            hit = times <= t
+            for c in range(dim):
+                want[:, j, c] = np.bincount(owner[jump][hit], weights=incs[hit, c], minlength=n)
+        assert values.tobytes() == want.tobytes()
+        u, v = field.locations[:, 0], field.locations[:, 1]
+        persistent = np.bincount(owner[(u <= path.ends[1]) & (v <= path.ends[3])], minlength=n)
+        assert np.array_equal(paired, np.bincount(owner[jump], minlength=n) - persistent)
+
+
 class TestRestrictedSheets:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_each_draw_equals_its_rectangle_sums(self, dim, flat_stretch_path):
@@ -211,6 +305,32 @@ class TestEventPath:
         ev = jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0, initial=[2.0])
         assert ev.value(0.0)[0] == 2.0
         assert ev.value(0.9)[0] == 3.0
+
+    def test_values_equal_tile_and_mask(self):
+        rng = np.random.default_rng(65)
+        times = np.sort(rng.uniform(0.2, 0.8, 50))
+        times[10:14] = times[10]  # simultaneous events
+        incs = rng.normal(size=(50, 2)) * 1e3
+        incs[::7, 1] = -0.0
+        probes = np.concatenate([[0.0, 0.1, 0.2], times, [1.0]])  # before, at and after events
+        for initial in ([0.0, 0.0], [-0.0, 0.0], [1e16, -0.0], [0.1, -2.5]):
+            for ev in (jumpsim.EventPath(0.0, 1.0, times, incs, initial),
+                       jumpsim.EventPath(0.0, 1.0, np.zeros(0), np.zeros((0, 2)), initial)):
+                got = ev.values(probes)
+                assert got.shape == (probes.size, 2)
+                assert got.tobytes() == tile_and_mask_values(ev, probes).tobytes()
+        one = jumpsim.EventPath.from_events([0.5], [3.0], 0.0, 1.0, initial=[1.0])
+        assert one.values(0.5).tolist() == [[4.0]] and one.values([]).shape == (0, 1)
+
+    def test_constructor_rejects_unsorted_and_out_of_domain_times(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            jumpsim.EventPath(0.0, 1.0, [0.5, 0.25], [[1.0], [1.0]], [0.0])
+        for times in ([-1e-11, 0.5], [0.5, 1.0 + 1e-11], [-1e-11]):
+            with pytest.raises(ValueError, match="within the domain"):
+                jumpsim.EventPath(0.0, 1.0, times, np.ones((len(times), 1)), [0.0])
+        # within the 1e-12 slack, and equal times, are accepted
+        ev = jumpsim.EventPath(0.0, 1.0, [-1e-13, 0.5, 0.5, 1.0 + 1e-13], np.ones((4, 1)), [0.0])
+        assert ev.times.size == 4
 
     def test_csv(self):
         ev = jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0)

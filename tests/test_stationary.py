@@ -233,6 +233,14 @@ class TestOUProbeBatch:
                     k += 1
         assert k == len(probes)
 
+    def test_default_probes_are_built_once_per_dim(self):
+        triplet = self.LAWS["three-atom"]
+        ts, zs = stationary._default_probe_arrays(triplet.dim)
+        assert stationary._default_probe_arrays(triplet.dim)[0] is ts
+        assert not ts.flags.writeable and not zs.flags.writeable
+        explicit = stationary.distinguish_ou(triplet, 0.8, stationary.default_ou_probes(triplet.dim))
+        assert stationary.distinguish_ou(triplet, 0.8) == explicit
+
     def test_custom_probes(self):
         triplet = self.LAWS["three-atom"]
         probes = [(0.3, 0.01), (1.5, np.array([0.2])), (0.7, [3.0]), (0.9, 0.5)]
