@@ -31,7 +31,6 @@ from .exponent import (
 from .paths import (
     ExponentialPath,
     HorizontalPath,
-    IncreasingPath,
     LinearPath,
     PathClass,
     PathTag,

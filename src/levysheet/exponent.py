@@ -107,9 +107,6 @@ class UniformJumps:
     def is_symmetric(self) -> bool:
         return True
 
-    def negated(self) -> "UniformJumps":
-        return self
-
     def symmetrized(self) -> "UniformJumps":
         return self
 
@@ -157,9 +154,6 @@ class GaussianJumps:
     @property
     def is_symmetric(self) -> bool:
         return True
-
-    def negated(self) -> "GaussianJumps":
-        return self
 
     def symmetrized(self) -> "GaussianJumps":
         return self
@@ -250,9 +244,6 @@ class Categorical:
                 and np.allclose(pts, neg, rtol=0.0, atol=SYMMETRY_TOL)
                 and np.allclose(pr, neg_pr, rtol=0.0, atol=SYMMETRY_TOL))
 
-    def negated(self) -> "Categorical":
-        return Categorical(-self.points, self.probs)
-
     def symmetrized(self) -> "Categorical":
         both = Categorical(np.vstack([self.points, -self.points]),
                            np.concatenate([self.probs, self.probs]) / 2.0)
@@ -330,12 +321,6 @@ class ScaledJumps:
     @property
     def abs_second_moment(self) -> float:
         return self.rate * self.dist.abs_second_moment
-
-    def is_symmetric(self, tol=SYMMETRY_TOL) -> bool:
-        return self.dist.is_symmetric
-
-    def dual(self) -> "ScaledJumps":
-        return ScaledJumps(self.rate, self.dist.negated())
 
     def plus_dual(self) -> "ScaledJumps":
         # nu + dual(nu) = 2*rate * (F + dual(F))/2
@@ -443,17 +428,17 @@ def eval_psi(triplet: LevyTriplet, z):
     return complex(val[0]) if zz.ndim <= 1 else val
 
 
-def is_symmetric(triplet: LevyTriplet, tol: float = SYMMETRY_TOL) -> bool:
-    """True iff the law equals its reflection: zero drift and nu = dual(nu)."""
+def is_symmetric(triplet: LevyTriplet) -> bool:
+    """True iff the law equals its reflection: zero drift and nu = dual(nu), to SYMMETRY_TOL."""
     scale = max(1.0, float(np.max(np.abs(triplet.gamma), initial=0.0)))
-    if np.max(np.abs(triplet.drift), initial=0.0) > tol * scale:
+    if np.max(np.abs(triplet.drift), initial=0.0) > SYMMETRY_TOL * scale:
         return False
-    return triplet.jumps is None or triplet.jumps.is_symmetric(tol)
+    return triplet.jumps is None or triplet.jumps.dist.is_symmetric
 
 
-def is_deterministic(triplet: LevyTriplet, tol: float = SYMMETRY_TOL) -> bool:
-    """True iff the law is a point mass: A = 0 and nu = 0."""
-    return triplet.jumps is None and float(np.max(np.abs(triplet.gaussian), initial=0.0)) <= tol
+def is_deterministic(triplet: LevyTriplet) -> bool:
+    """True iff the law is a point mass: A = 0 (to SYMMETRY_TOL) and nu = 0."""
+    return triplet.jumps is None and float(np.max(np.abs(triplet.gaussian), initial=0.0)) <= SYMMETRY_TOL
 
 
 def symmetrize(triplet: LevyTriplet) -> LevyTriplet:

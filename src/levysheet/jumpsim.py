@@ -51,11 +51,12 @@ def _batch_values(owner, times, increments, n_draws: int, ts) -> np.ndarray:
 
 
 def _as_increments(increments, n_events: int, default_dim: int) -> np.ndarray:
+    """(m, d) increments; no events given as [] or (0, 0) take the width default_dim."""
     incs = np.asarray(increments, dtype=float)
-    if incs.ndim == 1:
+    if incs.size == 0 and (incs.ndim == 1 or incs.shape[1] == 0):
+        incs = incs.reshape(0, default_dim)
+    elif incs.ndim == 1:
         incs = incs[:, None]
-    if incs.size == 0:
-        incs = incs.reshape(0, incs.shape[1] if incs.ndim == 2 and incs.shape[1] else default_dim)
     if incs.shape[0] != n_events:
         raise ValueError("times and increments must have matching lengths")
     return incs
@@ -214,6 +215,8 @@ class EventPath:
         ts = np.asarray(self.times, dtype=float)
         init = np.atleast_1d(np.asarray(self.initial, dtype=float))
         incs = _as_increments(self.increments, ts.size, init.size)
+        if incs.shape[1] != init.size:
+            raise ValueError("increments and initial value must have the same width")
         if (ts[1:] < ts[:-1]).any():
             raise ValueError("event times must be nondecreasing; use from_events")
         if ts.size and (ts[0] < self.t_lo - 1e-12 or ts[-1] > self.t_hi + 1e-12):
@@ -226,7 +229,7 @@ class EventPath:
     def from_events(cls, times, increments, t_lo: float, t_hi: float,
                     initial=None) -> "EventPath":
         ts = np.asarray(times, dtype=float)
-        incs = _as_increments(increments, ts.size, 1)
+        incs = _as_increments(increments, ts.size, 1 if initial is None else np.size(initial))
         order = np.argsort(ts, kind="stable")
         return cls(t_lo, t_hi, ts[order], incs[order], np.zeros(incs.shape[1]) if initial is None else initial)
 
@@ -506,32 +509,29 @@ class JumpCountReport:
 
 
 def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
-                         rng, jump_dist=None, p_threshold: float = 1e-3) -> JumpCountReport:
+                         rng) -> JumpCountReport:
     """Check the paired-event count law of the restricted process.
 
     Events excluding never-exiting jumps always come in cancelling pairs, and
     the pair counts are Poisson with mean sheet_rate times the swept area.
+    The sheet's jumps are +/-1 with equal probability.
     """
     from .exponent import TwoPoint
     from .verify import chi2_counts  # deferred: verify is a consumer of this module's outputs
 
     if not isinstance(path, LinearPath):
         raise TypeError("the jump-count law check applies to straight-line paths")
-    dist = TwoPoint(np.array([1.0])) if jump_dist is None else jump_dist
     area = swept_exit_area(path)
     if area == 0.0:
         raise ValueError("no jump leaves a horizontal path: its swept exit area is 0")
     p = sheet_rate * area
     _, x_end, y_start, _ = path.ends
     region = RectRegion(x_end, y_start)
-    _, paired = restricted_sheets(sheet_rate, dist, region, path, [], n_sims, rng)
+    _, paired = restricted_sheets(sheet_rate, TwoPoint(np.array([1.0])), region, path, [],
+                                  n_sims, rng)
     halves = paired // 2
-    chi2 = chi2_counts(
-        halves,
-        lambda k: math.exp(-p) * p ** k / math.factorial(k),
-        name="jump-count-poisson",
-        p_threshold=p_threshold,
-    )
+    chi2 = chi2_counts(halves, lambda k: math.exp(-p) * p ** k / math.factorial(k),
+                       name="jump-count-poisson")
     all_even = bool(np.all(paired % 2 == 0))
     return JumpCountReport(
         n_sims=n_sims,

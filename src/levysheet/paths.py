@@ -22,7 +22,9 @@ There are four path forms: `LinearPath` (families (i) and (iii)),
 Each is monotone by its parameter signs (a tabulated path by its knots), so
 its construction checks read the end values and knots, not a probe grid.
 `classify` reads the family off closed forms and fits/validates tabulated
-data; everything else here is evaluation plumbing around the forms.
+data; `equivalent` and `scaled` relate law-equivalent paths (p x, y / p), and
+`path_from_dict` reads the CLI's JSON schema, whose tabulated knots are
+[t, x, y] rows.  Everything else here is evaluation plumbing around the forms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -44,15 +45,12 @@ __all__ = [
     "HorizontalPath",
     "VerticalPath",
     "TabulatedPath",
-    "IncreasingPath",
     "PathTag",
     "PathClass",
-    "TwoPieceVerdict",
     "classify",
     "phi",
     "equivalent",
     "scaled",
-    "check_two_piece_nonstationary",
     "symmetric_increment_area",
     "path_to_dict",
     "path_from_dict",
@@ -322,15 +320,13 @@ class TabulatedPath(DecreasingPath):
 
     @classmethod
     def from_knots(cls, knots) -> "TabulatedPath":
-        """Build from an iterable of (t, (x, y)) or (t, x, y) rows."""
-        rows = []
-        for row in knots:
-            if len(row) == 2:
-                t, (x, y) = row
-            else:
-                t, x, y = row
-            rows.append((float(t), float(x), float(y)))
-        arr = np.array(rows)
+        """Build from the [t, x, y] rows of the JSON schema."""
+        try:
+            arr = np.array(list(knots), dtype=float)
+        except ValueError:  # ragged rows, or entries that are not numbers
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError("tabulated knots must be [t, x, y] rows of numbers")
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
     @property
@@ -369,34 +365,6 @@ class TabulatedPath(DecreasingPath):
         return ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1])
 
 
-@dataclass(frozen=True)
-class IncreasingPath:
-    """Curve with both coordinates nondecreasing; only used by the two-piece guard."""
-
-    x_func: Callable[[np.ndarray], np.ndarray]
-    y_func: Callable[[np.ndarray], np.ndarray]
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        if not self.t_hi > self.t_lo:
-            raise ValueError("domain must satisfy t_lo < t_hi")
-        ts = np.linspace(self.t_lo, self.t_hi, _PROBE_COUNT)
-        xs, ys = self.x(ts), self.y(ts)
-        for name, vals in (("x", xs), ("y", ys)):
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            if np.any(np.diff(vals) < -1e-12 * scale):
-                raise ValueError(f"{name} must be nondecreasing on an increasing path")
-        if np.any(xs[1:-1] <= 0) or np.any(ys[1:-1] <= 0):
-            raise ValueError("path must be strictly positive on the interior")
-
-    def x(self, t):
-        return np.asarray(self.x_func(np.asarray(t, dtype=float)), dtype=float)
-
-    def y(self, t):
-        return np.asarray(self.y_func(np.asarray(t, dtype=float)), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -408,20 +376,6 @@ class PathTag(enum.Enum):
     LINEAR = "linear"
     EXPONENTIAL = "exponential"
     NON_STATIONARY = "non_stationary"
-
-
-_STATIONARY_TAGS = (
-    PathTag.HORIZONTAL,
-    PathTag.VERTICAL,
-    PathTag.V_THEN_H,
-    PathTag.LINEAR,
-    PathTag.EXPONENTIAL,
-)
-
-
-class TwoPieceVerdict(enum.Enum):
-    NONSTATIONARY = "nonstationary"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -610,7 +564,7 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
 
 
 # ---------------------------------------------------------------------------
-# Law-equivalence of paths and the two-piece stationarity guard
+# Law-equivalence of paths
 # ---------------------------------------------------------------------------
 
 def equivalent(p1: DecreasingPath, p2: DecreasingPath, tol: float = 1e-9):
@@ -650,37 +604,6 @@ def scaled(path: DecreasingPath, p: float) -> DecreasingPath:
     if isinstance(path, TabulatedPath):
         return TabulatedPath(path.times, p * path.xs, path.ys / p)
     raise TypeError(f"cannot rescale object of type {type(path).__name__}")
-
-
-def check_two_piece_nonstationary(up: IncreasingPath, down: DecreasingPath,
-                                  s: float, t: float,
-                                  tol: float = 1e-9) -> TwoPieceVerdict:
-    """Flag an increasing-then-decreasing concatenation as non-stationary.
-
-    The junction must satisfy max T1 = min T2 with matching curve values.
-    Returns NONSTATIONARY when the level test y(junction) not in {y(s), y(t)}
-    holds for the supplied s in T1, t in T2, and INCONCLUSIVE otherwise.
-    """
-    if not isinstance(up, IncreasingPath):
-        raise TypeError("first piece must be an IncreasingPath")
-    if not isinstance(down, DecreasingPath):
-        raise TypeError("second piece must be a DecreasingPath")
-    a = up.t_hi
-    if abs(a - down.t_lo) > 1e-12:
-        raise ValueError("junction mismatch: max T1 must equal min T2")
-    xa_up, ya_up = float(up.x(a)), float(up.y(a))
-    xa_dn, ya_dn = float(down.x(a)), float(down.y(a))
-    scale = max(1.0, abs(xa_up), abs(ya_up))
-    if abs(xa_up - xa_dn) > tol * scale or abs(ya_up - ya_dn) > tol * scale:
-        raise ValueError("junction mismatch: curve values disagree at the joint")
-    if not (up.t_lo <= s <= up.t_hi and down.t_lo <= t <= down.t_hi):
-        raise ValueError("s must lie in the first piece and t in the second")
-    y_a = ya_up
-    y_s, y_t = float(up.y(s)), float(down.y(t))
-    level = max(1.0, abs(y_a))
-    if abs(y_a - y_s) <= tol * level or abs(y_a - y_t) <= tol * level:
-        return TwoPieceVerdict.INCONCLUSIVE
-    return TwoPieceVerdict.NONSTATIONARY
 
 
 # ---------------------------------------------------------------------------

@@ -139,36 +139,45 @@ def simulate_stationary(law: StationaryLaw, grid, rng) -> gauss.SamplePathGrid:
 # Ornstein-Uhlenbeck-type discrimination
 # ---------------------------------------------------------------------------
 
-def _probe_exponents(triplet: LevyTriplet, c: float, t, z):
-    """Exponents of `ou_cf` and `exp_path_cf` at the probe (t, z), or at the
-    probes (t[k], z[k]), from one psi call on the rows e^{ct} z, z,
-    (e^{ct} - 1) z and -z."""
+_GAP_THRESHOLD = 1e-3  # a probe whose CF gap exceeds it witnesses a difference in law
+
+def _probes(triplet: LevyTriplet, c: float, t, z):
+    """The probes' times, (k,), z values, (k, d), and e^{ct}, (k, 1)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     zs = np.asarray(z, dtype=float).reshape(ts.size, triplet.dim)
     if not (c > 0 and np.all(ts > 0)):
         raise ValueError("c and t must be positive")
-    ect, emct = np.exp(c * ts)[:, None], np.exp(-c * ts)
-    rows = np.concatenate([ect * zs, zs, (ect - 1.0) * zs, -zs])
-    up, base, diff, neg = eval_psi(triplet, rows).reshape(4, ts.size)
-    return up - base, emct * diff + (1.0 - emct) * (up + neg)
+    return ts, zs, np.exp(c * ts)[:, None]
 
 
-def ou_cf(triplet: LevyTriplet, c: float, t: float, z) -> complex:
+def _cf(exponents, t):
+    """A complex at one probe (a scalar t), otherwise one value per probe."""
+    return cmath.exp(exponents[0]) if np.ndim(t) == 0 else np.exp(exponents)
+
+
+def ou_cf(triplet: LevyTriplet, c: float, t, z):
     """CF of the integrated driver e^{ct} V_t - V_0 of a stationary OU-type process.
 
     Equals exp[psi(e^{ct} z) - psi(z)] when the stationary marginal has
-    exponent psi.
+    exponent psi.  At one probe (t, z) a complex; at the probes (t[k], z[k]),
+    t of shape (k,) and z of shape (k, d), a (k,) array from one psi call.
     """
-    return cmath.exp(_probe_exponents(triplet, c, t, z)[0][0])
+    ts, zs, ect = _probes(triplet, c, t, z)
+    up, base = eval_psi(triplet, np.concatenate([ect * zs, zs])).reshape(2, ts.size)
+    return _cf(up - base, t)
 
 
-def exp_path_cf(triplet: LevyTriplet, c: float, t: float, z) -> complex:
-    """CF of e^{ct} X_t - X_0 for the sheet along (e^{ct}, e^{-ct}).
+def exp_path_cf(triplet: LevyTriplet, c: float, t, z):
+    """CF of e^{ct} X_t - X_0 for the sheet along (e^{ct}, e^{-ct}), probes as in `ou_cf`.
 
     Equals exp[e^{-ct} psi((e^{ct}-1) z)
                + (1 - e^{-ct}) (psi(e^{ct} z) + psi(-z))].
     """
-    return cmath.exp(_probe_exponents(triplet, c, t, z)[1][0])
+    ts, zs, ect = _probes(triplet, c, t, z)
+    emct = np.exp(-c * ts)
+    rows = np.concatenate([ect * zs, (ect - 1.0) * zs, -zs])
+    up, diff, neg = eval_psi(triplet, rows).reshape(3, ts.size)
+    return _cf(emct * diff + (1.0 - emct) * (up + neg), t)
 
 
 @dataclass(frozen=True)
@@ -206,34 +215,30 @@ def default_ou_probes(dim: int):
             for axis in range(dim) for m in np.geomspace(0.1, 10.0, 16)]
 
 
-def _probe_arrays(probes):
-    """The probes' times, (k,), and z values, (k, dim)."""
-    return (np.array([t for t, _ in probes], dtype=float),
-            np.array([np.atleast_1d(z) for _, z in probes], dtype=float))
-
-
 @functools.lru_cache(maxsize=None)
 def _default_probe_arrays(dim: int):
-    """`_probe_arrays(default_ou_probes(dim))`, built once per dim and read-only."""
-    ts, zs = _probe_arrays(default_ou_probes(dim))
+    """`default_ou_probes(dim)` as read-only arrays of times, (k,), and z values,
+    (k, dim), built once per dim."""
+    probes = default_ou_probes(dim)
+    ts = np.array([t for t, _ in probes], dtype=float)
+    zs = np.array([z for _, z in probes], dtype=float)
     ts.flags.writeable = zs.flags.writeable = False
     return ts, zs
 
 
-def distinguish_ou(triplet: LevyTriplet, c: float, probes=None,
-                   gap_threshold: float = 1e-3) -> OUDistinguishReport:
-    """Search for a probe where the OU-type and sheet-path CFs disagree.
+def distinguish_ou(triplet: LevyTriplet, c: float) -> OUDistinguishReport:
+    """Search the default probes for one where `ou_cf` and `exp_path_cf` disagree.
 
-    Laws with jumps always admit a witness; the Gaussian case reports
-    'indistinguishable by this test' (no witness, tiny max gap).
+    Laws with jumps always admit a witness, a gap over _GAP_THRESHOLD; the
+    Gaussian case reports 'indistinguishable by this test' (no witness, tiny
+    max gap).
     """
-    ts, zs = _default_probe_arrays(triplet.dim) if probes is None else _probe_arrays(probes)
-    ou, sheet = _probe_exponents(triplet, c, ts, zs)
-    gaps = np.abs(np.exp(ou) - np.exp(sheet))
-    hits = np.flatnonzero(gaps > gap_threshold)
+    ts, zs = _default_probe_arrays(triplet.dim)
+    gaps = np.abs(ou_cf(triplet, c, ts, zs) - exp_path_cf(triplet, c, ts, zs))
+    hits = np.flatnonzero(gaps > _GAP_THRESHOLD)
     witness = None
     if hits.size:  # the first probe, in probe order, over the threshold
         k = hits[0]
         witness = OUWitness(float(ts[k]), tuple(zs[k].tolist()), float(gaps[k]))
-    return OUDistinguishReport(witness=witness, max_gap=float(np.max(gaps, initial=0.0)),
-                               n_probes=ts.size, gap_threshold=gap_threshold)
+    return OUDistinguishReport(witness=witness, max_gap=float(np.max(gaps)),
+                               n_probes=ts.size, gap_threshold=_GAP_THRESHOLD)

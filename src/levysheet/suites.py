@@ -25,6 +25,7 @@ from .exponent import (
     TwoPoint,
     brownian,
     cpp_from_atoms,
+    pure_drift,
 )
 from .paths import (
     ExponentialPath,
@@ -153,6 +154,43 @@ def criterion_1(seed: int = DEFAULT_SEED):
         _report("c1.tags", tag_failures, 0.5, seed, n=80),
         _report("c1.phi-residual", worst_resid, 1e-9, seed, n=80_000),
         _report("c1.perturbed-nonstationary", nonstat_failures, 0.5, seed, n=20),
+    ] + _increment_law(seed)
+
+
+# (law, symmetric): the paper's theorem gives every family stationary increments
+# under a symmetric law, and under any other only a single leg or an exponential path.
+_INCREMENT_LAWS = (
+    (brownian(1), True),
+    (cpp_from_atoms([(1.0, 1.0), (-1.0, 1.0)]), True),
+    (cpp_from_atoms([(1.0, 0.7), (-0.5, 1.2)], drift=0.3), False),
+    (pure_drift(0.5), False),
+)
+
+
+def _increment_law(seed: int):
+    """`fdd.increment_cf` against the theorem's `fdd.stationary_increment_cf` on 20
+    paths of each family, one probe (s, t, z) per path, from a stream of its own."""
+    rng = np.random.default_rng([seed, 1, 1])
+    worst, compared, wrong_raises = 0.0, 0, 0
+    for family in [f for f in _FAMILIES for _ in range(20)]:
+        path = _random_stationary_path(rng, family)
+        cls = classify(path)
+        s, t = np.sort(rng.uniform(path.t_lo, path.t_hi, size=2))
+        z = float(rng.uniform(-3.0, 3.0))
+        for triplet, symmetric in _INCREMENT_LAWS:
+            must_raise = not symmetric and family in ("corner", "linear")
+            try:
+                law = fdd.stationary_increment_cf(triplet, cls, t - s, z)
+            except ValueError:
+                wrong_raises += not must_raise
+                continue
+            wrong_raises += must_raise
+            worst = max(worst, abs(fdd.increment_cf(triplet, path, s, t, z) - law))
+            compared += 1
+    n_pairs = 20 * len(_FAMILIES) * len(_INCREMENT_LAWS)
+    return [
+        _report("c1.increment-law", worst, 1e-12, seed, n=compared),
+        _report("c1.increment-law-raises", wrong_raises, 0.5, seed, n=n_pairs),
     ]
 
 
@@ -301,8 +339,7 @@ def criterion_6(seed: int = DEFAULT_SEED, n_samples: int = 100_000):
         return (_order_stat_cdf(x1, y1, l) - _order_stat_cdf(x0, y1, l)
                 - _order_stat_cdf(x1, y0, l) + _order_stat_cdf(x0, y0, l))
 
-    chi2 = verify.chi2_binned(taus, cell_prob=cell_prob, bins=10,
-                              support=((0.0, l), (0.0, l)),
+    chi2 = verify.chi2_binned(taus, cell_prob, ((0.0, l), (0.0, l)),
                               name="c6.order-stat-chi2", seed=seed)
     ks = verify.ks_1d(taus[:, 0], lambda t: 1.0 - (1.0 - np.clip(t, 0.0, l) / l) ** 2,
                       name="c6.min-uniform-ks", seed=seed)

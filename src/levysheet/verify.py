@@ -4,7 +4,10 @@ Law claims are checked against closed-form oracles through empirical
 characteristic functions with conservative k/sqrt(N) error bands (k = 4 by
 default, false-failure rate under 1e-4 per probe), least-squares regression
 with robust standard errors for conditional-mean formulas, and standard
-chi-square / Kolmogorov-Smirnov tests at a fixed 0.001 significance.
+chi-square / Kolmogorov-Smirnov tests at 0.001 significance: planar samples
+on 10 x 10 cells of a given support against each cell's exact mass, counts
+against a pmf and real samples against a CDF (these two take another
+threshold on request).
 Everything is deterministic given the seed recorded in the report.
 """
 
@@ -26,10 +29,10 @@ __all__ = [
     "chi2_binned",
     "chi2_counts",
     "ks_1d",
-    "cell_prob_from_density",
 ]
 
 P_THRESHOLD = 1e-3
+_BINS = 10  # per axis of `chi2_binned`
 
 
 @dataclass(frozen=True)
@@ -187,28 +190,14 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
     )
 
 
-def cell_prob_from_density(density, subdivisions: int = 16):
-    """Midpoint-rule cell probability for a pointwise density callable."""
+def chi2_binned(samples2d, cell_prob, support, name: str = "chi2-2d",
+                seed: int | None = None) -> TestReport:
+    """Chi-square test of planar samples against a target law, on 10 x 10 cells.
 
-    def cell_prob(x0, x1, y0, y1):
-        xs = x0 + (np.arange(subdivisions) + 0.5) * (x1 - x0) / subdivisions
-        ys = y0 + (np.arange(subdivisions) + 0.5) * (y1 - y0) / subdivisions
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        vals = density(xg, yg)
-        return float(np.mean(vals) * (x1 - x0) * (y1 - y0))
-
-    return cell_prob
-
-
-def chi2_binned(samples2d, density=None, bins: int = 10, support=None,
-                cell_prob=None, p_threshold: float = P_THRESHOLD,
-                name: str = "chi2-2d", seed: int | None = None) -> TestReport:
-    """Chi-square test of planar samples against a target law.
-
-    Expected cell masses come from `cell_prob(x0, x1, y0, y1)` when given and
-    otherwise from midpoint integration of `density`.  Cells with expected
-    count below 5 are pooled (standard practice).  The threshold is the
-    statistic's value at p-value p_threshold.
+    `support` = ((x0, x1), (y0, y1)) is split evenly, and `cell_prob(x0, x1, y0, y1)`
+    gives the target's mass of a cell.  Cells with expected count below 5 are
+    pooled (standard practice).  The threshold is the statistic's value at
+    p-value P_THRESHOLD.
     """
     arr = np.asarray(samples2d, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -216,24 +205,17 @@ def chi2_binned(samples2d, density=None, bins: int = 10, support=None,
     n = arr.shape[0]
     if n < 10_000:
         raise ValueError("chi-square binning needs at least 10^4 samples")
-    if cell_prob is None:
-        if density is None:
-            raise ValueError("either density or cell_prob is required")
-        cell_prob = cell_prob_from_density(density)
-    if support is None:
-        support = ((float(arr[:, 0].min()), float(arr[:, 0].max())),
-                   (float(arr[:, 1].min()), float(arr[:, 1].max())))
     (x0, x1), (y0, y1) = support
-    counts, _, _ = np.histogram2d(arr[:, 0], arr[:, 1], bins=bins,
+    counts, _, _ = np.histogram2d(arr[:, 0], arr[:, 1], bins=_BINS,
                                   range=[[x0, x1], [y0, y1]])
-    xs = np.linspace(x0, x1, bins + 1)
-    ys = np.linspace(y0, y1, bins + 1)
-    expected = np.empty((bins, bins))
-    for i in range(bins):
-        for j in range(bins):
+    xs = np.linspace(x0, x1, _BINS + 1)
+    ys = np.linspace(y0, y1, _BINS + 1)
+    expected = np.empty((_BINS, _BINS))
+    for i in range(_BINS):
+        for j in range(_BINS):
             expected[i, j] = n * cell_prob(xs[i], xs[i + 1], ys[j], ys[j + 1])
     obs, exp = _pool_small_cells(counts.ravel(), expected.ravel())
-    return _chi2_report(obs, exp, n, p_threshold, name, seed)
+    return _chi2_report(obs, exp, n, P_THRESHOLD, name, seed)
 
 
 def chi2_counts(counts, pmf, p_threshold: float = P_THRESHOLD,

@@ -1,0 +1,54 @@
+"""Every public name is reached by the program, not only by the tests.
+
+A name in a module's `__all__` counts as reached when some identifier in
+`src/levysheet` outside its own top-level definition, or in `demos/` or
+`perfbench/`, refers to it.  Imports and the `__all__` strings are not
+references.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "levysheet"
+
+# The writers of the JSON schemas that the CLI reads; their round-trip tests pin the readers.
+ALLOWED = {"path_to_dict", "triplet_to_dict"}
+
+
+def _identifiers(node) -> set[str]:
+    """Names and attribute names used in the node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _exported(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_public_name_is_reached():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # per module, (top-level definition name or None, identifiers used in it)
+    parts = {stem: [(getattr(node, "name", None), _identifiers(node)) for node in tree.body]
+             for stem, tree in trees.items()}
+    programs = set()
+    for folder in ("demos", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            programs |= _identifiers(ast.parse(path.read_text()))
+    unreached = []
+    for stem, tree in trees.items():
+        outside = programs.union(*(ids for other, chunk in parts.items() if other != stem
+                                   for _, ids in chunk))
+        for name in _exported(tree):
+            used = outside.union(*(ids for defined, ids in parts[stem] if defined != name))
+            if name not in used and name not in ALLOWED:
+                unreached.append(f"{stem}.{name}")
+    assert not unreached, f"public names only the tests reach: {unreached}"

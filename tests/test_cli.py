@@ -242,6 +242,13 @@ class TestErrors:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_knot_row_of_length_two(self, capsys, tmp_path):
+        bad = tmp_path / "p.json"
+        bad.write_text(json.dumps({"form": "tabulated",
+                                   "knots": [[0.0, [1.0, 2.0]], [0.5, [2.0, 1.5]], [1.0, [3.0, 1.0]]]}))
+        assert main(["classify", "--path", str(bad)]) == 1
+        assert "[t, x, y]" in capsys.readouterr().err
+
     def test_unknown_form(self, capsys, tmp_path):
         bad = tmp_path / "p.json"
         bad.write_text(json.dumps({"form": "spiral"}))

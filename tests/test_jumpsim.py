@@ -46,8 +46,8 @@ class TestSheetSimulation:
         field = jumpsim.simulate_cpp_sheet(50_000 / region.area, TwoPoint(1.0),
                                            region, rng)
         report = chi2_binned(field.locations,
-                             density=lambda u, v: np.full_like(u, 1.0 / region.area),
-                             bins=10, support=((0.0, 2.0), (0.0, 1.0)))
+                             lambda x0, x1, y0, y1: (x1 - x0) * (y1 - y0) / region.area,
+                             ((0.0, 2.0), (0.0, 1.0)))
         assert report.extra["pvalue"] > 1e-3
 
     def test_triangle_sampler_stays_inside(self):
@@ -335,6 +335,32 @@ class TestEventPath:
     def test_csv(self):
         ev = jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0)
         assert ev.to_csv().splitlines()[0] == "tau,dj1"
+
+    def test_no_events_take_the_initial_width(self):
+        for ev in (jumpsim.EventPath.from_events([], [], 0.0, 1.0, initial=[1.0, 2.0]),
+                   jumpsim.EventPath(0.0, 1.0, [], [], [1.0, 2.0]),
+                   jumpsim.EventPath(0.0, 1.0, [], np.zeros((0, 0)), [1.0, 2.0])):
+            assert ev.dim == 2 and ev.increments.shape == (0, 2)
+            assert ev.to_csv() == "tau,dj1,dj2\n"
+            assert ev.values([0.5]).tolist() == [[1.0, 2.0]]
+
+    def test_no_events_without_initial_are_one_dimensional(self):
+        ev = jumpsim.EventPath.from_events([], [], 0.0, 1.0)
+        assert ev.dim == 1 and ev.initial.tolist() == [0.0]
+
+    def test_from_events_takes_the_width_of_its_increments(self):
+        ev = jumpsim.EventPath.from_events([0.5], [[1.0, -1.0]], 0.0, 1.0)
+        assert ev.initial.tolist() == [0.0, 0.0]
+        ev = jumpsim.EventPath.from_events([0.5], [[1.0, -1.0]], 0.0, 1.0, initial=[2.0, 3.0])
+        assert ev.values([0.5]).tolist() == [[3.0, 2.0]]
+
+    def test_width_differing_from_initial_rejected(self):
+        with pytest.raises(ValueError, match="same width"):
+            jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0, 2.0]], [0.0])
+        with pytest.raises(ValueError, match="same width"):
+            jumpsim.EventPath(0.0, 1.0, [], np.zeros((0, 2)), [0.0])
+        with pytest.raises(ValueError, match="same width"):
+            jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0, initial=[0.0, 0.0])
 
 
 class TestOrderStats:

@@ -21,7 +21,7 @@ class TestEval:
         assert p.eval(0.0) == (1.0, 1.0)
 
     def test_tabulated_midpoint(self):
-        p = pth.TabulatedPath.from_knots([(0.0, (1.0, 2.0)), (1.0, (3.0, 1.0))])
+        p = pth.TabulatedPath.from_knots([[0.0, 1.0, 2.0], [1.0, 3.0, 1.0]])
         assert p.eval(0.5) == (2.0, 1.5)
 
     def test_outside_domain_rejected(self):
@@ -328,33 +328,6 @@ class TestEquivalent:
             pth.equivalent(bridge_path(), p2)
 
 
-class TestTwoPieceGuard:
-    def up(self):
-        return pth.IncreasingPath(lambda t: np.asarray(t, float),
-                                  lambda t: np.asarray(t, float), 0.0, 1.0)
-
-    def down(self):
-        return pth.LinearPath(0.0, 1.0, 2.0, 1.0, 1.0, 2.0)  # x=t, y=2-t on [1,2]
-
-    def test_flags_nonstationary(self):
-        verdict = pth.check_two_piece_nonstationary(self.up(), self.down(), 0.5, 1.5)
-        assert verdict is pth.TwoPieceVerdict.NONSTATIONARY
-
-    def test_inconclusive_when_levels_match(self):
-        # y(junction) = 1 = y(s) at s = 1
-        verdict = pth.check_two_piece_nonstationary(self.up(), self.down(), 1.0, 1.5)
-        assert verdict is pth.TwoPieceVerdict.INCONCLUSIVE
-
-    def test_junction_mismatch(self):
-        shifted = pth.LinearPath(0.0, 1.0, 2.0, 1.0, 1.1, 2.0)
-        with pytest.raises(ValueError):
-            pth.check_two_piece_nonstationary(self.up(), shifted, 0.5, 1.5)
-
-    def test_down_then_down_rejected(self):
-        with pytest.raises(TypeError):
-            pth.check_two_piece_nonstationary(self.down(), self.down(), 1.2, 1.5)
-
-
 def _bisect_first_x(path, u):
     """inf{t: x(t) >= u} by bisection to 1e-12 in t; the knot inverse's reference."""
     if u <= float(path.x(path.t_lo)):
@@ -524,6 +497,16 @@ class TestSerialization:
         out = pth.path_to_dict(path)
         assert out["form"] == "linear"
         assert pth.path_from_dict(out) == path
+
+    @pytest.mark.parametrize("knots", [
+        [[0.0, 1.0, 2.0], [1.0, 3.0]],
+        [[0.0, [1.0, 2.0]], [1.0, [3.0, 1.0]]],
+        [[0.0, 1.0], [1.0, 3.0]],
+        [],
+    ])
+    def test_knot_rows_must_be_t_x_y(self, knots):
+        with pytest.raises(ValueError, match=r"\[t, x, y\]"):
+            pth.path_from_dict({"form": "tabulated", "knots": knots})
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="form"):

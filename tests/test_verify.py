@@ -124,17 +124,16 @@ class TestChi2:
     def test_uniform_square_passes(self):
         rng = np.random.default_rng(85)
         samples = rng.uniform(0.0, 1.0, size=(50_000, 2))
-        report = verify.chi2_binned(samples, density=lambda x, y: np.ones_like(x),
-                                    bins=10, support=((0, 1), (0, 1)))
+        area = lambda x0, x1, y0, y1: (x1 - x0) * (y1 - y0)  # noqa: E731
+        report = verify.chi2_binned(samples, area, ((0, 1), (0, 1)))
         assert report.passed
 
     def test_shifted_gaussian_fails(self):
         rng = np.random.default_rng(86)
         samples = rng.normal(0.25, 1.0, size=(50_000, 2))
-        density = (lambda x, y:
-                   np.exp(-(x ** 2 + y ** 2) / 2.0) / (2.0 * math.pi))
-        report = verify.chi2_binned(samples, density=density, bins=10,
-                                    support=((-4, 4), (-4, 4)))
+        cdf = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))  # noqa: E731
+        standard = lambda x0, x1, y0, y1: (cdf(x1) - cdf(x0)) * (cdf(y1) - cdf(y0))  # noqa: E731
+        report = verify.chi2_binned(samples, standard, ((-4, 4), (-4, 4)))
         assert not report.passed
 
     def test_counts_poisson(self):
