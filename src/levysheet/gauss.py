@@ -16,6 +16,8 @@ recursion with independent Gaussian increments in the ratio time x/y.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,20 @@ __all__ = [
 
 # Paths per simulate_paths call in zero_crossing_frequency: at 10^4 grid
 # points a batch's arrays stay near 20 MB, which the allocator reuses rather
-# than mapping fresh pages for each batch.
+# than mapping fresh pages for each batch, and a batch is five sampler blocks
+# of 52 rows, drawn on every usable core.
 _CROSSING_BATCH = 250
+
+# Normals per block of a simulate_paths call (4 MB of float64).  A call is cut
+# into blocks of whole rows by its shape alone, so its bytes do not depend on
+# how many cores draw them.
+_BLOCK_NORMALS = 1 << 19
+
+# The process-wide pool that draws the blocks of large calls, made on first
+# use (importing concurrent.futures costs ~12 ms), with the pid that made it:
+# a forked child must not reuse its parent's pool, whose threads it lacks.
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,12 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
     r = x/y, drawn as the cumulative sum of independent N(0, diff(r))
     increments, n normals per component.  Values are exactly +0.0 wherever
     x(t) y(t) = 0.
+
+    The dim * n_paths rows are drawn in blocks of whole rows, about
+    _BLOCK_NORMALS normals each, on every usable core.  A call of one block
+    draws from `rng` itself; in a larger call block b draws from the b-th of
+    `rng.spawn(blocks)`.  The blocks depend only on (dim, n_paths, n), so the
+    same `rng` state gives the same bytes on any number of cores.
     """
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
     if ts.size == 0 or np.any(np.diff(ts) <= 0):
@@ -153,12 +173,52 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
     if np.any(np.diff(ratio[~dead]) < -1e-12):
         raise ValueError("x/y must be nondecreasing along the grid")
     std = np.sqrt(np.maximum(np.diff(ratio, prepend=0.0), 0.0))
-    vals = rng.standard_normal((law.dim, n_paths, ts.size))
-    vals *= std
-    np.cumsum(vals, axis=2, out=vals)
-    vals *= ys
-    vals[:, :, dead] = 0.0
+    vals = np.empty((law.dim, n_paths, ts.size))
+    rows = vals.reshape(law.dim * n_paths, ts.size)
+    step = max(1, _BLOCK_NORMALS // ts.size)
+    starts = range(0, rows.shape[0], step)
+    if len(starts) <= 1:
+        _draw_block(rows, rng, std, ys, dead)
+    else:
+        blocks = [(rows[lo:lo + step], gen, std, ys, dead)
+                  for lo, gen in zip(starts, rng.spawn(len(starts)))]
+        pool = _pool()
+        if pool is None:
+            for block in blocks:
+                _draw_block(*block)
+        else:
+            for done in [pool.submit(_draw_block, *block) for block in blocks]:
+                done.result()
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+
+
+def _draw_block(rows, gen, std, ys, dead):
+    """Draw the ratio-time recursion in place on a contiguous (k, n) row block.
+
+    Runs on pool threads: it must not call simulate_paths, nor do work whose
+    warnings matter, since the caller's np.errstate does not reach them.
+    """
+    gen.standard_normal(out=rows)
+    rows *= std
+    np.cumsum(rows, axis=1, out=rows)
+    rows *= ys
+    rows[:, dead] = 0.0
+
+
+def _pool():
+    """The process-wide block pool, or None when one core is usable."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            if cores > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _POOL = (os.getpid(), ThreadPoolExecutor(cores, "levysheet-gauss"))
+            else:
+                _POOL = (os.getpid(), None)
+        return _POOL[1]
 
 
 def simulate(law: GaussPathLaw, grid, rng) -> SamplePathGrid:

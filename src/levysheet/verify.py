@@ -195,9 +195,10 @@ def chi2_binned(samples2d, cell_prob, support, name: str = "chi2-2d",
     """Chi-square test of planar samples against a target law, on 10 x 10 cells.
 
     `support` = ((x0, x1), (y0, y1)) is split evenly, and `cell_prob(x0, x1, y0, y1)`
-    gives the target's mass of a cell.  Cells with expected count below 5 are
-    pooled (standard practice).  The threshold is the statistic's value at
-    p-value P_THRESHOLD.
+    gives the target's mass of a cell.  Samples outside the support fall in
+    one more cell, whose expected count is n (1 - sum of the cell masses).
+    Cells with expected count below 5 are pooled (standard practice).  The
+    threshold is the statistic's value at p-value P_THRESHOLD.
     """
     arr = np.asarray(samples2d, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -214,7 +215,14 @@ def chi2_binned(samples2d, cell_prob, support, name: str = "chi2-2d",
     for i in range(_BINS):
         for j in range(_BINS):
             expected[i, j] = n * cell_prob(xs[i], xs[i + 1], ys[j], ys[j + 1])
-    obs, exp = _pool_small_cells(counts.ravel(), expected.ravel())
+    observed, expected = counts.ravel(), expected.ravel()
+    outside, missing = n - observed.sum(), n - expected.sum()
+    # Below 1e-9 n, the missing mass is the rounding of the cell masses,
+    # which _chi2_report renormalizes away.
+    if outside > 0 or missing > 1e-9 * n:
+        observed = np.append(observed, outside)
+        expected = np.append(expected, max(missing, 0.0))
+    obs, exp = _pool_small_cells(observed, expected)
     return _chi2_report(obs, exp, n, P_THRESHOLD, name, seed)
 
 
@@ -252,6 +260,8 @@ def _chi2_report(obs, exp, n, p_threshold, name, seed) -> TestReport:
     exp = exp * obs.sum() / total  # renormalize rounding of the target masses
     positive = exp > 0
     stat = float(np.sum((obs[positive] - exp[positive]) ** 2 / exp[positive]))
+    if np.any(obs[~positive] > 0):
+        stat = math.inf  # samples where the target has no mass refute it
     dof = int(positive.sum()) - 1
     if dof < 1:
         raise ValueError("not enough cells for a chi-square test")

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,6 +152,90 @@ class TestSimulate:
         sample = gauss.simulate(bridge_law(), [0.25, 0.5], rng)
         assert sample.values.shape == (2, 1)
         assert sample.to_csv().startswith("t,v1\n")
+
+
+class TestBlockedSampler:
+    """Calls above _BLOCK_NORMALS normals are drawn in row blocks, one child
+    generator per block, on a thread pool."""
+
+    EXPO = ExponentialPath(1.0, 0.5, 1.0, 0.0, 1.5)
+    GRID = np.linspace(0.0, 1.5, 301)
+
+    @staticmethod
+    def blocks(dim, n_paths, points):
+        return -(-dim * n_paths // max(1, gauss._BLOCK_NORMALS // points))
+
+    @pytest.mark.parametrize("dim, n_paths", [(1, 6000), (2, 3000)])
+    def test_same_bytes_on_any_worker_count(self, monkeypatch, dim, n_paths):
+        assert self.blocks(dim, n_paths, self.GRID.size) == 4
+        law = gauss.GaussPathLaw(self.EXPO, dim=dim)
+        draws = []
+        pools = [gauss._pool(), None, ThreadPoolExecutor(3)]  # default, inline, 3 workers
+        try:
+            for pool in pools:
+                monkeypatch.setattr(gauss, "_pool", lambda pool=pool: pool)
+                vals = gauss.simulate_paths(law, self.GRID, np.random.default_rng(50), n_paths)
+                draws.append(vals.tobytes())
+        finally:
+            pools[-1].shutdown()
+        assert draws[0] == draws[1] == draws[2]
+
+    def test_variance_covariance_and_independent_blocks(self):
+        # 40,000 rows of 101 points are 8 blocks of 5,190 rows
+        grid = np.linspace(0.0, 1.0, 101)
+        n = 40_000
+        assert self.blocks(1, n, grid.size) == 8
+        vals = gauss.simulate_paths(bridge_law(), grid, np.random.default_rng(51), n)[:, :, 0]
+        i3, i5, i6 = 30, 50, 60
+        var = 0.25
+        assert abs(np.mean(vals[:, i5] ** 2) - var) <= 4.0 * var * math.sqrt(2.0 / n)
+        cov = 0.3 * 0.4
+        se = math.sqrt((0.3 * 0.7 * 0.6 * 0.4 + cov ** 2) / n)
+        assert abs(np.mean(vals[:, i3] * vals[:, i6]) - cov) <= 4.0 * se
+        # rows of block 0 against rows of block 1: distinct streams, no correlation
+        rows = gauss._BLOCK_NORMALS // grid.size
+        first, second = vals[:rows, i5], vals[rows:2 * rows, i5]
+        assert abs(np.mean(first * second)) <= 4.0 * var / math.sqrt(rows)
+
+    def test_seeded_and_consecutive_calls(self):
+        law = gauss.GaussPathLaw(self.EXPO)
+        one = gauss.simulate_paths(law, self.GRID, np.random.default_rng(52), 6000)
+        rng = np.random.default_rng(52)
+        again = gauss.simulate_paths(law, self.GRID, rng, 6000)
+        later = gauss.simulate_paths(law, self.GRID, rng, 6000)
+        assert one.tobytes() == again.tobytes()
+        assert not np.any(later == again)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers and pool workers than cores, racing on the lazy pool
+        law = gauss.GaussPathLaw(self.EXPO)
+        want = gauss.simulate_paths(law, self.GRID, np.random.default_rng(53), 6000).tobytes()
+        monkeypatch.setattr(gauss, "_POOL", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                runs = [callers.submit(gauss.simulate_paths, law, self.GRID,
+                                       np.random.default_rng(53), 6000) for _ in range(6)]
+                got = [run.result(timeout=60).tobytes() for run in runs]
+            made = gauss._POOL
+        finally:
+            sys.setswitchinterval(interval)
+            if gauss._POOL and gauss._POOL[1]:
+                gauss._POOL[1].shutdown()
+        assert got == [want] * 6
+        assert made[0] == os.getpid()
+
+    def test_forked_process_makes_its_own_pool(self, monkeypatch):
+        pool = gauss._pool()
+        monkeypatch.setattr(gauss, "_POOL", (-1, pool))  # as if made before a fork
+        fresh = gauss._pool()
+        try:
+            assert gauss._POOL == (os.getpid(), fresh)
+            assert fresh is None or fresh is not pool
+        finally:
+            if fresh is not None:
+                fresh.shutdown()
 
 
 class TestTransitionDensity:

@@ -136,6 +136,35 @@ class TestChi2:
         report = verify.chi2_binned(samples, standard, ((-4, 4), (-4, 4)))
         assert not report.passed
 
+    def test_standard_gaussian_tails_outside_support_pass(self):
+        # about 6 of 50,000 samples are expected outside the window
+        rng = np.random.default_rng(84)
+        samples = rng.normal(0.0, 1.0, size=(50_000, 2))
+        cdf = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))  # noqa: E731
+        standard = lambda x0, x1, y0, y1: (cdf(x1) - cdf(x0)) * (cdf(y1) - cdf(y0))  # noqa: E731
+        report = verify.chi2_binned(samples, standard, ((-4, 4), (-4, 4)))
+        assert report.passed
+
+    def test_samples_outside_support_fail(self):
+        # a fifth of the points moved off the unit square; the law has no mass there
+        rng = np.random.default_rng(85)
+        samples = rng.uniform(0.0, 1.0, size=(50_000, 2))
+        samples[:10_000] = 5.0
+        area = lambda x0, x1, y0, y1: (x1 - x0) * (y1 - y0)  # noqa: E731
+        report = verify.chi2_binned(samples, area, ((0, 1), (0, 1)))
+        assert not report.passed
+
+    def test_excess_mass_outside_support_fails(self):
+        # inside the window the samples follow the target's shape, but a tenth
+        # more of them than the target puts outside it lie outside
+        rng = np.random.default_rng(83)
+        samples = rng.normal(0.0, 1.0, size=(50_000, 2))
+        samples[:5_000] = 5.0
+        cdf = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))  # noqa: E731
+        standard = lambda x0, x1, y0, y1: (cdf(x1) - cdf(x0)) * (cdf(y1) - cdf(y0))  # noqa: E731
+        report = verify.chi2_binned(samples, standard, ((-1, 1), (-1, 1)))
+        assert not report.passed and math.isfinite(report.statistic)
+
     def test_counts_poisson(self):
         rng = np.random.default_rng(87)
         counts = rng.poisson(2.0, size=20_000)
