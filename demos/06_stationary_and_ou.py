@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from levysheet import VThenHPath, brownian, cpp_from_atoms
-from levysheet import gauss, stationary
+from levysheet import gauss, jumpsim, stationary
 
 rng = np.random.default_rng(3)
 
@@ -23,10 +23,7 @@ print(f"marginal exponent at z=1: {law.marginal_psi(1.0):.4f} "
 
 # Strict stationarity in simulation: same marginal CF at any time.
 grid = np.array([0.0, 0.1, 0.5, 1.0])
-reps = 6000
-vals = np.empty((reps, grid.size))
-for i in range(reps):
-    vals[i] = stationary.simulate_stationary(law, grid, rng).values[:, 0]
+vals = jumpsim.simulate_triplet(law.triplet, law.path(grid[-1]), grid, 6000, rng)[:, :, 0]
 print("\nempirical lag correlations vs exp(-c u):")
 for j, u in enumerate(grid[1:], start=1):
     corr = float(np.corrcoef(vals[:, 0], vals[:, j])[0, 1])

@@ -6,7 +6,8 @@ Submodules:
 - `paths`: decreasing-path forms and stationary-increment classification.
 - `fdd`: closed-form finite-dimensional characteristic functions.
 - `gauss`: the Brownian-sheet case; exact simulation, densities, crossings.
-- `jumpsim`: compound-Poisson sheets, cancelling-jump event paths, bridges.
+- `jumpsim`: batched draws of any triplet along a path; compound-Poisson
+  sheets, cancelling-jump event paths, bridges.
 - `stationary`: exponential-path stationary laws and OU-type discrimination.
 
 Not imported by `import levysheet`; import them by name (scipy loads when a

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import fdd, gauss, jumpsim, stationary, suites, verify
-from .exponent import TwoPoint, triplet_from_dict
+from .exponent import TwoPoint, brownian, triplet_from_dict
 from .paths import classify, equivalent, path_from_dict
 
 __all__ = ["main", "build_parser"]
@@ -118,20 +118,16 @@ def _cmd_increment_cf(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.law == "gauss":
-        if not args.path:
-            raise ValueError("simulate --law gauss needs --path")
-        law = gauss.GaussPathLaw(_load_path(args.path), dim=args.dim)
-        sample = gauss.simulate(law, _grid(args), rng)
-        _emit(sample.to_csv() if args.format == "csv"
-              else json.dumps(_sample_grid_json(sample)) + "\n", args.out)
-        return 0
     if args.law == "cpp":
         if not (args.path and args.triplet):
             raise ValueError("simulate --law cpp needs --path and --triplet")
         triplet = _load_triplet(args.triplet)
         if triplet.jumps is None:
             raise ValueError("triplet field 'jumps' is required for --law cpp")
+        parts = (("drift", triplet.drift), ("Gaussian part", triplet.gaussian))
+        dropped = [part for part, value in parts if value.any()]
+        if dropped:
+            raise ValueError(f"--law cpp would drop the triplet's {' and '.join(dropped)}")
         path = _load_path(args.path)
         _, x_end, y_start, _ = path.ends
         region = jumpsim.RectRegion(x_end, y_start)
@@ -146,12 +142,17 @@ def _cmd_simulate(args) -> int:
                                    for t, dj in zip(events.times, events.increments)]},
                        args.out)
         return 0
-    # stationary
-    if not args.triplet:
-        raise ValueError("simulate --law stationary needs --triplet")
-    law = stationary.StationaryLaw(_load_triplet(args.triplet),
-                                   a=args.a, b=args.b, c=args.c)
-    sample = stationary.simulate_stationary(law, _grid(args), rng)
+    if args.law == "gauss":
+        if not args.path:
+            raise ValueError("simulate --law gauss needs --path")
+        triplet, path = brownian(args.dim), _load_path(args.path)
+    else:  # stationary
+        if not args.triplet:
+            raise ValueError("simulate --law stationary needs --triplet")
+        law = stationary.StationaryLaw(_load_triplet(args.triplet), a=args.a, b=args.b, c=args.c)
+        triplet, path = law.triplet, law.path(args.grid[1])  # linspace ends at hi exactly
+    grid = _grid(args)
+    sample = gauss.SamplePathGrid(grid, jumpsim.simulate_triplet(triplet, path, grid, 1, rng)[0])
     _emit(sample.to_csv() if args.format == "csv"
           else json.dumps(_sample_grid_json(sample)) + "\n", args.out)
     return 0

@@ -48,8 +48,8 @@ SYMMETRY_TOL = 1e-12
 
 def _as_vector(v, name="vector"):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr

@@ -30,7 +30,6 @@ __all__ = [
     "covariance",
     "covariance_matrix",
     "gaussian_joint_cf",
-    "simulate",
     "simulate_paths",
     "transition_density",
     "zero_prob_conditional",
@@ -219,12 +218,6 @@ def _pool():
             else:
                 _POOL = (os.getpid(), None)
         return _POOL[1]
-
-
-def simulate(law: GaussPathLaw, grid, rng) -> SamplePathGrid:
-    """One exact draw of the restricted sheet on the grid."""
-    vals = simulate_paths(law, grid, rng)
-    return SamplePathGrid(np.atleast_1d(np.asarray(grid, dtype=float)), vals[0])
 
 
 def transition_density(law: GaussPathLaw, s: float, t: float,

@@ -1,12 +1,13 @@
-"""Compound-Poisson sheet simulation and restriction to decreasing paths.
+"""Sheets restricted to decreasing paths: whole triplets, and compound-Poisson fields.
 
-Each sheet jump at location (u, v) below the path's sweep produces a pair of
-cancelling events in the restricted process: the jump enters at the first
-time x(t) reaches u and leaves at the last time y(t) still covers v.  Jumps
-left under the terminal rectangle never leave.  Event 2j is the entry of jump
-j and 2j + 1 its exit; the kept ones are sorted once, stably, by time, so
-equal times keep that order.  The restricted process is not cadlag and no
-merging is attempted.
+`simulate_triplet` draws any triplet's sheet along a path.  Each sheet jump
+at location (u, v) below the path's sweep produces a pair of cancelling
+events in the restricted process: the jump enters at the first time x(t)
+reaches u and leaves at the last time y(t) still covers v.  Jumps left under
+the terminal rectangle never leave.  Event 2j is the entry of jump j and
+2j + 1 its exit; the kept ones are sorted once, stably, by time, so equal
+times keep that order.  The restricted process is not cadlag and no merging
+is attempted.
 
 The uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import SamplePathGrid
+from .gauss import GaussPathLaw, SamplePathGrid, simulate_paths
 from .paths import DecreasingPath, LinearPath
 
 
@@ -70,6 +71,7 @@ __all__ = [
     "simulate_cpp_sheets",
     "restrict_to_path",
     "restricted_sheets",
+    "simulate_triplet",
     "rectangle_sum",
     "triangle_to_order_stats",
     "simulate_cpp_path",
@@ -322,6 +324,29 @@ def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
         paired.append(np.bincount(owner[jump], minlength=size)
                       - np.bincount(owner[(u <= x_end) & (v <= y_end)], minlength=size))
     return np.concatenate(values), np.concatenate(paired)
+
+
+def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np.ndarray:
+    """n_draws exact draws at the times ts, (n_draws, k, d), of the triplet's sheet along
+    the path: x(t) y(t) gamma_0, plus the Brownian sheet along the path times the eigen-root
+    of A, plus (drawn after it) the jump field on (0, x(t_hi)] x (0, y(t_lo)] restricted."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size == 0 or (ts[1:] <= ts[:-1]).any():
+        raise ValueError("grid must be nonempty and strictly increasing")
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
+    xs, ys = path.eval(ts)
+    values = np.empty((n_draws, ts.size, triplet.dim))
+    values[:] = (xs * ys)[:, None] * triplet.drift
+    if triplet.gaussian.any():
+        eigvals, eigvecs = np.linalg.eigh(triplet.gaussian)
+        root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        values += simulate_paths(GaussPathLaw(path, triplet.dim), ts, rng, n_paths=n_draws) @ root.T
+    if triplet.jumps is not None:
+        _, x_end, y_start, _ = path.ends
+        values += restricted_sheets(triplet.jumps.rate, triplet.jumps.dist,
+                                    RectRegion(x_end, y_start), path, ts, n_draws, rng)[0]
+    return values
 
 
 def rectangle_sum(field: JumpField, x_val: float, y_val: float) -> np.ndarray:

@@ -568,10 +568,13 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
 # ---------------------------------------------------------------------------
 
 def equivalent(p1: DecreasingPath, p2: DecreasingPath, tol: float = 1e-9):
-    """Scale p > 0 with x2 = p x1 and y2 = y1 / p on the common domain, or None."""
+    """Scale p > 0 with x2 = p x1 and y2 = y1 / p on the common domain, or None,
+    compared on an even probe grid joined with the knots and corners s* of both."""
     if abs(p1.t_lo - p2.t_lo) > 1e-12 or abs(p1.t_hi - p2.t_hi) > 1e-12:
         raise ValueError("paths must share the same domain")
-    ts = np.linspace(p1.t_lo, p1.t_hi, _PROBE_COUNT)
+    kinks = [p.times if isinstance(p, TabulatedPath) else [getattr(p, "s_star", p.t_lo)]
+             for p in (p1, p2)]
+    ts = np.union1d(np.linspace(p1.t_lo, p1.t_hi, _PROBE_COUNT), np.concatenate(kinks))
     x1, y1 = p1.x(ts), p1.y(ts)
     x2, y2 = p2.x(ts), p2.y(ts)
     mask = x1 > 0

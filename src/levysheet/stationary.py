@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gauss, jumpsim
 from .exponent import LevyTriplet, eval_psi, is_symmetric
-from .paths import DecreasingPath, ExponentialPath, PathTag, VThenHPath, classify
+from .paths import ExponentialPath, PathTag, VThenHPath, classify
 
 __all__ = [
     "StationaryLaw",
@@ -106,33 +106,11 @@ def autocorrelation(law: StationaryLaw, u: float) -> float:
 
 
 def simulate_stationary(law: StationaryLaw, grid, rng) -> gauss.SamplePathGrid:
-    """One draw of the stationary process on the grid (grid within [0, inf)).
-
-    Drift and Gaussian parts ride on the exponential path via the exact
-    Gaussian sampler; the jump part restricts a compound-Poisson field over
-    the swept rectangle.
-    """
+    """One draw of the stationary process on the grid (within [0, inf)): the n_draws = 1
+    `jumpsim.simulate_triplet` call on `law.path(t_hi)`, t_hi the last time or 1."""
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    if ts.size == 0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("grid must be nonempty and strictly increasing")
-    if ts[0] < 0:
-        raise ValueError("grid must lie in [0, inf)")
-    t_hi = float(ts[-1]) if ts[-1] > 0 else 1.0
-    path = law.path(t_hi)
-    d = law.triplet.dim
-    values = np.zeros((ts.size, d))
-    values += law.a * law.b * law.triplet.drift  # x(t) y(t) = a b along the path
-    if np.any(law.triplet.gaussian):
-        eigvals, eigvecs = np.linalg.eigh(law.triplet.gaussian)
-        root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-        std = gauss.simulate_paths(gauss.GaussPathLaw(path, dim=d), ts, rng)[0]
-        values += std @ root.T
-    jumps = law.triplet.jumps
-    if jumps is not None:
-        region = jumpsim.RectRegion(law.a * math.exp(law.c * t_hi), law.b * math.exp(-law.c * 0.0))
-        field = jumpsim.simulate_cpp_sheet(jumps.rate, jumps.dist, region, rng)
-        values += jumpsim.restrict_to_path(field, path).values(ts)
-    return gauss.SamplePathGrid(ts, values)
+    path = law.path(float(ts[-1]) if ts.size and ts[-1] > 0 else 1.0)
+    return gauss.SamplePathGrid(ts, jumpsim.simulate_triplet(law.triplet, path, ts, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ DESCRIPTIONS = {
     7: "rearranged-difference law matches the symmetrized-sheet joint CF "
        "within 4/sqrt(N) per component at N=1e5 (< 60 s)",
     8: "diffusion-scale bridge at rate 1e3: Var[Z(1/2)] in 0.25 +/- 0.02, "
-       "component variances in 0.5 +/- 0.03, walk covariance within 4 SE",
+       "original component variance at 1 in 0.5 +/- 0.03, rearranged one at "
+       "1/2 in 0.25 +/- 0.015, walk covariance within 4 SE",
     9: "exponential-path stationarity: lag correlations within 0.02 of "
        "exp(-c u); joint CF shift-invariant to 1e-12",
     10: "OU-type discrimination: jump law yields a CF gap >= 1e-3; Gaussian "

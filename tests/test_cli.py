@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levysheet
+from levysheet import gauss, stationary
 from levysheet.cli import main
+from levysheet.exponent import triplet_from_dict
+from levysheet.paths import path_from_dict
 
 
 @pytest.fixture
@@ -139,6 +143,43 @@ class TestSimulate:
                      "--grid", "0", "1", "5", "--seed", "4"])
         assert code == 0
         assert capsys.readouterr().out.startswith("t,v1")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gauss_is_the_gaussian_sampler(self, capsys, bridge_file, dim):
+        assert main(["simulate", "--law", "gauss", "--path", bridge_file, "--dim", str(dim),
+                     "--grid", "0", "1", "21", "--seed", "5"]) == 0
+        grid = np.linspace(0.0, 1.0, 21)
+        path = path_from_dict(json.loads(Path(bridge_file).read_text()))
+        law = gauss.GaussPathLaw(path, dim=dim)
+        draw = gauss.simulate_paths(law, grid, np.random.default_rng(5))[0]
+        assert capsys.readouterr().out == gauss.SamplePathGrid(grid, draw).to_csv()
+
+    def test_stationary_is_simulate_stationary(self, capsys, one_atom_file):
+        assert main(["simulate", "--law", "stationary", "--triplet", one_atom_file,
+                     "--a", "1", "--b", "0.5", "--c", "1",
+                     "--grid", "0", "2", "41", "--seed", "4"]) == 0
+        triplet = triplet_from_dict(json.loads(Path(one_atom_file).read_text()))
+        law = stationary.StationaryLaw(triplet, a=1.0, b=0.5, c=1.0)
+        draw = stationary.simulate_stationary(law, np.linspace(0.0, 2.0, 41),
+                                              np.random.default_rng(4))
+        assert capsys.readouterr().out == draw.to_csv()
+
+    def test_cpp_rejects_drift_and_gaussian_part(self, capsys, tmp_path, bridge_file):
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps({
+            "gamma": [5.0], "gaussian": [[1.0]],
+            "jumps": {"kind": "discrete", "atoms": [{"x": [1.0], "mass": 2.0}]},
+        }))
+        for seed in ("1", "2", "3"):
+            assert main(["simulate", "--law", "cpp", "--triplet", str(mixed),
+                         "--path", bridge_file, "--seed", seed]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "drift" in captured.err and "Gaussian part" in captured.err
+
+    def test_gauss_rejects_dim_zero(self, capsys, bridge_file):
+        assert main(["simulate", "--law", "gauss", "--path", bridge_file, "--dim", "0"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_gauss_needs_path(self, capsys):
         assert main(["simulate", "--law", "gauss"]) == 1

@@ -89,9 +89,9 @@ class TestJointCF:
 class TestSimulate:
     def test_endpoints_exactly_zero(self):
         rng = np.random.default_rng(44)
-        sample = gauss.simulate(bridge_law(), [0.0, 0.5, 1.0], rng)
-        assert sample.values[0, 0] == 0.0
-        assert sample.values[2, 0] == 0.0
+        values = gauss.simulate_paths(bridge_law(), [0.0, 0.5, 1.0], rng)[0]
+        assert values[0, 0] == 0.0
+        assert values[2, 0] == 0.0
 
     def test_marginal_variance_band(self):
         rng = np.random.default_rng(45)
@@ -149,7 +149,8 @@ class TestSimulate:
 
     def test_one_draw_wrapper(self):
         rng = np.random.default_rng(49)
-        sample = gauss.simulate(bridge_law(), [0.25, 0.5], rng)
+        sample = gauss.SamplePathGrid([0.25, 0.5],
+                                      gauss.simulate_paths(bridge_law(), [0.25, 0.5], rng)[0])
         assert sample.values.shape == (2, 1)
         assert sample.to_csv().startswith("t,v1\n")
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levysheet import fdd, jumpsim
-from levysheet.exponent import Categorical, TwoPoint, cpp_from_atoms
+from levysheet import fdd, gauss, jumpsim
+from levysheet.exponent import (Categorical, LevyTriplet, ScaledJumps, TwoPoint, cpp_from_atoms,
+                                 pure_drift)
 from levysheet.paths import ExponentialPath, LinearPath
 from levysheet.verify import cf_match, chi2_binned, empirical_cf, ks_1d
 
@@ -287,6 +288,73 @@ class TestRestrictedSheets:
         with pytest.raises(ValueError):
             jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5], 0,
                                        np.random.default_rng(60))
+
+
+def mixed_triplet(dim, rate_scale=1.0):
+    """Drift, a Gaussian part and non-symmetric atom jumps together."""
+    atoms = [([0.6, -0.4][:dim], 0.9 * rate_scale), ([-1.1, 0.3][:dim], 0.4 * rate_scale)]
+    jumps = cpp_from_atoms(atoms, drift=[0.3, -0.2][:dim])
+    return LevyTriplet(jumps.gamma, np.array([[0.5, 0.2], [0.2, 0.3]])[:dim, :dim], jumps.jumps)
+
+
+class TestSimulateTriplet:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("form", ["linear", "horizontal", "vertical", "corner",
+                                      "exponential", "tabulated"])
+    def test_joint_cf_of_mixed_triplet(self, form, dim, six_forms):
+        path, triplet, n = six_forms[form], mixed_triplet(dim), 100_000  # c7's n
+        times = [0.2, 0.55, 0.9]
+        draws = jumpsim.simulate_triplet(triplet, path, times, n, np.random.default_rng(61))
+        assert draws.shape == (n, 3, dim)
+        for z in (np.array([[0.5, -0.2], [-0.3, 0.4], [0.4, 0.1]])[:, :dim],
+                  np.array([[-0.2, 0.3], [0.6, 0.2], [0.1, -0.5]])[:, :dim]):
+            emp = empirical_cf(draws.reshape(n, -1), z.ravel())
+            report = cf_match(emp, fdd.joint_cf(triplet, path, times, z), k=4.0)
+            assert report.passed, report
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_draw_is_its_three_parts(self, dim):
+        # the Gaussian part is drawn first, then one sheet over (x(t_hi), y(t_lo)), whose
+        # dyadic jumps sum exactly in any order
+        path, ts = ExponentialPath(1.0, 0.8, 1.0, 0.0, 1.0), np.array([0.0, 0.5, 1.0])
+        triplet = LevyTriplet(np.full(dim, 0.75), 4.0 * np.eye(dim),
+                              ScaledJumps(3.0, dyadic_dist(dim)))
+        got = jumpsim.simulate_triplet(triplet, path, ts, 1, np.random.default_rng(65))[0]
+        rng = np.random.default_rng(65)
+        gaussian = 2.0 * gauss.simulate_paths(gauss.GaussPathLaw(path, dim), ts, rng)[0]
+        _, x_end, y_start, _ = path.ends
+        region = jumpsim.RectRegion(x_end, y_start)
+        field = jumpsim.simulate_cpp_sheet(3.0, dyadic_dist(dim), region, rng)
+        drift = (path.x(ts) * path.y(ts))[:, None] * triplet.drift
+        want = drift + gaussian + jumpsim.restrict_to_path(field, path).values(ts)
+        assert field.count > 0
+        assert got.tobytes() == want.tobytes()
+
+    def test_bridge_draws_vanish_at_both_ends(self):
+        # y(1) = 0 on (t, 1 - t): every jump has left and x y gamma_0 = 0
+        draws = jumpsim.simulate_triplet(mixed_triplet(2), bridge(), [0.0, 0.5, 1.0], 20_000,
+                                         np.random.default_rng(62))
+        assert np.all(draws[:, [0, 2]] == 0.0)
+        assert np.all(draws[:, 1] != 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_jump_fields_add_nothing(self, dim):
+        # at this rate every field is empty: the draws are those of the law without jumps
+        triplet, times = mixed_triplet(dim, rate_scale=1e-12), [0.1, 0.5, 0.9]
+        draws = jumpsim.simulate_triplet(triplet, bridge(), times, 500, np.random.default_rng(63))
+        no_jumps = LevyTriplet(triplet.drift, triplet.gaussian)
+        want = jumpsim.simulate_triplet(no_jumps, bridge(), times, 500, np.random.default_rng(63))
+        assert draws.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("triplet", [pure_drift(1.0), cpp_from_atoms([(1.0, 2.0)]),
+                                         mixed_triplet(1)], ids=["drift", "jumps", "mixed"])
+    @pytest.mark.parametrize("grid, message", [
+        ([], "nonempty"), ([0.2, 0.2], "strictly increasing"), ([0.6, 0.3], "strictly increasing"),
+        ([0.5, 1.5], "outside the path domain"), ([-0.1, 0.5], "outside the path domain"),
+    ])
+    def test_rejects_bad_grids(self, triplet, grid, message):
+        with pytest.raises(ValueError, match=message):
+            jumpsim.simulate_triplet(triplet, bridge(), grid, 3, np.random.default_rng(64))
 
 
 class TestEventPath:

@@ -327,6 +327,22 @@ class TestEquivalent:
         with pytest.raises(ValueError):
             pth.equivalent(bridge_path(), p2)
 
+    def test_knot_between_probes(self):
+        ts = np.linspace(0.0, 1.0, 200)
+        xs, ys = 0.1 + ts, 1.1 - ts
+        moved = xs.copy()
+        moved[1] += 1.2e-3  # no probe of the even grid falls next to knot 1
+        p1 = pth.TabulatedPath(ts, xs, ys)
+        assert pth.equivalent(p1, pth.TabulatedPath(ts, moved, ys)) is None
+        assert pth.equivalent(p1, pth.TabulatedPath(ts, 2.0 * xs, ys / 2.0)) == pytest.approx(2.0)
+
+    def test_corner_cut_between_probes(self):
+        corner = pth.VThenHPath(0.51, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0)
+        knots = np.array([0.0, 0.509, 0.511, 1.0])  # on the corner path except near s*
+        cut = pth.TabulatedPath(knots, corner.x(knots), corner.y(knots))
+        assert pth.equivalent(corner, cut) is None
+        assert pth.equivalent(cut, corner) is None
+
 
 def _bisect_first_x(path, u):
     """inf{t: x(t) >= u} by bisection to 1e-12 in t; the knot inverse's reference."""

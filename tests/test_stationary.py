@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levysheet import fdd, gauss, stationary
+from levysheet import fdd, gauss, jumpsim, stationary
 from levysheet.exponent import brownian, cpp_from_atoms, eval_psi, pure_drift
 from levysheet.paths import ExponentialPath, LinearPath, VThenHPath
 from levysheet.verify import cf_match, empirical_cf
@@ -93,9 +93,7 @@ class TestSimulateStationary:
         law = stationary.StationaryLaw(cpp_from_atoms([(1.0, 1.0), (-1.0, 1.0)]),
                                        a=1.0, b=0.5, c=1.0)
         n = 8000
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = stationary.simulate_stationary(law, [0.25], rng).values[0, 0]
+        vals = jumpsim.simulate_triplet(law.triplet, law.path(0.25), [0.25], n, rng)[:, 0, 0]
         target = cmath.exp(law.marginal_psi(1.0))
         assert cf_match(empirical_cf(vals, 1.0), target).passed
 
@@ -104,14 +102,11 @@ class TestSimulateStationary:
         law = stationary.StationaryLaw(cpp_from_atoms([(1.0, 1.0), (-1.0, 1.0)]),
                                        a=1.0, b=0.5, c=1.0)
         n = 8000
-        znow = np.empty(n, dtype=complex)
-        zlater = np.empty(n, dtype=complex)
         probe = np.array([0.9, -0.6])
-        for i in range(n):
-            draw = stationary.simulate_stationary(law, [0.1, 0.4, 1.1, 1.4], rng)
-            v = draw.values[:, 0]
-            znow[i] = cmath.exp(1j * (probe[0] * v[0] + probe[1] * v[1]))
-            zlater[i] = cmath.exp(1j * (probe[0] * v[2] + probe[1] * v[3]))
+        v = jumpsim.simulate_triplet(law.triplet, law.path(1.4), [0.1, 0.4, 1.1, 1.4], n,
+                                     rng)[:, :, 0]
+        znow = np.exp(1j * (v[:, :2] @ probe))
+        zlater = np.exp(1j * (v[:, 2:] @ probe))
         gap = abs(znow.mean() - zlater.mean())
         assert gap <= 2 * 4.0 / math.sqrt(n)
 
