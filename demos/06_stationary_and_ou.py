@@ -7,12 +7,13 @@ process.  The laws still differ whenever jumps are present, which a single
 characteristic-function probe exposes.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from levysheet import VThenHPath, brownian, cpp_from_atoms
-from levysheet import gauss, jumpsim, stationary
+from levysheet import VThenHPath, brownian, classify, cpp_from_atoms, eval_psi
+from levysheet import fdd, gauss, jumpsim, stationary
 
 rng = np.random.default_rng(3)
 
@@ -45,9 +46,10 @@ print(f"\nOU discrimination for the one-atom jump law: witness at "
 print(f"same probes on the Gaussian law: max gap {stationary.distinguish_ou(brownian(1), 1.0).max_gap:.2e}"
       f" (indistinguishable by this test)")
 
-# Corner paths give stationary *independent* increments: re-basing yields a
-# one-parameter Levy process with a rescaled exponent.
+# Corner paths give stationary *independent* increments: for a symmetric law,
+# re-basing yields a one-parameter Levy process with exponent a c psi.
 corner = VThenHPath(0.5, 2.0, 1.0, 1.0, 2.0, 0.0, 1.0)  # a c = 2
-rb = stationary.rebase(brownian(1), corner, 0.25)
-print(f"\nre-based corner path: Levy exponent scale {rb.scale:g} on "
-      f"[0, {rb.duration:g}), psi(1) = {rb.psi(1.0):.3f}")
+u = 0.75
+cf = fdd.stationary_increment_cf(brownian(1), classify(corner), u, 1.0)
+print(f"\nre-based corner path: Levy exponent log(cf)/u = {cmath.log(cf) / u:.3f} "
+      f"at z = 1 (a c psi(1) = {2.0 * eval_psi(brownian(1), 1.0):.3f})")

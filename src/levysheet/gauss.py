@@ -39,12 +39,6 @@ __all__ = [
     "identify_ou",
 ]
 
-# Paths per simulate_paths call in zero_crossing_frequency: at 10^4 grid
-# points a batch's arrays stay near 20 MB, which the allocator reuses rather
-# than mapping fresh pages for each batch, and a batch is five sampler blocks
-# of 52 rows, drawn on every usable core.
-_CROSSING_BATCH = 250
-
 # Normals per block of a simulate_paths call (4 MB of float64).  A call is cut
 # into blocks of whole rows by its shape alone, so its bytes do not depend on
 # how many cores draw them.
@@ -159,6 +153,17 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
     `rng.spawn(blocks)`.  The blocks depend only on (dim, n_paths, n), so the
     same `rng` state gives the same bytes on any number of cores.
     """
+    _, ys, std, dead = _ratio_time(law, grid)
+    vals = np.empty((law.dim, n_paths, ys.size))
+    rows = vals.reshape(law.dim * n_paths, ys.size)
+    _run_blocks(rows.shape[0], ys.size, rng,
+                lambda lo, hi, gen: _draw_block(rows[lo:hi], gen, std, ys, dead))
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+
+
+def _ratio_time(law: GaussPathLaw, grid):
+    """(x, y, std, dead) on a checked grid: the path's values, the standard
+    deviation of each ratio-time increment, and where x y = 0."""
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
     if ts.size == 0 or np.any(np.diff(ts) <= 0):
         raise ValueError("grid must be nonempty and strictly increasing")
@@ -172,31 +177,31 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
     if np.any(np.diff(ratio[~dead]) < -1e-12):
         raise ValueError("x/y must be nondecreasing along the grid")
     std = np.sqrt(np.maximum(np.diff(ratio, prepend=0.0), 0.0))
-    vals = np.empty((law.dim, n_paths, ts.size))
-    rows = vals.reshape(law.dim * n_paths, ts.size)
-    step = max(1, _BLOCK_NORMALS // ts.size)
-    starts = range(0, rows.shape[0], step)
+    return xs, ys, std, dead
+
+
+def _run_blocks(n_rows: int, points: int, rng, task) -> list:
+    """task(lo, hi, gen) on each block of rows [lo, hi) of an (n_rows, points)
+    draw, on every usable core; the results in block order.
+
+    A block holds about _BLOCK_NORMALS normals.  One block draws from `rng`
+    itself, more draw from `rng.spawn(blocks)`, one child each.  Tasks run on
+    pool threads: they must not call simulate_paths, which submits to the
+    same pool, and the caller's np.errstate does not reach them.
+    """
+    step = max(1, _BLOCK_NORMALS // points)
+    starts = range(0, n_rows, step)
     if len(starts) <= 1:
-        _draw_block(rows, rng, std, ys, dead)
-    else:
-        blocks = [(rows[lo:lo + step], gen, std, ys, dead)
-                  for lo, gen in zip(starts, rng.spawn(len(starts)))]
-        pool = _pool()
-        if pool is None:
-            for block in blocks:
-                _draw_block(*block)
-        else:
-            for done in [pool.submit(_draw_block, *block) for block in blocks]:
-                done.result()
-    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+        return [task(0, n_rows, rng)]
+    blocks = [(lo, min(lo + step, n_rows), gen) for lo, gen in zip(starts, rng.spawn(len(starts)))]
+    pool = _pool()
+    if pool is None:
+        return [task(*block) for block in blocks]
+    return [done.result() for done in [pool.submit(task, *block) for block in blocks]]
 
 
 def _draw_block(rows, gen, std, ys, dead):
-    """Draw the ratio-time recursion in place on a contiguous (k, n) row block.
-
-    Runs on pool threads: it must not call simulate_paths, nor do work whose
-    warnings matter, since the caller's np.errstate does not reach them.
-    """
+    """Draw the ratio-time recursion in place on a contiguous (k, n) row block."""
     gen.standard_normal(out=rows)
     rows *= std
     np.cumsum(rows, axis=1, out=rows)
@@ -252,7 +257,8 @@ def zero_prob_conditional(law: GaussPathLaw, s: float, t: float, z: float) -> fl
     """P(at least one zero in (s, t) | value z at time s), z != 0.
 
     Equals the BM first-passage probability over the ratio-time gap,
-    2 (1 - Phi(|z/y(s)| / sqrt(r(t) - r(s)))).
+    2 (1 - Phi(|z/y(s)| / sqrt(r(t) - r(s)))).  When y(t) = 0 the process is
+    pinned to zero at t and the value is the r(t) -> infinity limit, 1.
     """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
@@ -260,7 +266,10 @@ def zero_prob_conditional(law: GaussPathLaw, s: float, t: float, z: float) -> fl
         raise ValueError("conditioning value must be nonzero")
     if not s < t:
         raise ValueError("needs s < t")
-    gap = law.ratio(t) - law.ratio(s)
+    rs = law.ratio(s)
+    if float(law.path.y(t)) == 0.0:
+        return 1.0
+    gap = law.ratio(t) - rs
     if gap < 0:
         raise ValueError("x/y must be nondecreasing")
     if gap == 0.0:
@@ -301,26 +310,32 @@ def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
     p_i = exp(-2 b_i b_{i+1} / (r_{i+1} - r_i)) otherwise; in X that is
     exp(-2 X_i X_{i+1} / (x_{i+1} y_i - x_i y_{i+1})).  The estimate averages
     each path's chance of a zero, 1 - prod_i (1 - p_i).
+
+    The draws are those of simulate_paths(law, linspace(s, t, grid_points),
+    rng, n_paths), and each sampler block is reduced on the thread that drew
+    it, so no more than one block per core is held.
     """
+    if law.dim != 1:
+        raise ValueError("zero-crossing probabilities are defined for dim=1 only")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    grid = np.linspace(s, t, grid_points)
-    xs, ys = law.path.x(grid), law.path.y(grid)
+    xs, ys, std, dead = _ratio_time(law, np.linspace(s, t, grid_points))
     gap = xs[1:] * ys[:-1] - xs[:-1] * ys[1:]  # y_i y_{i+1} (r_{i+1} - r_i)
-    total = 0.0
-    for done in range(0, n_paths, _CROSSING_BATCH):
-        take = min(_CROSSING_BATCH, n_paths - done)
-        vals = simulate_paths(law, grid, rng, n_paths=take)[:, :, 0]
+
+    def chances(lo, hi, gen):
+        vals = np.empty((hi - lo, grid_points))
+        _draw_block(vals, gen, std, ys, dead)
         prod = vals[:, 1:] * vals[:, :-1]
         # Elsewhere 2 X_i X_{i+1} / gap >= 40, and 1 - p_i rounds to 1.
         near = np.flatnonzero(prod < 20.0 * gap)
         rows, cols = np.divmod(near, gap.size)
         with np.errstate(divide="ignore"):
             log_stay = np.log(-np.expm1(-2.0 * np.maximum(prod.ravel()[near], 0.0) / gap[cols]))
-        total += float(np.sum(-np.expm1(np.bincount(rows, weights=log_stay, minlength=take))))
-    return total / n_paths
+        return float(np.sum(-np.expm1(np.bincount(rows, weights=log_stay, minlength=hi - lo))))
+
+    return sum(_run_blocks(n_paths, grid_points, rng, chances)) / n_paths
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class TriangleRegion:
                 and self.width > 0 and self.height > 0):
             raise ValueError("triangle sides must be finite and positive")
 
-    @property
-    def area(self) -> float:
-        return 0.5 * self.width * self.height
-
     def sample(self, rng, size: int) -> np.ndarray:
         u = rng.uniform(0.0, self.width, size=size)
         v = rng.uniform(0.0, self.height, size=size)
@@ -147,24 +143,12 @@ class TriangleRegion:
         v[above] = self.height - v[above]
         return np.column_stack([u, v])
 
-    def contains(self, locations: np.ndarray) -> np.ndarray:
-        u, v = locations[:, 0], locations[:, 1]
-        return (u > 0) & (v > 0) & (u / self.width + v / self.height <= 1.0 + 1e-12)
-
-    def covers_path(self, path: DecreasingPath) -> bool:
-        ts = np.linspace(path.t_lo, path.t_hi, 129)
-        xs, ys = path.x(ts), path.y(ts)
-        return bool(np.all(xs / self.width + ys / self.height <= 1.0 + 1e-9))
-
-    def to_dict(self) -> dict:
-        return {"shape": "triangle", "width": self.width, "height": self.height}
-
 
 @dataclass(frozen=True)
 class JumpField:
     """Finite set of sheet jumps: locations in the region, values in R^d."""
 
-    region: RectRegion | TriangleRegion
+    region: RectRegion
     locations: np.ndarray  # (n, 2)
     jumps: np.ndarray  # (n, d)
 

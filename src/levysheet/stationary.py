@@ -9,8 +9,9 @@ discriminator here exhibits a probe (t, z) where the two transformed
 characteristic functions disagree whenever the law has jumps.
 
 Corner paths (vertical-then-horizontal) give stationary independent
-increments instead: re-basing at any interior time yields a one-parameter
-Levy process in law whose exponent is a*c times the sheet's.
+increments instead: for a symmetric law, re-basing at any interior time yields
+a one-parameter Levy process in law whose exponent is a*c times the sheet's,
+which `fdd.stationary_increment_cf` evaluates.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauss, jumpsim
-from .exponent import LevyTriplet, eval_psi, is_symmetric
-from .paths import ExponentialPath, PathTag, VThenHPath, classify
+from .exponent import LevyTriplet, eval_psi
+from .paths import ExponentialPath
 
 __all__ = [
     "StationaryLaw",
-    "RebasedLevy",
-    "rebase",
     "autocorrelation",
     "simulate_stationary",
     "ou_cf",
@@ -60,40 +59,6 @@ class StationaryLaw:
 
     def path(self, t_hi: float, t_lo: float = 0.0) -> ExponentialPath:
         return ExponentialPath(self.a, self.b, self.c, t_lo, t_hi)
-
-
-@dataclass(frozen=True)
-class RebasedLevy:
-    """One-parameter Levy process induced by re-basing a corner path."""
-
-    triplet: LevyTriplet
-    scale: float
-    duration: float
-
-    def psi(self, z) -> complex:
-        return self.scale * eval_psi(self.triplet, z)
-
-    def increment_cf(self, t: float, z) -> complex:
-        if not 0 <= t < self.duration + 1e-12:
-            raise ValueError(f"time must lie in [0, {self.duration})")
-        return cmath.exp(t * self.psi(z))
-
-
-def rebase(triplet: LevyTriplet, path: VThenHPath, t0: float) -> RebasedLevy:
-    """Levy process in law started at time t0 along a corner path.
-
-    Requires a symmetric law: corner paths only give stationary increments
-    in the symmetric case.  The induced exponent is (a*c) * psi on the time
-    interval [0, sup T - t0).
-    """
-    cls = classify(path)
-    if cls.tag is not PathTag.V_THEN_H:
-        raise ValueError("rebasing requires a corner path with a*c = b*d")
-    if not is_symmetric(triplet):
-        raise ValueError("rebasing requires a symmetric law")
-    if not path.t_lo <= t0 < path.t_hi:
-        raise ValueError("t0 must satisfy t_lo <= t0 < t_hi")
-    return RebasedLevy(triplet, path.a * path.c, path.t_hi - t0)
 
 
 def autocorrelation(law: StationaryLaw, u: float) -> float:

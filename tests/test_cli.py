@@ -209,6 +209,14 @@ class TestExperiments:
         assert abs(out["empirical"] - out["analytic"]) < 0.05
         assert 0.0 < out["conditional"] < 1.0
 
+    def test_zerocross_to_vanishing_y(self, capsys, bridge_file):
+        # the bridge is pinned to 0 at t = 1: every probability is the limit 1
+        code, out = run_json(capsys, ["experiment", "zerocross", "--path",
+                                      bridge_file, "--t", "1", "--n", "200",
+                                      "--grid-points", "50", "--seed", "2", "--z", "0.1"])
+        assert code == 0
+        assert out["analytic"] == out["empirical"] == out["conditional"] == 1.0
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_zerocross_rejects_degenerate_grid(self, capsys, bridge_file, points):
         code = main(["experiment", "zerocross", "--path", bridge_file, "--s", "0.25",

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -313,6 +314,68 @@ class TestZeroCrossing:
         assert gauss.zero_prob(law, 0.25, 1.0) == 1.0
         near = gauss.zero_prob(law, 0.25, 0.999999)
         assert 0.999 < near < 1.0
+
+    def test_conditional_at_vanishing_y(self):
+        law = bridge_law()
+        assert gauss.zero_prob_conditional(law, 0.25, 1.0, 0.1) == 1.0
+        near = gauss.zero_prob_conditional(law, 0.25, 0.999999, 0.1)
+        assert 0.999 < near < 1.0
+
+    def test_frequency_at_vanishing_y(self):
+        # every path reaches the pinned zero at t = 1; log(0) there must not warn,
+        # also on the pool threads that draw the 4 blocks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            freq = gauss.zero_crossing_frequency(bridge_law(), 0.25, 1.0, 20_000, 100,
+                                                 np.random.default_rng(28))
+        assert freq == 1.0
+
+    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.75, 0.25)])
+    def test_frequency_rejects_empty_window(self, s, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gauss.zero_crossing_frequency(bridge_law(), s, t, 10, 50, np.random.default_rng(29))
+
+
+class TestCrossingBlocks:
+    """zero_crossing_frequency reduces the blocks of one simulate_paths draw."""
+
+    EXPO = gauss.GaussPathLaw(ExponentialPath(1.0, 0.5, 1.0, 0.0, 1.5))
+
+    @staticmethod
+    def plain(law, s, t, n_paths, points, seed):
+        grid = np.linspace(s, t, points)
+        vals = gauss.simulate_paths(law, grid, np.random.default_rng(seed), n_paths)[:, :, 0]
+        xs, ys = law.path.x(grid), law.path.y(grid)
+        gap = xs[1:] * ys[:-1] - xs[:-1] * ys[1:]
+        with np.errstate(divide="ignore"):
+            stay = -np.expm1(-2.0 * np.maximum(vals[:, 1:] * vals[:, :-1], 0.0) / gap)
+        return float(np.mean(1.0 - np.prod(stay, axis=1)))
+
+    @pytest.mark.parametrize("n_paths, points, blocks", [(300, 50, 1), (20_000, 100, 4)])
+    @pytest.mark.parametrize("which, s, t", [("bridge", 0.25, 0.75), ("expo", 0.2, 1.3)])
+    def test_mean_over_one_simulate_paths_call(self, which, s, t, n_paths, points, blocks):
+        assert TestBlockedSampler.blocks(1, n_paths, points) == blocks
+        law = bridge_law() if which == "bridge" else self.EXPO
+        freq = gauss.zero_crossing_frequency(law, s, t, n_paths, points,
+                                             np.random.default_rng(30))
+        assert abs(freq - self.plain(law, s, t, n_paths, points, 30)) <= 1e-12
+
+    def test_same_estimate_on_any_worker_count(self, monkeypatch):
+        got = []
+        pools = [gauss._pool(), None, ThreadPoolExecutor(3)]  # default, inline, 3 workers
+        try:
+            for pool in pools:
+                monkeypatch.setattr(gauss, "_pool", lambda pool=pool: pool)
+                got.append(gauss.zero_crossing_frequency(bridge_law(), 0.25, 0.75, 20_000, 100,
+                                                         np.random.default_rng(31)))
+        finally:
+            pools[-1].shutdown()
+        assert got[0] == got[1] == got[2]
+
+    def test_rejects_vector_law(self):
+        law = gauss.GaussPathLaw(bridge(), dim=2)
+        with pytest.raises(ValueError, match="dim=1"):
+            gauss.zero_crossing_frequency(law, 0.25, 0.75, 10, 50, np.random.default_rng(32))
 
 
 class TestIdentification:

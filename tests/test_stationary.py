@@ -6,7 +6,7 @@ import pytest
 
 from levysheet import fdd, gauss, jumpsim, stationary
 from levysheet.exponent import brownian, cpp_from_atoms, eval_psi, pure_drift
-from levysheet.paths import ExponentialPath, LinearPath, VThenHPath
+from levysheet.paths import ExponentialPath, LinearPath, VThenHPath, classify
 from levysheet.verify import cf_match, empirical_cf
 
 
@@ -15,32 +15,43 @@ def corner():
 
 
 class TestRebase:
+    """Re-basing a corner path: for a symmetric law the increments over a lag u
+    are those of a Levy process with exponent a c psi (`fdd.stationary_increment_cf`)."""
+
+    @staticmethod
+    def increment_cf(triplet, path, u, z):
+        return fdd.stationary_increment_cf(triplet, classify(path), u, z)
+
     def test_brownian_doubled_exponent(self):
         path = VThenHPath(0.5, 2.0, 1.0, 1.0, 2.0, 0.0, 1.0)  # a c = 2
-        rb = stationary.rebase(brownian(1), path, 0.25)
-        assert rb.scale == pytest.approx(2.0)
-        assert rb.psi(1.0) == pytest.approx(-1.0 + 0j)
-        assert rb.duration == pytest.approx(0.75)
+        assert classify(path).phi(1.0) == pytest.approx(2.0)
+        val = self.increment_cf(brownian(1), path, 0.75, 1.0)
+        assert cmath.log(val) / 0.75 == pytest.approx(-1.0 + 0j)
 
     def test_increment_cf_is_levy(self):
-        rb = stationary.rebase(brownian(1), corner(), 0.1)
-        val = rb.increment_cf(0.3, 1.0)
+        val = self.increment_cf(brownian(1), corner(), 0.3, 1.0)
         assert val == pytest.approx(cmath.exp(0.3 * 4.0 * (-0.5)), abs=1e-12)
+        # independent stationary increments: the exponent is linear in the lag
+        halves = self.increment_cf(brownian(1), corner(), 0.15, 1.0) ** 2
+        assert halves == pytest.approx(val, abs=1e-12)
 
     def test_rejects_empty_domain(self):
-        with pytest.raises(ValueError):
-            stationary.rebase(brownian(1), corner(), 1.0)
+        with pytest.raises(ValueError, match="lag"):
+            self.increment_cf(brownian(1), corner(), 1.5, 1.0)
 
     def test_rejects_non_corner_path(self):
-        with pytest.raises(ValueError):
-            stationary.rebase(brownian(1), LinearPath(0, 1, 1, 1, 0, 1), 0.25)
         unbalanced = VThenHPath(0.5, 1.0, 2.0, 4.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            stationary.rebase(brownian(1), unbalanced, 0.25)
+        with pytest.raises(ValueError, match="no stationary increments"):
+            self.increment_cf(brownian(1), unbalanced, 0.25, 1.0)
+        # the bridge line has stationary increments, but phi is not linear in the
+        # lag, so they are not those of a Levy process
+        line = LinearPath(0, 1, 1, 1, 0, 1)
+        assert self.increment_cf(brownian(1), line, 0.2, 1.0) ** 2 \
+            != pytest.approx(self.increment_cf(brownian(1), line, 0.4, 1.0), abs=1e-3)
 
     def test_rejects_asymmetric_law(self):
-        with pytest.raises(ValueError):
-            stationary.rebase(cpp_from_atoms([(1.0, 1.0)]), corner(), 0.25)
+        with pytest.raises(ValueError, match="non-symmetric"):
+            self.increment_cf(cpp_from_atoms([(1.0, 1.0)]), corner(), 0.25, 1.0)
 
     def test_increments_uncorrelated(self):
         # increments past the corner are independent; check zero correlation
