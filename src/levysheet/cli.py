@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import fdd, gauss, jumpsim, stationary, suites, verify
-from .exponent import TwoPoint, brownian, triplet_from_dict
+from .exponent import TwoPoint, triplet_from_dict
 from .paths import classify, equivalent, path_from_dict
 
 __all__ = ["main", "build_parser"]
@@ -53,21 +54,17 @@ def _emit_json(obj, out: str | None):
 
 
 def _grid(args) -> np.ndarray:
-    lo, hi, n = args.grid
-    n = int(n)
-    if n < 2:
-        raise ValueError("grid needs at least 2 points")
-    if not hi > lo:
-        raise ValueError("grid needs lo < hi")
-    return np.linspace(lo, hi, n)
+    """The even grid of N points from LO to HI, for finite LO < HI and an integer N >= 2."""
+    lo, hi, n = map(float, args.grid)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"--grid needs finite LO < HI, got {lo} and {hi}")
+    if not (n.is_integer() and n >= 2):
+        raise ValueError(f"--grid needs an integer N >= 2, got {n}")
+    return np.linspace(lo, hi, int(n))
 
 
 def _complex_json(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
-
-
-def _sample_grid_json(sample) -> dict:
-    return {"times": sample.times.tolist(), "values": sample.values.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -117,44 +114,30 @@ def _cmd_increment_cf(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    triplet, path = _load_triplet(args.triplet), _load_path(args.path)
     rng = np.random.default_rng(args.seed)
-    if args.law == "cpp":
-        if not (args.path and args.triplet):
-            raise ValueError("simulate --law cpp needs --path and --triplet")
-        triplet = _load_triplet(args.triplet)
+    if args.events:
         if triplet.jumps is None:
-            raise ValueError("triplet field 'jumps' is required for --law cpp")
+            raise ValueError("--events needs a triplet with a 'jumps' field")
         parts = (("drift", triplet.drift), ("Gaussian part", triplet.gaussian))
         dropped = [part for part, value in parts if value.any()]
         if dropped:
-            raise ValueError(f"--law cpp would drop the triplet's {' and '.join(dropped)}")
-        path = _load_path(args.path)
+            raise ValueError(f"--events would drop the triplet's {' and '.join(dropped)}")
         _, x_end, y_start, _ = path.ends
         region = jumpsim.RectRegion(x_end, y_start)
         field = jumpsim.simulate_cpp_sheet(triplet.jumps.rate, triplet.jumps.dist, region, rng)
-        events = jumpsim.restrict_to_path(field, path)
-        if args.format == "csv":
-            _emit(events.to_csv(), args.out)
-        else:
-            _emit_json({"t_lo": events.t_lo, "t_hi": events.t_hi,
-                        "field": field.to_dict(),
-                        "events": [{"tau": float(t), "dj": dj.tolist()}
-                                   for t, dj in zip(events.times, events.increments)]},
-                       args.out)
-        return 0
-    if args.law == "gauss":
-        if not args.path:
-            raise ValueError("simulate --law gauss needs --path")
-        triplet, path = brownian(args.dim), _load_path(args.path)
-    else:  # stationary
-        if not args.triplet:
-            raise ValueError("simulate --law stationary needs --triplet")
-        law = stationary.StationaryLaw(_load_triplet(args.triplet), a=args.a, b=args.b, c=args.c)
-        triplet, path = law.triplet, law.path(args.grid[1])  # linspace ends at hi exactly
-    grid = _grid(args)
-    sample = gauss.SamplePathGrid(grid, jumpsim.simulate_triplet(triplet, path, grid, 1, rng)[0])
-    _emit(sample.to_csv() if args.format == "csv"
-          else json.dumps(_sample_grid_json(sample)) + "\n", args.out)
+        drawn = jumpsim.restrict_to_path(field, path)
+    else:
+        grid = _grid(args)
+        drawn = gauss.SamplePathGrid(grid, jumpsim.simulate_triplet(triplet, path, grid, 1, rng)[0])
+    if args.format == "csv":
+        _emit(drawn.to_csv(), args.out)
+    elif args.events:
+        _emit_json({"t_lo": drawn.t_lo, "t_hi": drawn.t_hi, "field": field.to_dict(),
+                    "events": [{"tau": float(t), "dj": dj.tolist()}
+                               for t, dj in zip(drawn.times, drawn.increments)]}, args.out)
+    else:
+        _emit_json({"times": grid.tolist(), "values": drawn.values.tolist()}, args.out)
     return 0
 
 
@@ -260,16 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_increment_cf)
 
-    p = sub.add_parser("simulate", help="draw one sample path")
-    p.add_argument("--law", choices=("gauss", "cpp", "stationary"), required=True)
-    p.add_argument("--path")
-    p.add_argument("--triplet")
-    p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "N"),
-                   default=(0.0, 1.0, 101))
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p = sub.add_parser("simulate", help="draw one sample path of a triplet's sheet along a path")
+    p.add_argument("--triplet", required=True)
+    p.add_argument("--path", required=True)
+    draw = p.add_mutually_exclusive_group()
+    draw.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "N"),
+                      default=(0.0, 1.0, 101))
+    draw.add_argument("--events", action="store_true", help="print a pure-jump triplet's events")
     seeded(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_simulate)

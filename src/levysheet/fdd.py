@@ -80,9 +80,9 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
-    if (ts[1:] <= ts[:-1]).any():
+    if not (ts[1:] > ts[:-1]).all():
         raise ValueError("times must be strictly increasing")
-    if ts[0] < path.t_lo - 1e-15 or ts[-1] > path.t_hi + 1e-15:  # the ends bound increasing times
+    if not (path.t_lo - 1e-15 <= ts[0] and ts[-1] <= path.t_hi + 1e-15):  # the ends bound increasing times
         raise ValueError(f"t outside the path domain [{path.t_lo}, {path.t_hi}]")
     xs, ys = path.x(ts), path.y(ts)
     z = _as_z_matrix(zs, ts.size, triplet.dim)

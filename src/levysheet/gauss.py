@@ -85,8 +85,8 @@ class SamplePathGrid:
             vals = vals[:, None]
         if ts.ndim != 1 or vals.shape[0] != ts.size:
             raise ValueError("values must have one row per grid time")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("grid times must be strictly increasing")
+        if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
+            raise ValueError("grid times must be finite and strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "times", ts)
@@ -126,7 +126,7 @@ def covariance_matrix(law: GaussPathLaw, times) -> np.ndarray:
 def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
     """Joint characteristic function from the Gaussian quadratic form."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(np.diff(ts) <= 0):
+    if not (np.diff(ts) > 0).all():
         raise ValueError("times must be strictly increasing")
     z = np.asarray(zs, dtype=float)
     if z.ndim == 0:
@@ -165,7 +165,7 @@ def _ratio_time(law: GaussPathLaw, grid):
     """(x, y, std, dead) on a checked grid: the path's values, the standard
     deviation of each ratio-time increment, and where x y = 0."""
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    if ts.size == 0 or np.any(np.diff(ts) <= 0):
+    if ts.size == 0 or not (np.diff(ts) > 0).all():
         raise ValueError("grid must be nonempty and strictly increasing")
     xs, ys = law.path.eval(ts)
     xs, ys = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))
@@ -262,8 +262,8 @@ def zero_prob_conditional(law: GaussPathLaw, s: float, t: float, z: float) -> fl
     """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
-    if z == 0.0:
-        raise ValueError("conditioning value must be nonzero")
+    if not (math.isfinite(z) and z != 0.0):
+        raise ValueError("conditioning value must be finite and nonzero")
     if not s < t:
         raise ValueError("needs s < t")
     rs = law.ratio(s)
@@ -287,7 +287,7 @@ def zero_prob(law: GaussPathLaw, s: float, t: float) -> float:
     """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
-    if t < s:
+    if not s <= t:
         raise ValueError("needs s <= t")
     if s == t:
         return 0.0

@@ -159,6 +159,8 @@ class JumpField:
             raise ValueError("locations and jumps must have matching lengths")
         if locs.size and not np.all(self.region.contains(locs)):
             raise ValueError("all jump locations must lie strictly inside the region")
+        if not np.isfinite(js).all():
+            raise ValueError("jump values must be finite")
         if js.size and np.any(np.all(js == 0.0, axis=1)):
             raise ValueError("zero jumps are not allowed")
         object.__setattr__(self, "locations", locs)
@@ -187,37 +189,32 @@ class EventPath:
     """Initial value plus time-stamped increments on [t_lo, t_hi].
 
     value(t) sums the initial value and every increment with time <= t.
-    Events are stored stably sorted by time, so simultaneous events keep
-    their insertion order.
+    The events are sorted stably by time, so simultaneous events keep their
+    input order.  `initial` defaults to zeros of the increments' width.
     """
 
     t_lo: float
     t_hi: float
     times: np.ndarray  # (m,)
     increments: np.ndarray  # (m, d)
-    initial: np.ndarray  # (d,)
+    initial: np.ndarray | None = None  # (d,)
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
-        init = np.atleast_1d(np.asarray(self.initial, dtype=float))
-        incs = _as_increments(self.increments, ts.size, init.size)
+        incs = _as_increments(self.increments, ts.size, 1 if self.initial is None else np.size(self.initial))
+        init = (np.zeros(incs.shape[1]) if self.initial is None
+                else np.atleast_1d(np.asarray(self.initial, dtype=float)))
         if incs.shape[1] != init.size:
             raise ValueError("increments and initial value must have the same width")
-        if (ts[1:] < ts[:-1]).any():
-            raise ValueError("event times must be nondecreasing; use from_events")
-        if ts.size and (ts[0] < self.t_lo - 1e-12 or ts[-1] > self.t_hi + 1e-12):
+        if not (np.isfinite(incs).all() and np.isfinite(init).all()):
+            raise ValueError("increments and initial value must be finite")
+        order = np.argsort(ts, kind="stable")  # NaN sorts last
+        ts, incs = ts.take(order), incs.take(order, axis=0)
+        if ts.size and not (self.t_lo - 1e-12 <= ts[0] and ts[-1] <= self.t_hi + 1e-12):
             raise ValueError("event times must lie within the domain")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "initial", init)
-
-    @classmethod
-    def from_events(cls, times, increments, t_lo: float, t_hi: float,
-                    initial=None) -> "EventPath":
-        ts = np.asarray(times, dtype=float)
-        incs = _as_increments(increments, ts.size, 1 if initial is None else np.size(initial))
-        order = np.argsort(ts, kind="stable")
-        return cls(t_lo, t_hi, ts[order], incs[order], np.zeros(incs.shape[1]) if initial is None else initial)
 
     @property
     def dim(self) -> int:
@@ -226,12 +223,11 @@ class EventPath:
     def values(self, ts) -> np.ndarray:
         """Path values at query times; output (k, d)."""
         q = np.atleast_1d(np.asarray(ts, dtype=float))
+        if not np.isfinite(q).all():
+            raise ValueError("query times must be finite")
         # row k sums the first k events; row 0 is -0.0, which adds to `initial` bit for bit
         sums = np.cumsum(np.concatenate([np.full((1, self.dim), -0.0), self.increments]), axis=0)
         return self.initial + sums[self.times.searchsorted(q, side="right")]
-
-    def value(self, t: float) -> np.ndarray:
-        return self.values([t])[0]
 
     def to_csv(self) -> str:
         header = "tau," + ",".join(f"dj{i + 1}" for i in range(self.dim))
@@ -261,13 +257,13 @@ def simulate_cpp_sheet(rate: float, jump_dist, region, rng) -> JumpField:
     return simulate_cpp_sheets(rate, jump_dist, region, 1, rng)[0]
 
 
-def _restrict_events(field: JumpField, path: DecreasingPath, sort: bool):
+def _restrict_events(field: JumpField, path: DecreasingPath):
     """Events of the field's jumps along the path: (jump index, times, increments).
 
     A jump at (u, v) contributes +J at the entry time inf{t : x(t) >= u}
     provided v <= y(entry), and -J at the exit time sup{t : y(t) >= v}
     unless v <= y(t_hi), in which case it stays for good.  Event 2j is the
-    entry of jump j and 2j + 1 its exit, in that order or, with sort, by time.
+    entry of jump j and 2j + 1 its exit, in that order.
     """
     if not field.region.covers_path(path):
         raise ValueError("field region does not cover the path's sweep")
@@ -276,9 +272,6 @@ def _restrict_events(field: JumpField, path: DecreasingPath, sort: bool):
     enters = entry <= exit_  # False where either is NaN
     event = np.flatnonzero(np.column_stack([enters, enters & (v > path.ends[3])]))
     times = np.column_stack([entry, exit_]).ravel().take(event)
-    if sort:
-        order = np.argsort(times, kind="stable")  # as `EventPath.from_events` sorts
-        event, times = event.take(order), times.take(order)
     incs = field.jumps.take(event >> 1, axis=0)
     incs *= _SIGNS.take(event & 1)[:, None]  # an exact sign flip at exits
     return event >> 1, times, incs
@@ -286,8 +279,8 @@ def _restrict_events(field: JumpField, path: DecreasingPath, sort: bool):
 
 def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
     """Events of the sheet restricted to the path: value(t) = sheet((0,x(t)] x (0,y(t)])."""
-    _, times, incs = _restrict_events(field, path, sort=True)
-    return EventPath(path.t_lo, path.t_hi, times, incs, np.zeros(field.dim))
+    _, times, incs = _restrict_events(field, path)
+    return EventPath(path.t_lo, path.t_hi, times, incs)
 
 
 def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
@@ -302,7 +295,7 @@ def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
     values, paired = [], []
     for size in _chunks(n_draws, rate * region.area):
         field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, rng)
-        jump, times, incs = _restrict_events(field, path, sort=False)
+        jump, times, incs = _restrict_events(field, path)
         u, v = field.locations[:, 0], field.locations[:, 1]
         values.append(_batch_values(owner[jump], times, incs, size, ts))
         paired.append(np.bincount(owner[jump], minlength=size)
@@ -315,7 +308,7 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
     the path: x(t) y(t) gamma_0, plus the Brownian sheet along the path times the eigen-root
     of A, plus (drawn after it) the jump field on (0, x(t_hi)] x (0, y(t_lo)] restricted."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size == 0 or (ts[1:] <= ts[:-1]).any():
+    if ts.size == 0 or not (ts[1:] > ts[:-1]).all():
         raise ValueError("grid must be nonempty and strictly increasing")
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
@@ -355,7 +348,7 @@ def triangle_to_order_stats(xi, b: float, c: float, l: float):
     if pts.shape[1] != 2:
         raise ValueError("xi must be a point or array of points in the plane")
     u, v = pts[:, 0], pts[:, 1]
-    if np.any(u < 0) or np.any(v < 0) or np.any(u / (b * l) + v / c > 1.0 + 1e-12):
+    if not ((u >= 0).all() and (v >= 0).all() and (u / (b * l) + v / c <= 1.0 + 1e-12).all()):
         raise ValueError("point outside the triangle")
     tau1 = u / b
     tau2 = l * (1.0 - v / c)
@@ -379,7 +372,7 @@ def _cpp_path_jumps(rate: float, jump_dist, t_lo: float, t_hi: float, n_draws: i
 def simulate_cpp_path(rate: float, jump_dist, t_lo: float, t_hi: float, rng) -> EventPath:
     """One-parameter compound Poisson path on [t_lo, t_hi] starting at 0."""
     _, times, jumps = _cpp_path_jumps(rate, jump_dist, t_lo, t_hi, 1, rng)
-    return EventPath.from_events(times, jumps, t_lo, t_hi)
+    return EventPath(t_lo, t_hi, times, jumps)
 
 
 def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPath]:
@@ -390,12 +383,11 @@ def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPat
     """
     m = y_events.times.size
     new_times = rng.uniform(y_events.t_lo, y_events.t_hi, size=m)
-    y_prime = EventPath.from_events(new_times, y_events.increments.copy(),
-                                    y_events.t_lo, y_events.t_hi,
-                                    initial=y_events.initial)
+    y_prime = EventPath(y_events.t_lo, y_events.t_hi, new_times, y_events.increments,
+                        y_events.initial)
     diff_times = np.concatenate([y_events.times, new_times])
     diff_incs = np.vstack([y_events.increments, -y_events.increments])
-    z = EventPath.from_events(diff_times, diff_incs, y_events.t_lo, y_events.t_hi)
+    z = EventPath(y_events.t_lo, y_events.t_hi, diff_times, diff_incs)
     return y_prime, z
 
 

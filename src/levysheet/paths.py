@@ -82,7 +82,7 @@ class DecreasingPath:
     def eval(self, t):
         """(x(t), y(t)) for t in the domain; raises outside it."""
         tt = np.asarray(t, dtype=float)
-        if (tt < self.t_lo - 1e-15).any() or (tt > self.t_hi + 1e-15).any():
+        if not ((tt >= self.t_lo - 1e-15).all() and (tt <= self.t_hi + 1e-15).all()):
             raise ValueError(f"t outside the path domain [{self.t_lo}, {self.t_hi}]")
         xv, yv = self._x(tt), self._y(tt)
         if np.ndim(t) == 0:
@@ -398,7 +398,7 @@ def phi(cls: PathClass, u):
     if cls.tag is PathTag.NON_STATIONARY:
         raise ValueError("phi is undefined for a non-stationary path")
     uu = np.asarray(u, dtype=float)
-    if np.any(uu < 0) or np.any(uu > cls.max_lag * (1 + 1e-12)):
+    if not ((uu >= 0).all() and (uu <= cls.max_lag * (1 + 1e-12)).all()):
         raise ValueError(f"lag must lie in [0, {cls.max_lag}]")
     p = cls.params
     if cls.tag in (PathTag.HORIZONTAL, PathTag.VERTICAL, PathTag.V_THEN_H):

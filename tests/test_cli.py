@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,10 @@ import numpy as np
 import pytest
 
 import levysheet
-from levysheet import gauss, stationary
-from levysheet.cli import main
+from levysheet import gauss, jumpsim, stationary
+from levysheet.cli import build_parser, main
 from levysheet.exponent import triplet_from_dict
-from levysheet.paths import path_from_dict
+from levysheet.paths import path_from_dict, path_to_dict
 
 
 @pytest.fixture
@@ -88,6 +90,13 @@ class TestCF:
         assert code == 1
         assert "--z" in capsys.readouterr().err
 
+    def test_rejects_nan_time(self, capsys, brownian_file, bridge_file):
+        code = main(["cf", "--triplet", brownian_file, "--path", bridge_file,
+                     "--times", "nan", "--z", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside the path domain" in captured.err
+
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "3"]])
     def test_rejects_unused_flags(self, capsys, brownian_file, bridge_file, flag):
         # cf draws nothing and writes JSON only, so it takes neither flag.
@@ -110,10 +119,26 @@ class TestEquivalent:
         assert out["p"] == pytest.approx(2.0)
 
 
+def write_json(tmp_path, name, obj) -> str:
+    f = tmp_path / name
+    f.write_text(json.dumps(obj))
+    return str(f)
+
+
+def mixed_triplet_dict(dim):
+    """Drift, Gaussian part and non-symmetric atom jumps together."""
+    points = [[1.0], [-0.5]] if dim == 1 else [[1.0, 0.5], [-0.5, 0.25]]
+    return {"gamma": [0.4, -0.3][:dim],
+            "gaussian": [[0.7]] if dim == 1 else [[0.7, 0.2], [0.2, 0.5]],
+            "jumps": {"kind": "scaled", "rate": 3.0,
+                      "dist": {"name": "categorical",
+                               "params": {"points": points, "probs": [0.7, 0.3]}}}}
+
+
 class TestSimulate:
-    def test_gauss_deterministic_output(self, tmp_path, bridge_file):
+    def test_gauss_deterministic_output(self, tmp_path, brownian_file, bridge_file):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["simulate", "--law", "gauss", "--path", bridge_file,
+        argv = ["simulate", "--triplet", brownian_file, "--path", bridge_file,
                 "--grid", "0", "1", "11", "--seed", "7"]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
@@ -124,29 +149,30 @@ class TestSimulate:
         assert lines[1].split(",")[1] == "0.0"  # pinned start
 
     def test_cpp_events(self, capsys, one_atom_file, bridge_file):
-        code = main(["simulate", "--law", "cpp", "--triplet", one_atom_file,
+        code = main(["simulate", "--events", "--triplet", one_atom_file,
                      "--path", bridge_file, "--seed", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "tau,dj1"
 
     def test_cpp_json_field(self, capsys, one_atom_file, bridge_file):
-        code, out = run_json(capsys, ["simulate", "--law", "cpp", "--triplet",
+        code, out = run_json(capsys, ["simulate", "--events", "--triplet",
                                       one_atom_file, "--path", bridge_file,
                                       "--seed", "3", "--format", "json"])
         assert code == 0
         assert "field" in out and "events" in out
 
-    def test_stationary(self, capsys, one_atom_file):
-        code = main(["simulate", "--law", "stationary", "--triplet", one_atom_file,
-                     "--a", "1", "--b", "0.5", "--c", "1",
+    def test_stationary(self, capsys, one_atom_file, exp_file):
+        code = main(["simulate", "--triplet", one_atom_file, "--path", exp_file,
                      "--grid", "0", "1", "5", "--seed", "4"])
         assert code == 0
         assert capsys.readouterr().out.startswith("t,v1")
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_gauss_is_the_gaussian_sampler(self, capsys, bridge_file, dim):
-        assert main(["simulate", "--law", "gauss", "--path", bridge_file, "--dim", str(dim),
+    def test_gauss_is_the_gaussian_sampler(self, capsys, tmp_path, bridge_file, dim):
+        brownian = write_json(tmp_path, "brownian.json",
+                              {"gamma": [0.0] * dim, "gaussian": np.eye(dim).tolist()})
+        assert main(["simulate", "--triplet", brownian, "--path", bridge_file,
                      "--grid", "0", "1", "21", "--seed", "5"]) == 0
         grid = np.linspace(0.0, 1.0, 21)
         path = path_from_dict(json.loads(Path(bridge_file).read_text()))
@@ -154,15 +180,27 @@ class TestSimulate:
         draw = gauss.simulate_paths(law, grid, np.random.default_rng(5))[0]
         assert capsys.readouterr().out == gauss.SamplePathGrid(grid, draw).to_csv()
 
-    def test_stationary_is_simulate_stationary(self, capsys, one_atom_file):
-        assert main(["simulate", "--law", "stationary", "--triplet", one_atom_file,
-                     "--a", "1", "--b", "0.5", "--c", "1",
+    def test_stationary_is_simulate_stationary(self, capsys, tmp_path, one_atom_file):
+        exp = write_json(tmp_path, "exp.json", {"form": "exponential", "a": 1, "b": 0.5, "c": 1,
+                                                "t_lo": 0, "t_hi": 2})
+        assert main(["simulate", "--triplet", one_atom_file, "--path", exp,
                      "--grid", "0", "2", "41", "--seed", "4"]) == 0
         triplet = triplet_from_dict(json.loads(Path(one_atom_file).read_text()))
         law = stationary.StationaryLaw(triplet, a=1.0, b=0.5, c=1.0)
         draw = stationary.simulate_stationary(law, np.linspace(0.0, 2.0, 41),
                                               np.random.default_rng(4))
         assert capsys.readouterr().out == draw.to_csv()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mixed_triplet_on_tabulated_path(self, capsys, tmp_path, flat_stretch_path, dim):
+        triplet = write_json(tmp_path, "mixed.json", mixed_triplet_dict(dim))
+        path = write_json(tmp_path, "flat.json", path_to_dict(flat_stretch_path))
+        assert main(["simulate", "--triplet", triplet, "--path", path,
+                     "--grid", "0", "1", "33", "--seed", "6"]) == 0
+        grid = np.linspace(0.0, 1.0, 33)
+        draw = jumpsim.simulate_triplet(triplet_from_dict(mixed_triplet_dict(dim)),
+                                        flat_stretch_path, grid, 1, np.random.default_rng(6))[0]
+        assert capsys.readouterr().out == gauss.SamplePathGrid(grid, draw).to_csv()
 
     def test_cpp_rejects_drift_and_gaussian_part(self, capsys, tmp_path, bridge_file):
         mixed = tmp_path / "mixed.json"
@@ -171,19 +209,49 @@ class TestSimulate:
             "jumps": {"kind": "discrete", "atoms": [{"x": [1.0], "mass": 2.0}]},
         }))
         for seed in ("1", "2", "3"):
-            assert main(["simulate", "--law", "cpp", "--triplet", str(mixed),
+            assert main(["simulate", "--events", "--triplet", str(mixed),
                          "--path", bridge_file, "--seed", seed]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "drift" in captured.err and "Gaussian part" in captured.err
 
-    def test_gauss_rejects_dim_zero(self, capsys, bridge_file):
-        assert main(["simulate", "--law", "gauss", "--path", bridge_file, "--dim", "0"]) == 1
-        assert capsys.readouterr().out == ""
+    def test_gauss_rejects_dim_zero(self, capsys, tmp_path, bridge_file):
+        empty = write_json(tmp_path, "empty.json", {"gamma": [], "gaussian": []})
+        assert main(["simulate", "--triplet", empty, "--path", bridge_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma must be a nonempty" in captured.err
 
-    def test_gauss_needs_path(self, capsys):
-        assert main(["simulate", "--law", "gauss"]) == 1
+    def test_gauss_needs_path(self, capsys, brownian_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--triplet", brownian_file])
+        assert exc.value.code == 2
         assert "--path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--law", "gauss"], ["--dim", "2"], ["--a", "1"],
+                                      ["--b", "0.5"], ["--c", "1"], ["--events", "--grid", "0", "1", "5"]])
+    def test_rejects_removed_and_unused_flags(self, capsys, brownian_file, bridge_file, flag):
+        # the law and path come only from their files; --events draws no grid, so takes no --grid
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--triplet", brownian_file, "--path", bridge_file] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {
+            "--help", "--triplet", "--path", "--grid", "--events", "--seed", "--format", "--out"}
+
+    @pytest.mark.parametrize("grid", [["0", "1", "inf"], ["0", "1", "nan"], ["0", "1", "10.7"],
+                                      ["0", "1", "1"], ["1", "1", "5"], ["0", "inf", "5"],
+                                      ["nan", "1", "5"]])
+    def test_grid_is_validated(self, capsys, brownian_file, bridge_file, grid):
+        for argv in (["simulate", "--triplet", brownian_file, "--path", bridge_file],
+                     ["experiment", "bridge", "--n", "10"]):
+            assert main(argv + ["--grid"] + grid) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: --grid needs")
 
 
 class TestExperiments:
@@ -313,3 +381,14 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_examples_parse():
+    """Every `levysheet` line of README's command-line block parses, so a removed
+    or renamed flag fails here instead of leaving the docs stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("levysheet ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

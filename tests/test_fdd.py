@@ -95,6 +95,11 @@ class TestJointCF:
         # within the 1e-15 slack the times are accepted
         assert cmath.isfinite(fdd.joint_cf(brownian(1), path, [-1e-16, 1.0 + 1e-16], np.ones((2, 1))))
 
+    @pytest.mark.parametrize("times", [[0.2, math.nan], [math.nan, 0.2], [math.nan]])
+    def test_rejects_nan_times(self, times):
+        with pytest.raises(ValueError, match="strictly increasing|outside the path domain"):
+            fdd.joint_cf(brownian(1), bridge(), times, np.ones((len(times), 1)))
+
     def test_pure_drift_covers_area(self):
         # the cells composing the value at t_l cover area x(t_l) y(t_l), so a
         # drift gamma gives exp(i gamma . sum_l z_l x(t_l) y(t_l))

@@ -148,6 +148,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="nonempty"):
             gauss.simulate_paths(bridge_law(), [], np.random.default_rng(48))
 
+    def test_rejects_nan_grid_times(self):
+        for grid in ([0.2, math.nan, 0.5], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                gauss.simulate_paths(bridge_law(), grid, np.random.default_rng(48))
+        with pytest.raises(ValueError, match="outside the path domain"):
+            gauss.simulate_paths(bridge_law(), [math.nan], np.random.default_rng(48))
+
+    def test_sample_grid_rejects_non_finite_times(self):
+        for times in ([0.0, math.nan], [math.nan], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                gauss.SamplePathGrid(times, np.zeros(len(times)))
+
     def test_one_draw_wrapper(self):
         rng = np.random.default_rng(49)
         sample = gauss.SamplePathGrid([0.25, 0.5],
@@ -282,8 +294,14 @@ class TestZeroCrossing:
         assert gauss.zero_prob_conditional(law, 1.0, 25.0, 0.01) > 0.999
 
     def test_conditional_rejects_zero_start(self):
-        with pytest.raises(ValueError):
-            gauss.zero_prob_conditional(bridge_law(), 0.25, 0.75, 0.0)
+        for z in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                gauss.zero_prob_conditional(bridge_law(), 0.25, 0.75, z)
+
+    def test_unconditional_rejects_nan_times(self):
+        for s, t in ((math.nan, 0.5), (0.25, math.nan)):
+            with pytest.raises(ValueError, match="needs s <= t"):
+                gauss.zero_prob(bridge_law(), s, t)
 
     def test_unconditional_example(self):
         val = gauss.zero_prob(bridge_law(), 0.25, 0.75)

@@ -80,6 +80,11 @@ class TestRestriction:
             jumpsim.JumpField(jumpsim.RectRegion(1.0, 1.0), [[0.5, 0.5], [0.2, 0.2]],
                               [[1e-200, 0.0], [0.0, 0.0]])
 
+    def test_non_finite_jump_rejected(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                jumpsim.JumpField(jumpsim.RectRegion(1.0, 1.0), [[0.5, 0.5]], [[value]])
+
     def test_brute_force_equality_exact(self):
         rng = np.random.default_rng(54)
         path = LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0)
@@ -350,6 +355,7 @@ class TestSimulateTriplet:
     @pytest.mark.parametrize("grid, message", [
         ([], "nonempty"), ([0.2, 0.2], "strictly increasing"), ([0.6, 0.3], "strictly increasing"),
         ([0.5, 1.5], "outside the path domain"), ([-0.1, 0.5], "outside the path domain"),
+        ([0.2, math.nan], "strictly increasing"), ([math.nan], "outside the path domain"),
     ])
     def test_rejects_bad_grids(self, triplet, grid, message):
         with pytest.raises(ValueError, match=message):
@@ -358,20 +364,17 @@ class TestSimulateTriplet:
 
 class TestEventPath:
     def test_equal_times_keep_insertion_order(self):
-        ev = jumpsim.EventPath.from_events([0.5, 0.25, 0.5], [[1.0], [2.0], [-1.0]],
-                                           0.0, 1.0)
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5, 0.25, 0.5], [[1.0], [2.0], [-1.0]])
         assert ev.times.tolist() == [0.25, 0.5, 0.5]
         assert ev.increments[:, 0].tolist() == [2.0, 1.0, -1.0]
 
     def test_value_includes_events_at_query_time(self):
-        ev = jumpsim.EventPath.from_events([0.5], [[3.0]], 0.0, 1.0)
-        assert ev.value(0.5)[0] == 3.0
-        assert ev.value(0.49)[0] == 0.0
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[3.0]])
+        assert ev.values([0.5, 0.49])[:, 0].tolist() == [3.0, 0.0]
 
     def test_initial_value(self):
-        ev = jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0, initial=[2.0])
-        assert ev.value(0.0)[0] == 2.0
-        assert ev.value(0.9)[0] == 3.0
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]], initial=[2.0])
+        assert ev.values([0.0, 0.9])[:, 0].tolist() == [2.0, 3.0]
 
     def test_values_equal_tile_and_mask(self):
         rng = np.random.default_rng(65)
@@ -386,12 +389,13 @@ class TestEventPath:
                 got = ev.values(probes)
                 assert got.shape == (probes.size, 2)
                 assert got.tobytes() == tile_and_mask_values(ev, probes).tobytes()
-        one = jumpsim.EventPath.from_events([0.5], [3.0], 0.0, 1.0, initial=[1.0])
+        one = jumpsim.EventPath(0.0, 1.0, [0.5], [3.0], initial=[1.0])
         assert one.values(0.5).tolist() == [[4.0]] and one.values([]).shape == (0, 1)
 
     def test_constructor_rejects_unsorted_and_out_of_domain_times(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            jumpsim.EventPath(0.0, 1.0, [0.5, 0.25], [[1.0], [1.0]], [0.0])
+        # unsorted times are sorted (equal times keep their input order, as tested above)
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5, 0.25], [[1.0], [2.0]], [0.0])
+        assert ev.times.tolist() == [0.25, 0.5] and ev.increments[:, 0].tolist() == [2.0, 1.0]
         for times in ([-1e-11, 0.5], [0.5, 1.0 + 1e-11], [-1e-11]):
             with pytest.raises(ValueError, match="within the domain"):
                 jumpsim.EventPath(0.0, 1.0, times, np.ones((len(times), 1)), [0.0])
@@ -399,26 +403,36 @@ class TestEventPath:
         ev = jumpsim.EventPath(0.0, 1.0, [-1e-13, 0.5, 0.5, 1.0 + 1e-13], np.ones((4, 1)), [0.0])
         assert ev.times.size == 4
 
+    def test_rejects_non_finite_times_increments_and_queries(self):
+        for times in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="within the domain"):
+                jumpsim.EventPath(0.0, 1.0, times, np.ones((len(times), 1)), [0.0])
+        for incs, initial in (([[math.inf]], [0.0]), ([[math.nan]], [0.0]), ([[1.0]], [math.nan])):
+            with pytest.raises(ValueError, match="must be finite"):
+                jumpsim.EventPath(0.0, 1.0, [0.5], incs, initial)
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]], [0.0])
+        with pytest.raises(ValueError, match="query times must be finite"):
+            ev.values([math.nan])
+
     def test_csv(self):
-        ev = jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0)
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]])
         assert ev.to_csv().splitlines()[0] == "tau,dj1"
 
     def test_no_events_take_the_initial_width(self):
-        for ev in (jumpsim.EventPath.from_events([], [], 0.0, 1.0, initial=[1.0, 2.0]),
-                   jumpsim.EventPath(0.0, 1.0, [], [], [1.0, 2.0]),
+        for ev in (jumpsim.EventPath(0.0, 1.0, [], [], [1.0, 2.0]),
                    jumpsim.EventPath(0.0, 1.0, [], np.zeros((0, 0)), [1.0, 2.0])):
             assert ev.dim == 2 and ev.increments.shape == (0, 2)
             assert ev.to_csv() == "tau,dj1,dj2\n"
             assert ev.values([0.5]).tolist() == [[1.0, 2.0]]
 
     def test_no_events_without_initial_are_one_dimensional(self):
-        ev = jumpsim.EventPath.from_events([], [], 0.0, 1.0)
+        ev = jumpsim.EventPath(0.0, 1.0, [], [])
         assert ev.dim == 1 and ev.initial.tolist() == [0.0]
 
-    def test_from_events_takes_the_width_of_its_increments(self):
-        ev = jumpsim.EventPath.from_events([0.5], [[1.0, -1.0]], 0.0, 1.0)
+    def test_initial_defaults_to_the_width_of_its_increments(self):
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0, -1.0]])
         assert ev.initial.tolist() == [0.0, 0.0]
-        ev = jumpsim.EventPath.from_events([0.5], [[1.0, -1.0]], 0.0, 1.0, initial=[2.0, 3.0])
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0, -1.0]], initial=[2.0, 3.0])
         assert ev.values([0.5]).tolist() == [[3.0, 2.0]]
 
     def test_width_differing_from_initial_rejected(self):
@@ -427,7 +441,7 @@ class TestEventPath:
         with pytest.raises(ValueError, match="same width"):
             jumpsim.EventPath(0.0, 1.0, [], np.zeros((0, 2)), [0.0])
         with pytest.raises(ValueError, match="same width"):
-            jumpsim.EventPath.from_events([0.5], [[1.0]], 0.0, 1.0, initial=[0.0, 0.0])
+            jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]], initial=[0.0, 0.0])
 
 
 class TestOrderStats:
@@ -436,8 +450,9 @@ class TestOrderStats:
             == (0.0, 1.0)
 
     def test_rejects_outside_triangle(self):
-        with pytest.raises(ValueError):
-            jumpsim.triangle_to_order_stats(np.array([0.9, 0.9]), 1.0, 1.0, 1.0)
+        for point in ([0.9, 0.9], [math.nan, 0.1], [0.1, math.nan]):
+            with pytest.raises(ValueError, match="outside the triangle"):
+                jumpsim.triangle_to_order_stats(np.array(point), 1.0, 1.0, 1.0)
 
     def test_ordering_and_min_law(self):
         rng = np.random.default_rng(55)
@@ -453,7 +468,7 @@ class TestOrderStats:
 class TestRearrangement:
     def test_no_jumps(self):
         rng = np.random.default_rng(56)
-        empty = jumpsim.EventPath.from_events(np.zeros(0), np.zeros((0, 1)), 0.0, 1.0)
+        empty = jumpsim.EventPath(0.0, 1.0, np.zeros(0), np.zeros((0, 1)))
         y_prime, z = jumpsim.rearranged_difference(empty, rng)
         assert z.times.size == 0
         assert np.all(z.values([0.3, 0.9]) == 0.0)
@@ -463,7 +478,7 @@ class TestRearrangement:
         y = jumpsim.simulate_cpp_path(5.0, TwoPoint(1.0), 0.0, 1.0, rng)
         _, z = jumpsim.rearranged_difference(y, rng)
         assert float(z.increments.sum()) == 0.0
-        assert z.value(1.0)[0] == 0.0
+        assert z.values([1.0])[0, 0] == 0.0
 
     def test_rearranged_preserves_law(self):
         rng = np.random.default_rng(58)

@@ -28,6 +28,11 @@ class TestEval:
         with pytest.raises(ValueError):
             bridge_path().eval(1.5)
 
+    def test_nan_rejected(self):
+        for t in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="outside the path domain"):
+                bridge_path().eval(t)
+
     def test_corner_path_legs(self):
         p = pth.VThenHPath(0.5, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0)
         assert p.eval(0.25) == (1.0, 3.0)   # vertical leg
@@ -305,8 +310,9 @@ class TestPhi:
         with pytest.raises(ValueError):
             pth.phi(cls, 0.5)
         good = pth.classify(bridge_path())
-        with pytest.raises(ValueError):
-            good.phi(2.0)  # outside the lag range
+        for lag in (2.0, math.nan):  # outside the lag range
+            with pytest.raises(ValueError, match="lag must lie"):
+                good.phi(lag)
 
 
 class TestEquivalent:
