@@ -17,6 +17,7 @@ rejected at construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -55,6 +56,13 @@ def _as_vector(v, name="vector"):
     return arr
 
 
+def _positive(**named: float):
+    """Raise a ValueError naming the first value that is not finite and positive."""
+    for name, value in named.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def _lead_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the short leading axis, left to right: each element is summed in
     one order whatever the batch length (numpy's reductions go pairwise on long
@@ -78,8 +86,7 @@ class UniformJumps:
     has_finite_mean: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.halfwidth) and self.halfwidth > 0):
-            raise ValueError("halfwidth must be finite and positive")
+        _positive(halfwidth=self.halfwidth)
 
     @property
     def dim(self) -> int:
@@ -124,8 +131,7 @@ class GaussianJumps:
     has_finite_mean: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be finite and positive")
+        _positive(sigma=self.sigma)
         if self.dim_ < 1:
             raise ValueError("dim must be >= 1")
 
@@ -301,8 +307,7 @@ class ScaledJumps:
     truncated_first_moment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("rate must be finite and positive")
+        _positive(rate=self.rate)
         if not callable(getattr(self.dist, "cf", None)):
             raise TypeError("scaled jump measure needs a distribution with an evaluable cf")
         if not getattr(self.dist, "has_finite_mean", False):

@@ -39,9 +39,9 @@ __all__ = [
     "identify_ou",
 ]
 
-# Normals per block of a simulate_paths call (4 MB of float64).  A call is cut
-# into blocks of whole rows by its shape alone, so its bytes do not depend on
-# how many cores draw them.
+# Items (normals, jump events or walk steps) per block of a batched draw; 2^19
+# normals are 4 MB of float64.  A call is cut into blocks of whole draws by its
+# shape alone, so its bytes do not depend on how many cores draw them.
 _BLOCK_NORMALS = 1 << 19
 
 # The process-wide pool that draws the blocks of large calls, made on first
@@ -63,12 +63,11 @@ class GaussPathLaw:
             raise ValueError("dim must be >= 1")
 
     def ratio(self, t):
-        """r(t) = x(t)/y(t), defined where y(t) > 0."""
-        xv, yv = np.asarray(self.path.x(t), dtype=float), np.asarray(self.path.y(t), dtype=float)
+        """r(t) = x(t)/y(t), defined where y(t) > 0 in the path's domain."""
+        xv, yv = self.path.eval(t)  # floats for a scalar t
         if np.any(yv <= 0):
             raise ValueError("ratio requires y(t) > 0")
-        out = xv / yv
-        return float(out) if np.ndim(t) == 0 else out
+        return xv / yv
 
 
 @dataclass(frozen=True)
@@ -180,20 +179,23 @@ def _ratio_time(law: GaussPathLaw, grid):
     return xs, ys, std, dead
 
 
-def _run_blocks(n_rows: int, points: int, rng, task) -> list:
-    """task(lo, hi, gen) on each block of rows [lo, hi) of an (n_rows, points)
-    draw, on every usable core; the results in block order.
+def _run_blocks(n_draws: int, per_draw: float, rng, task) -> list:
+    """task(lo, hi, gen) on each block of draws [lo, hi) of n_draws draws of
+    about per_draw items each (normals, events or walk steps), on every usable
+    core; the results in block order.
 
-    A block holds about _BLOCK_NORMALS normals.  One block draws from `rng`
+    A block holds about _BLOCK_NORMALS items.  One block draws from `rng`
     itself, more draw from `rng.spawn(blocks)`, one child each.  Tasks run on
     pool threads: they must not call simulate_paths, which submits to the
     same pool, and the caller's np.errstate does not reach them.
     """
-    step = max(1, _BLOCK_NORMALS // points)
-    starts = range(0, n_rows, step)
-    if len(starts) <= 1:
-        return [task(0, n_rows, rng)]
-    blocks = [(lo, min(lo + step, n_rows), gen) for lo, gen in zip(starts, rng.spawn(len(starts)))]
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
+    step = max(1, int(_BLOCK_NORMALS // max(per_draw, 1)))
+    if n_draws <= step:
+        return [task(0, n_draws, rng)]
+    starts = range(0, n_draws, step)
+    blocks = [(lo, min(lo + step, n_draws), gen) for lo, gen in zip(starts, rng.spawn(len(starts)))]
     pool = _pool()
     if pool is None:
         return [task(*block) for block in blocks]
@@ -317,8 +319,6 @@ def zero_crossing_frequency(law: GaussPathLaw, s: float, t: float, n_paths: int,
     """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     xs, ys, std, dead = _ratio_time(law, np.linspace(s, t, grid_points))

@@ -14,6 +14,9 @@ construction, and its diffusion-scale bridge limit experiments live here too.
 
 Experiments draw N replicates at once, as flat event arrays plus `owner`,
 the draw each event belongs to; single-draw functions are their N = 1 calls.
+`gauss._run_blocks` cuts a batch into blocks of whole draws by its expected
+events (or walk steps): a batch of at most 2^19 draws from `rng` itself, a
+larger one draws block b from the b-th `rng.spawn` child on the sampler's pool.
 """
 
 from __future__ import annotations
@@ -23,21 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import GaussPathLaw, SamplePathGrid, simulate_paths
+from .exponent import TwoPoint, _positive
+from .gauss import GaussPathLaw, SamplePathGrid, _run_blocks, simulate_paths
 from .paths import DecreasingPath, LinearPath
 
 
-_EVENT_CHUNK = 1_000_000  # events (or walk steps) drawn at a time by the batched experiments
 _SIGNS = np.array([1.0, -1.0])  # of an entry (even event index) and an exit (odd)
-
-
-def _chunks(n_draws: int, per_draw: float):
-    """Sizes of the successive chunks of n_draws draws of about per_draw events each."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    size = max(1, int(_EVENT_CHUNK // max(per_draw, 1.0)))
-    for done in range(0, n_draws, size):
-        yield min(size, n_draws - done)
 
 
 def _batch_values(owner, times, increments, n_draws: int, ts) -> np.ndarray:
@@ -97,9 +91,7 @@ class RectRegion:
     y_max: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_max) and np.isfinite(self.y_max)
-                and self.x_max > 0 and self.y_max > 0):
-            raise ValueError("rectangle sides must be finite and positive")
+        _positive(x_max=self.x_max, y_max=self.y_max)
 
     @property
     def area(self) -> float:
@@ -131,9 +123,7 @@ class TriangleRegion:
     height: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.width) and np.isfinite(self.height)
-                and self.width > 0 and self.height > 0):
-            raise ValueError("triangle sides must be finite and positive")
+        _positive(width=self.width, height=self.height)
 
     def sample(self, rng, size: int) -> np.ndarray:
         u = rng.uniform(0.0, self.width, size=size)
@@ -200,6 +190,7 @@ class EventPath:
     initial: np.ndarray | None = None  # (d,)
 
     def __post_init__(self):
+        DecreasingPath._validate_domain(self)  # finite t_lo < t_hi, as for paths
         ts = np.asarray(self.times, dtype=float)
         incs = _as_increments(self.increments, ts.size, 1 if self.initial is None else np.size(self.initial))
         init = (np.zeros(incs.shape[1]) if self.initial is None
@@ -291,15 +282,19 @@ def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
     count of events less that of jumps under the terminal rectangle, which
     enter and never leave: the events that come in cancelling pairs.
     """
+    _positive(rate=rate)
     _, x_end, _, y_end = path.ends
-    values, paired = [], []
-    for size in _chunks(n_draws, rate * region.area):
-        field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, rng)
+
+    def block(lo, hi, gen):
+        size = hi - lo
+        field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, gen)
         jump, times, incs = _restrict_events(field, path)
         u, v = field.locations[:, 0], field.locations[:, 1]
-        values.append(_batch_values(owner[jump], times, incs, size, ts))
-        paired.append(np.bincount(owner[jump], minlength=size)
-                      - np.bincount(owner[(u <= x_end) & (v <= y_end)], minlength=size))
+        return (_batch_values(owner[jump], times, incs, size, ts),
+                np.bincount(owner[jump], minlength=size)
+                - np.bincount(owner[(u <= x_end) & (v <= y_end)], minlength=size))
+
+    values, paired = zip(*_run_blocks(n_draws, rate * region.area, rng, block))
     return np.concatenate(values), np.concatenate(paired)
 
 
@@ -395,12 +390,15 @@ def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
                      rng) -> tuple[np.ndarray, np.ndarray]:
     """Values at the times ts, (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l] and of
     Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
-    ys, rearranged = [], []
-    for size in _chunks(n_draws, 2.0 * rate * l):
-        owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, size, rng)
-        new_times = rng.uniform(0.0, l, size=owner.size)
-        ys.append(_batch_values(owner, times, jumps, size, ts))
-        rearranged.append(_batch_values(owner, new_times, jumps, size, ts))
+    _positive(rate=rate, l=l)
+
+    def block(lo, hi, gen):
+        owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, hi - lo, gen)
+        new_times = gen.uniform(0.0, l, size=owner.size)
+        return (_batch_values(owner, times, jumps, hi - lo, ts),
+                _batch_values(owner, new_times, jumps, hi - lo, ts))
+
+    ys, rearranged = zip(*_run_blocks(n_draws, 2.0 * rate * l, rng, block))
     return np.concatenate(ys), np.concatenate(rearranged)
 
 
@@ -448,8 +446,9 @@ def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None)
     With partial sums S_k of i.i.d. steps and S'_k of the same steps in a
     uniformly permuted order, the value at t is
     (S_[nt] - S'_[nt]) / sqrt(2 m2 n).  Evaluated at every step time k/n by
-    default, or at the given grid times.
+    default, or at the given grid times, which must lie in [0, l].
     """
+    _positive(l=l)
     total = int(math.floor(n * l))
     if total < 1:
         raise ValueError("need n * l >= 1")
@@ -459,14 +458,18 @@ def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None)
     if grid is None:
         idx = np.arange(1, total + 1)
     else:
-        idx = np.clip(np.floor(n * np.atleast_1d(np.asarray(grid, dtype=float))).astype(int), 0, total)
-    parts = []
-    for size in _chunks(n_draws, total):
-        steps = xi_dist.sample(rng, size * total)[:, 0].reshape(size, total)
-        gap = np.zeros((size, total + 1))
-        gap[:, 1:] = np.cumsum(steps, axis=1) - np.cumsum(rng.permuted(steps, axis=1), axis=1)
-        parts.append(gap[:, idx])
-    return np.concatenate(parts) / math.sqrt(2.0 * mu2 * n)
+        times = np.atleast_1d(np.asarray(grid, dtype=float))
+        if not ((times >= 0) & (times <= l)).all():
+            raise ValueError("grid times must lie in [0, l]")
+        idx = np.floor(n * times).astype(int)
+
+    def block(lo, hi, gen):
+        steps = xi_dist.sample(gen, (hi - lo) * total)[:, 0].reshape(hi - lo, total)
+        gap = np.zeros((hi - lo, total + 1))
+        gap[:, 1:] = np.cumsum(steps, axis=1) - np.cumsum(gen.permuted(steps, axis=1), axis=1)
+        return gap[:, idx]
+
+    return np.concatenate(_run_blocks(n_draws, total, rng, block)) / math.sqrt(2.0 * mu2 * n)
 
 
 def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathGrid:
@@ -477,9 +480,10 @@ def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathG
 
 
 def rw_bridge_cov(n: int, l: float, mu1: float, mu2: float, s: float, t: float) -> float:
-    """Exact finite-n covariance of the permuted-walk difference at (s, t)."""
-    if not mu2 > 0:
-        raise ValueError("mu2 must be positive")
+    """Exact finite-n covariance of the permuted-walk difference at (s, t) in [0, l]."""
+    _positive(mu2=mu2, l=l)
+    if not (0 <= s <= l and 0 <= t <= l):
+        raise ValueError("s and t must lie in [0, l]")
     total = int(math.floor(n * l))
     ks = int(math.floor(n * min(s, t)))
     kt = int(math.floor(n * max(s, t)))
@@ -517,7 +521,6 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
     the pair counts are Poisson with mean sheet_rate times the swept area.
     The sheet's jumps are +/-1 with equal probability.
     """
-    from .exponent import TwoPoint
     from .verify import chi2_counts  # deferred: verify is a consumer of this module's outputs
 
     if not isinstance(path, LinearPath):

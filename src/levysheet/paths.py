@@ -141,7 +141,7 @@ class DecreasingPath:
     # -- construction checks -------------------------------------------------
 
     def _validate_domain(self):
-        if not (np.isfinite(self.t_lo) and np.isfinite(self.t_hi)):
+        if not (math.isfinite(self.t_lo) and math.isfinite(self.t_hi)):
             raise ValueError("domain endpoints must be finite")
         if not self.t_hi > self.t_lo:
             raise ValueError("domain must satisfy t_lo < t_hi")
@@ -531,6 +531,12 @@ def _classify_tabulated(path: TabulatedPath, tol: float) -> PathClass:
     return PathClass(PathTag.NON_STATIONARY, {}, span)
 
 
+def _check_tol(tol: float) -> float:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
     """Classify a path into the stationary-increment families, or NON_STATIONARY.
 
@@ -540,8 +546,8 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
     least-squares family fitting validated against the functional equation.
     """
     if isinstance(path, TabulatedPath):
-        return _classify_tabulated(path, TABULATED_TOL if tol is None else tol)
-    tol = CLOSED_FORM_TOL if tol is None else tol
+        return _classify_tabulated(path, _check_tol(TABULATED_TOL if tol is None else tol))
+    tol = _check_tol(CLOSED_FORM_TOL if tol is None else tol)
     span = path.span
     if isinstance(path, LinearPath):
         a, b, c, d = path.a, path.b, path.c, path.d
@@ -570,6 +576,7 @@ def classify(path: DecreasingPath, tol: float | None = None) -> PathClass:
 def equivalent(p1: DecreasingPath, p2: DecreasingPath, tol: float = 1e-9):
     """Scale p > 0 with x2 = p x1 and y2 = y1 / p on the common domain, or None,
     compared on an even probe grid joined with the knots and corners s* of both."""
+    _check_tol(tol)
     if abs(p1.t_lo - p2.t_lo) > 1e-12 or abs(p1.t_hi - p2.t_hi) > 1e-12:
         raise ValueError("paths must share the same domain")
     kinks = [p.times if isinstance(p, TabulatedPath) else [getattr(p, "s_star", p.t_lo)]

@@ -88,8 +88,8 @@ def _probes(triplet: LevyTriplet, c: float, t, z):
     """The probes' times, (k,), z values, (k, d), and e^{ct}, (k, 1)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     zs = np.asarray(z, dtype=float).reshape(ts.size, triplet.dim)
-    if not (c > 0 and np.all(ts > 0)):
-        raise ValueError("c and t must be positive")
+    if not (math.isfinite(c) and c > 0 and np.all(ts > 0) and np.isfinite(ts).all()):
+        raise ValueError("c and t must be finite and positive")
     return ts, zs, np.exp(c * ts)[:, None]
 
 

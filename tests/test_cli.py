@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -202,6 +203,25 @@ class TestSimulate:
                                         flat_stretch_path, grid, 1, np.random.default_rng(6))[0]
         assert capsys.readouterr().out == gauss.SamplePathGrid(grid, draw).to_csv()
 
+    # SHA-256 of stdout (numpy 2.4's Generator streams).  A batch of at most 2^19 jump
+    # events draws from the seeded generator itself, so how larger batches are cut into
+    # blocks does not reach these bytes.
+    @pytest.mark.parametrize("dim, seed, digest", [
+        (1, 1, "c505d61f09804996e031080c1a663716f677dea92a1b7dfd437240531b8b4fe1"),
+        (1, 2, "d9d453865d1285743a8b10dc0a7dc1d5e89816709f3d3de5c01216448586d7a3"),
+        (1, 3, "71c43239fbf1eaeb4b2e84b989a57e2efcc09d0eeaf87693b4b32382e2071966"),
+        (2, 1, "ce89e9cfc3c7a3074992aca807382d801352493cab4fd728c50c128983fdb5fd"),
+        (2, 2, "29f050d899faa692a85c10fc336dba3683d03be25193e40e773a385ec24a8c9d"),
+        (2, 3, "c329e6ee2d04400c78d3d647f681463826e2af0561086c6d8d9190f4b7a4fefd"),
+    ])
+    def test_mixed_triplet_output_is_pinned(self, capsys, tmp_path, flat_stretch_path,
+                                            dim, seed, digest):
+        triplet = write_json(tmp_path, "mixed.json", mixed_triplet_dict(dim))
+        path = write_json(tmp_path, "flat.json", path_to_dict(flat_stretch_path))
+        assert main(["simulate", "--triplet", triplet, "--path", path,
+                     "--grid", "0", "1", "33", "--seed", str(seed)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_cpp_rejects_drift_and_gaussian_part(self, capsys, tmp_path, bridge_file):
         mixed = tmp_path / "mixed.json"
         mixed.write_text(json.dumps({
@@ -372,6 +392,49 @@ class TestErrors:
         assert main(["classify", "--path", str(bad)]) == 1
         assert "spiral" in capsys.readouterr().err
 
+
+# (argv, flags that take a float, flags that take an integer); each argv keeps
+# its run small, and the bad value comes after it, so it wins
+_NUMERIC_FLAGS = [
+    (["classify"], ["--tol"], []),
+    (["equivalent"], ["--tol"], []),
+    (["experiment", "ou"], ["--c"], []),
+    (["experiment", "zerocross", "--n", "10", "--grid-points", "50"], ["--s", "--t", "--z"],
+     ["--n", "--grid-points"]),
+    (["experiment", "bridge", "--n", "10", "--rate", "20"], ["--l", "--grid"], ["--rate", "--n"]),
+    (["experiment", "rwbridge", "--n", "10", "--rate", "20"], ["--l", "--s", "--t"],
+     ["--rate", "--n"]),
+]
+
+
+def _bad_numbers():
+    for argv, floats, ints in _NUMERIC_FLAGS:
+        for flag in floats:
+            for bad in ("nan", "inf", "-inf"):
+                if flag == "--grid":  # LO, HI and N in turn; argparse reads " -inf" as a value
+                    for k in range(3):
+                        grid = ["0", "1", "5"]
+                        grid[k] = " " + bad
+                        yield argv, [flag] + grid
+                else:
+                    yield argv, [f"{flag}={bad}"]
+        for flag in ints:
+            for bad in ("0", "-1"):
+                yield argv, [f"{flag}={bad}"]
+
+
+@pytest.mark.parametrize("argv, bad", list(_bad_numbers()),
+                         ids=" ".join)
+def test_bad_numbers_exit_1(capsys, brownian_file, bridge_file, argv, bad):
+    inputs = {"classify": ["--path", bridge_file],
+              "equivalent": ["--path", bridge_file, "--path2", bridge_file],
+              "ou": ["--triplet", brownian_file], "zerocross": ["--path", bridge_file]}
+    kind = argv[1] if argv[0] == "experiment" else argv[0]
+    assert main(argv + inputs.get(kind, []) + bad) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out.lower()
 
 def test_cli_import_loads_no_scipy():
     """scipy is imported where a statistic needs it, so one-shot commands start fast."""

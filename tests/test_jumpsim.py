@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ class TestRestrictedSheets:
         assert np.all(owner == 0)
 
     def test_draws_spread_over_several_chunks(self, monkeypatch):
-        monkeypatch.setattr(jumpsim, "_EVENT_CHUNK", 40)
+        monkeypatch.setattr(gauss, "_BLOCK_NORMALS", 40)
         rng = np.random.default_rng(59)
         values, paired = jumpsim.restricted_sheets(4.0, TwoPoint(1.0), jumpsim.RectRegion(1.0, 1.0),
                                                    bridge(), [0.5, 1.0], 37, rng)
@@ -292,6 +293,56 @@ class TestRestrictedSheets:
         with pytest.raises(ValueError):
             jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5], 0,
                                        np.random.default_rng(60))
+
+
+class TestBlockedDraws:
+    """Batches of more than gauss._BLOCK_NORMALS events (or walk steps) draw block b
+    from the b-th rng.spawn child, on the sampler's pool."""
+
+    def sheets(n, rng):
+        return jumpsim.restricted_sheets(500.0, TwoPoint(1.0), jumpsim.RectRegion(1.0, 1.0),
+                                         bridge(), [0.25, 0.5], n, rng)
+
+    def bridges(n, rng):
+        d = jumpsim.bridge_experiments(1000, TwoPoint(1.0), 1.0, [0.25, 0.5], n, rng)
+        return d.values, d.centered_original, d.centered_rearranged
+
+    def walks(n, rng):
+        return (jumpsim.random_walk_bridges(1000, 1.0, TwoPoint(1.0), n, rng, grid=[0.3, 0.6]),)
+
+    # name: (n_draws, items per draw, draw(n_draws, rng) -> arrays); three or four blocks each
+    DRAWS = {"restricted_sheets": (3000, 500.0, sheets),
+             "bridge_experiments": (1000, 2000.0, bridges),
+             "random_walk_bridges": (1200, 1000, walks)}
+
+    @staticmethod
+    def block_sizes(n_draws, per_draw):
+        step = int(gauss._BLOCK_NORMALS // per_draw)
+        return [min(step, n_draws - lo) for lo in range(0, n_draws, step)]
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_same_bytes_on_any_worker_count(self, monkeypatch, name):
+        n, per_draw, draw = self.DRAWS[name]
+        assert len(self.block_sizes(n, per_draw)) >= 3
+        got = []
+        pools = [gauss._pool(), None, ThreadPoolExecutor(3)]  # default, inline, 3 workers
+        try:
+            for pool in pools:
+                monkeypatch.setattr(gauss, "_pool", lambda pool=pool: pool)
+                got.append([a.tobytes() for a in draw(n, np.random.default_rng(70))])
+        finally:
+            pools[-1].shutdown()
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_blocks_are_one_block_calls_on_spawned_children(self, name):
+        n, per_draw, draw = self.DRAWS[name]
+        sizes = self.block_sizes(n, per_draw)
+        children = np.random.default_rng(71).spawn(len(sizes))
+        parts = [draw(size, child) for size, child in zip(sizes, children)]
+        whole = draw(n, np.random.default_rng(71))
+        for k, array in enumerate(whole):
+            assert array.tobytes() == np.concatenate([part[k] for part in parts]).tobytes()
 
 
 def mixed_triplet(dim, rate_scale=1.0):
@@ -414,6 +465,15 @@ class TestEventPath:
         with pytest.raises(ValueError, match="query times must be finite"):
             ev.values([math.nan])
 
+    @pytest.mark.parametrize("t_lo, t_hi, message", [
+        (1.0, 0.0, "t_lo < t_hi"), (0.5, 0.5, "t_lo < t_hi"),
+        (math.nan, 1.0, "domain endpoints must be finite"),
+        (0.0, math.inf, "domain endpoints must be finite"),
+    ])
+    def test_rejects_bad_domain(self, t_lo, t_hi, message):
+        with pytest.raises(ValueError, match=message):
+            jumpsim.EventPath(t_lo, t_hi, [], [])
+
     def test_csv(self):
         ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]])
         assert ev.to_csv().splitlines()[0] == "tau,dj1"
@@ -527,6 +587,21 @@ class TestBridgeExperiment:
         with pytest.raises(ValueError):
             jumpsim.bridge_experiment(100, Degenerate(), 1.0, [0.5], rng)
 
+    @pytest.mark.parametrize("rate, l, message", [
+        (0, 1.0, "rate must be finite and positive"), (-3, 1.0, "rate must be"),
+        (math.nan, 1.0, "rate must be"), (math.inf, 1.0, "rate must be"),
+        (20, math.nan, "l must be finite and positive"), (20, math.inf, "l must be"),
+        (20, 0.0, "l must be"), (20, -1.0, "l must be"),
+    ])
+    def test_rejects_bad_rate_and_length(self, rate, l, message):
+        rng = np.random.default_rng(62)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            jumpsim.bridge_experiments(rate, TwoPoint(1.0), l, [0.5], 10, rng)
+        with pytest.raises(ValueError, match=message):
+            jumpsim.rearranged_pairs(rate, TwoPoint(1.0), l, [0.5], 10, rng)
+        assert rng.bit_generator.state == state  # nothing was drawn
+
 
 class TestRandomWalkBridge:
     def test_zero_at_origin(self):
@@ -549,6 +624,22 @@ class TestRandomWalkBridge:
         assert jumpsim.rw_bridge_cov(1000, 1.0, 0.0, 1.0, 0.3, 0.6) \
             == pytest.approx(0.3 * 0.4)
         assert jumpsim.rw_bridge_cov(1000, 1.0, 0.0, 1.0, 0.0, 0.6) == 0.0
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_length(self, l):
+        with pytest.raises(ValueError, match="l must be finite and positive"):
+            jumpsim.random_walk_bridges(30, l, TwoPoint(1.0), 5, np.random.default_rng(63))
+        with pytest.raises(ValueError, match="l must be finite and positive"):
+            jumpsim.rw_bridge_cov(30, l, 0.0, 1.0, 0.3, 0.6)
+
+    @pytest.mark.parametrize("s, t", [(2.0, 3.0), (0.3, 1.5), (-0.1, 0.5), (math.nan, 0.5),
+                                      (0.3, math.inf)])
+    def test_rejects_times_outside_the_walk(self, s, t):
+        with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
+            jumpsim.random_walk_bridges(30, 1.0, TwoPoint(1.0), 5, np.random.default_rng(63),
+                                        grid=[s, t])
+        with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
+            jumpsim.rw_bridge_cov(30, 1.0, 0.0, 1.0, s, t)
 
     def test_covariance_with_drifting_steps(self):
         # mu1 = 1, mu2 = 1 (constant steps): the difference is degenerate

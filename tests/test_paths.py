@@ -342,6 +342,14 @@ class TestEquivalent:
         assert pth.equivalent(p1, pth.TabulatedPath(ts, moved, ys)) is None
         assert pth.equivalent(p1, pth.TabulatedPath(ts, 2.0 * xs, ys / 2.0)) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_rejects_bad_tol(self, flat_stretch_path, tol):
+        for path in (bridge_path(), flat_stretch_path):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                pth.classify(path, tol)
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                pth.equivalent(path, path, tol)
+
     def test_corner_cut_between_probes(self):
         corner = pth.VThenHPath(0.51, 1.0, 2.0, 4.0, 2.0, 0.0, 1.0)
         knots = np.array([0.0, 0.509, 0.511, 1.0])  # on the corner path except near s*
