@@ -123,9 +123,8 @@ def _cmd_simulate(args) -> int:
         dropped = [part for part, value in parts if value.any()]
         if dropped:
             raise ValueError(f"--events would drop the triplet's {' and '.join(dropped)}")
-        _, x_end, y_start, _ = path.ends
-        region = jumpsim.RectRegion(x_end, y_start)
-        field = jumpsim.simulate_cpp_sheet(triplet.jumps.rate, triplet.jumps.dist, region, rng)
+        field = jumpsim.simulate_cpp_sheet(triplet.jumps.rate, triplet.jumps.dist,
+                                           jumpsim.path_region(path), rng)
         drawn = jumpsim.restrict_to_path(field, path)
     else:
         grid = _grid(args)
@@ -151,12 +150,13 @@ def _cmd_experiment(args) -> int:
     if args.kind == "zerocross":
         law = gauss.GaussPathLaw(_load_path(args.path))
         analytic = gauss.zero_prob(law, args.s, args.t)
+        # the closed forms check their inputs before the Monte Carlo draws
+        conditional = {} if args.z is None else {
+            "conditional": gauss.zero_prob_conditional(law, args.s, args.t, args.z)}
         empirical = gauss.zero_crossing_frequency(law, args.s, args.t, args.n,
                                                   args.grid_points, rng)
         out = {"analytic": analytic, "empirical": empirical, "n": args.n,
-               "grid_points": args.grid_points}
-        if args.z is not None:
-            out["conditional"] = gauss.zero_prob_conditional(law, args.s, args.t, args.z)
+               "grid_points": args.grid_points, **conditional}
         _emit_json(out, args.out)
         return 0
     if args.kind == "bridge":

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fdd import _as_z_matrix
 from .paths import DecreasingPath, PathTag, classify
 
 __all__ = [
@@ -96,11 +97,16 @@ class SamplePathGrid:
         return self.values.shape[1]
 
     def to_csv(self) -> str:
-        header = "t," + ",".join(f"v{i + 1}" for i in range(self.dim))
-        lines = [header]
-        for t, row in zip(self.times, self.values):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-        return "\n".join(lines) + "\n"
+        return _csv("t", "v", self.times, self.values)
+
+
+def _csv(time_name: str, value_name: str, times, rows) -> str:
+    """CSV of a time column and (m, d) value rows, headed time_name,value_name1..d;
+    each float is written by repr."""
+    lines = [f"{time_name}," + ",".join(f"{value_name}{i + 1}" for i in range(rows.shape[1]))]
+    for t, row in zip(times, rows):
+        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 def covariance(law: GaussPathLaw, s: float, t: float) -> float:
@@ -127,13 +133,7 @@ def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if not (np.diff(ts) > 0).all():
         raise ValueError("times must be strictly increasing")
-    z = np.asarray(zs, dtype=float)
-    if z.ndim == 0:
-        z = z.reshape(1, 1)
-    elif z.ndim == 1:
-        z = z.reshape(ts.size, 1) if law.dim == 1 else z.reshape(1, law.dim)
-    if z.shape != (ts.size, law.dim):
-        raise ValueError(f"zs must have shape ({ts.size}, {law.dim})")
+    z = _as_z_matrix(zs, ts.size, law.dim)
     quad = float(np.sum(covariance_matrix(law, ts) * (z @ z.T)))
     return complex(math.exp(-0.5 * quad))
 

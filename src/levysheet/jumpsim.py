@@ -1,13 +1,14 @@
 """Sheets restricted to decreasing paths: whole triplets, and compound-Poisson fields.
 
-`simulate_triplet` draws any triplet's sheet along a path.  Each sheet jump
-at location (u, v) below the path's sweep produces a pair of cancelling
-events in the restricted process: the jump enters at the first time x(t)
-reaches u and leaves at the last time y(t) still covers v.  Jumps left under
-the terminal rectangle never leave.  Event 2j is the entry of jump j and
-2j + 1 its exit; the kept ones are sorted once, stably, by time, so equal
-times keep that order.  The restricted process is not cadlag and no merging
-is attempted.
+`simulate_triplet` draws any triplet's sheet along a path, its jump field on
+`path_region(path)`, the one place that says where a path's jumps are drawn.
+Each sheet jump at location (u, v) below the path's sweep produces a pair of
+cancelling events in the restricted process: the jump enters at the first
+time x(t) reaches u and leaves at the last time y(t) still covers v.  Jumps
+left under the terminal rectangle never leave.  Event 2j is the entry of jump
+j and 2j + 1 its exit; the kept ones are sorted once, stably, by time, so
+equal times keep that order.  The restricted process is not cadlag and no
+merging is attempted.
 
 The uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import TwoPoint, _positive
-from .gauss import GaussPathLaw, SamplePathGrid, _run_blocks, simulate_paths
+from .gauss import GaussPathLaw, SamplePathGrid, _csv, _run_blocks, simulate_paths
 from .paths import DecreasingPath, LinearPath
 
 
@@ -64,7 +65,7 @@ __all__ = [
     "simulate_cpp_sheet",
     "simulate_cpp_sheets",
     "restrict_to_path",
-    "restricted_sheets",
+    "path_region",
     "simulate_triplet",
     "rectangle_sum",
     "triangle_to_order_stats",
@@ -221,11 +222,7 @@ class EventPath:
         return self.initial + sums[self.times.searchsorted(q, side="right")]
 
     def to_csv(self) -> str:
-        header = "tau," + ",".join(f"dj{i + 1}" for i in range(self.dim))
-        lines = [header]
-        for t, row in zip(self.times, self.increments):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-        return "\n".join(lines) + "\n"
+        return _csv("tau", "dj", self.times, self.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -274,34 +271,17 @@ def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
     return EventPath(path.t_lo, path.t_hi, times, incs)
 
 
-def restricted_sheets(rate: float, jump_dist, region, path: DecreasingPath, ts,
-                      n_draws: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """n_draws sheets as in `simulate_cpp_sheets`, restricted to the path.
-
-    Returns their values at the times ts, (n_draws, k, d), and per draw the
-    count of events less that of jumps under the terminal rectangle, which
-    enter and never leave: the events that come in cancelling pairs.
-    """
-    _positive(rate=rate)
-    _, x_end, _, y_end = path.ends
-
-    def block(lo, hi, gen):
-        size = hi - lo
-        field, owner = simulate_cpp_sheets(rate, jump_dist, region, size, gen)
-        jump, times, incs = _restrict_events(field, path)
-        u, v = field.locations[:, 0], field.locations[:, 1]
-        return (_batch_values(owner[jump], times, incs, size, ts),
-                np.bincount(owner[jump], minlength=size)
-                - np.bincount(owner[(u <= x_end) & (v <= y_end)], minlength=size))
-
-    values, paired = zip(*_run_blocks(n_draws, rate * region.area, rng, block))
-    return np.concatenate(values), np.concatenate(paired)
+def path_region(path: DecreasingPath) -> RectRegion:
+    """Where a path's jump fields are drawn: (0, x(t_hi)] x (0, y(t_lo)], which covers
+    the path's sweep, the union over t of (0, x(t)] x (0, y(t)], as x rises and y falls."""
+    _, x_end, y_start, _ = path.ends
+    return RectRegion(x_end, y_start)
 
 
 def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np.ndarray:
     """n_draws exact draws at the times ts, (n_draws, k, d), of the triplet's sheet along
     the path: x(t) y(t) gamma_0, plus the Brownian sheet along the path times the eigen-root
-    of A, plus (drawn after it) the jump field on (0, x(t_hi)] x (0, y(t_lo)] restricted."""
+    of A, plus (drawn after it) the jump field on `path_region(path)` restricted."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size == 0 or not (ts[1:] > ts[:-1]).all():
         raise ValueError("grid must be nonempty and strictly increasing")
@@ -315,9 +295,14 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         values += simulate_paths(GaussPathLaw(path, triplet.dim), ts, rng, n_paths=n_draws) @ root.T
     if triplet.jumps is not None:
-        _, x_end, y_start, _ = path.ends
-        values += restricted_sheets(triplet.jumps.rate, triplet.jumps.dist,
-                                    RectRegion(x_end, y_start), path, ts, n_draws, rng)[0]
+        rate, dist, region = triplet.jumps.rate, triplet.jumps.dist, path_region(path)
+
+        def block(lo, hi, gen):
+            field, owner = simulate_cpp_sheets(rate, dist, region, hi - lo, gen)
+            jump, times, incs = _restrict_events(field, path)
+            return _batch_values(owner[jump], times, incs, hi - lo, ts)
+
+        values += np.concatenate(_run_blocks(n_draws, rate * region.area, rng, block))
     return values
 
 
@@ -529,10 +514,18 @@ def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
     if area == 0.0:
         raise ValueError("no jump leaves a horizontal path: its swept exit area is 0")
     p = sheet_rate * area
-    _, x_end, y_start, _ = path.ends
-    region = RectRegion(x_end, y_start)
-    _, paired = restricted_sheets(sheet_rate, TwoPoint(np.array([1.0])), region, path, [],
-                                  n_sims, rng)
+    _positive(rate=sheet_rate)
+    region, signs = path_region(path), TwoPoint(np.array([1.0]))
+
+    def block(lo, hi, gen):
+        # each draw's events less its jumps under the terminal rectangle, which enter and
+        # never leave: those with v <= y(t_hi), as no jump lies right of x(t_hi)
+        field, owner = simulate_cpp_sheets(sheet_rate, signs, region, hi - lo, gen)
+        jump, _, _ = _restrict_events(field, path)
+        stays = field.locations[:, 1] <= path.ends[3]
+        return np.bincount(owner[jump], minlength=hi - lo) - np.bincount(owner[stays], minlength=hi - lo)
+
+    paired = np.concatenate(_run_blocks(n_sims, sheet_rate * region.area, rng, block))
     halves = paired // 2
     chi2 = chi2_counts(halves, lambda k: math.exp(-p) * p ** k / math.factorial(k),
                        name="jump-count-poisson")

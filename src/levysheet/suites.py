@@ -288,9 +288,9 @@ def criterion_5(seed: int = DEFAULT_SEED, n_fields: int = 100, n_sims: int = 10_
         else:
             a, b, c = rng.uniform(0.5, 1.5, size=3)
             path = ExponentialPath(a, b, c, 0.0, float(rng.uniform(0.5, 1.0)))
-        _, x_end, y_start, _ = path.ends
-        region = jumpsim.RectRegion(x_end * rng.uniform(1.0, 1.4),
-                                    y_start * rng.uniform(1.0, 1.4))
+        cover = jumpsim.path_region(path)
+        region = jumpsim.RectRegion(cover.x_max * rng.uniform(1.0, 1.4),
+                                    cover.y_max * rng.uniform(1.0, 1.4))
         field = jumpsim.simulate_cpp_sheet(8.0 / region.area, _dyadic_jump_dist(rng),
                                            region, rng)
         events = jumpsim.restrict_to_path(field, path)

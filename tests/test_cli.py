@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -312,6 +313,14 @@ class TestExperiments:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: grid_points")
 
+    def test_zerocross_checks_z_before_drawing(self, capsys, monkeypatch, bridge_file):
+        def estimate(*args):
+            raise AssertionError("the Monte Carlo estimate ran before --z was checked")
+
+        monkeypatch.setattr(gauss, "zero_crossing_frequency", estimate)
+        assert main(["experiment", "zerocross", "--path", bridge_file, "--z", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: conditioning value")
+
     def test_bridge(self, capsys):
         code, out = run_json(capsys, ["experiment", "bridge", "--rate", "200",
                                       "--n", "400", "--grid", "0", "1", "5",
@@ -455,3 +464,25 @@ def test_readme_examples_parse():
     assert len(lines) >= 10
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_names_exist():
+    """Every backticked snake_case name with an underscore in README.md is defined in
+    src/levysheet (a function, class, parameter or assigned name) or is a string literal
+    there (a JSON key such as `x_intercept`), so a deleted or renamed name fails here."""
+    root = Path(__file__).resolve().parents[1]
+    defined = set()
+    for path in (root / "src" / "levysheet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(getattr(node, "id", None) or node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined.add(node.value)
+    spans = re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
+    names = {name for span in spans for name in re.findall(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b", span)}
+    assert len(names) >= 20
+    assert not names - defined, f"README names no longer in src/levysheet: {sorted(names - defined)}"

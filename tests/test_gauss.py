@@ -71,6 +71,11 @@ class TestJointCF:
     def test_zero_probe(self):
         assert gauss.gaussian_joint_cf(bridge_law(), [0.3, 0.6], [0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("zs", [[[1.0], [2.0], [3.0]], [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_rejects_bad_probe_shape(self, zs):
+        with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\)"):
+            gauss.gaussian_joint_cf(bridge_law(), [0.3, 0.6], zs)
+
     def test_agrees_with_general_formula(self):
         rng = np.random.default_rng(43)
         for _ in range(50):

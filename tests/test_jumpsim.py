@@ -4,11 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from levysheet import fdd, gauss, jumpsim
-from levysheet.exponent import (Categorical, LevyTriplet, ScaledJumps, TwoPoint, cpp_from_atoms,
-                                 pure_drift)
+from levysheet import fdd, gauss, jumpsim, verify
+from levysheet.exponent import (Categorical, LevyTriplet, ScaledJumps, TwoPoint, cpp,
+                                 cpp_from_atoms, pure_drift)
 from levysheet.paths import ExponentialPath, LinearPath
-from levysheet.verify import cf_match, chi2_binned, empirical_cf, ks_1d
+from levysheet.verify import cf_match, chi2_binned, chi2_counts, empirical_cf, ks_1d
 
 
 def bridge():
@@ -224,14 +224,14 @@ class TestEventIndices:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_restricted_sheets_equal_interleaved_restriction(self, dim, flat_stretch_path):
-        path = flat_stretch_path
-        region, rate, n = covering_rect(path), 30.0, 200
+        # a compound-Poisson triplet's draws against its fields on path_region, restricted here
+        path, rate, n = flat_stretch_path, 30.0, 200
         rng = np.random.default_rng(63)
         dist = Categorical(rng.normal(size=(4, dim)), [0.4, 0.3, 0.2, 0.1])
-        probes = np.concatenate([[path.t_lo], path.times[::5], rng.uniform(0.0, 1.0, 10)])
-        values, paired = jumpsim.restricted_sheets(rate, dist, region, path, probes, n,
+        probes = np.unique(np.concatenate([[path.t_lo], path.times[::5], rng.uniform(0.0, 1.0, 10)]))
+        values = jumpsim.simulate_triplet(cpp(rate, dist), path, probes, n, np.random.default_rng(64))
+        field, owner = jumpsim.simulate_cpp_sheets(rate, dist, jumpsim.path_region(path), n,
                                                    np.random.default_rng(64))
-        field, owner = jumpsim.simulate_cpp_sheets(rate, dist, region, n, np.random.default_rng(64))
         jump, times, incs = interleaved_restriction(field, path)
         want = np.empty((n, probes.size, dim))
         for j, t in enumerate(probes):
@@ -239,31 +239,23 @@ class TestEventIndices:
             for c in range(dim):
                 want[:, j, c] = np.bincount(owner[jump][hit], weights=incs[hit, c], minlength=n)
         assert values.tobytes() == want.tobytes()
-        u, v = field.locations[:, 0], field.locations[:, 1]
-        persistent = np.bincount(owner[(u <= path.ends[1]) & (v <= path.ends[3])], minlength=n)
-        assert np.array_equal(paired, np.bincount(owner[jump], minlength=n) - persistent)
 
 
 class TestRestrictedSheets:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_each_draw_equals_its_rectangle_sums(self, dim, flat_stretch_path):
         path = flat_stretch_path
-        region, dist, rate, n = covering_rect(path), dyadic_dist(dim), 20.0, 300
-        probes = np.concatenate([path.times[::7], [0.123, 0.77]])
-        values, paired = jumpsim.restricted_sheets(rate, dist, region, path, probes, n,
-                                                   np.random.default_rng(57))
+        region, dist, rate, n = jumpsim.path_region(path), dyadic_dist(dim), 20.0, 300
+        probes = np.sort(np.concatenate([path.times[::7], [0.123, 0.77]]))
+        values = jumpsim.simulate_triplet(cpp(rate, dist), path, probes, n, np.random.default_rng(57))
         # the same stream, drawn as one field per sheet
         field, owner = jumpsim.simulate_cpp_sheets(rate, dist, region, n, np.random.default_rng(57))
         assert values.shape == (n, probes.size, dim)
-        x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
         for i in range(n):
             sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
             for j, t in enumerate(probes):
                 want = jumpsim.rectangle_sum(sheet, float(path.x(t)), float(path.y(t)))
                 assert np.array_equal(values[i, j], want)
-            u, v = sheet.locations[:, 0], sheet.locations[:, 1]
-            persistent = np.sum((u <= x_end) & (v <= y_end))
-            assert paired[i] == jumpsim.restrict_to_path(sheet, path).times.size - persistent
 
     def test_single_sheet_is_the_first_draw_of_a_batch(self):
         region = jumpsim.RectRegion(1.0, 1.0)
@@ -277,11 +269,10 @@ class TestRestrictedSheets:
     def test_draws_spread_over_several_chunks(self, monkeypatch):
         monkeypatch.setattr(gauss, "_BLOCK_NORMALS", 40)
         rng = np.random.default_rng(59)
-        values, paired = jumpsim.restricted_sheets(4.0, TwoPoint(1.0), jumpsim.RectRegion(1.0, 1.0),
-                                                   bridge(), [0.5, 1.0], 37, rng)
+        values = jumpsim.simulate_triplet(cpp(4.0, TwoPoint(1.0)), bridge(), [0.5, 1.0], 37, rng)
         assert values.shape == (37, 2, 1)
         assert np.all(values[:, 1] == 0.0)  # y(1) = 0: every jump has left
-        assert paired.shape == (37,) and np.all(paired % 2 == 0)
+        assert jumpsim.jump_count_law_check(bridge(), 4.0, 37, rng).all_even
         draws = jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5, 1.0], 37, rng)
         assert draws.values.shape == (37, 2)
         assert np.all(draws.values[:, 1] == 0.0)
@@ -299,9 +290,8 @@ class TestBlockedDraws:
     """Batches of more than gauss._BLOCK_NORMALS events (or walk steps) draw block b
     from the b-th rng.spawn child, on the sampler's pool."""
 
-    def sheets(n, rng):
-        return jumpsim.restricted_sheets(500.0, TwoPoint(1.0), jumpsim.RectRegion(1.0, 1.0),
-                                         bridge(), [0.25, 0.5], n, rng)
+    def triplets(n, rng):
+        return (jumpsim.simulate_triplet(cpp(500.0, TwoPoint(1.0)), bridge(), [0.25, 0.5], n, rng),)
 
     def bridges(n, rng):
         d = jumpsim.bridge_experiments(1000, TwoPoint(1.0), 1.0, [0.25, 0.5], n, rng)
@@ -311,7 +301,7 @@ class TestBlockedDraws:
         return (jumpsim.random_walk_bridges(1000, 1.0, TwoPoint(1.0), n, rng, grid=[0.3, 0.6]),)
 
     # name: (n_draws, items per draw, draw(n_draws, rng) -> arrays); three or four blocks each
-    DRAWS = {"restricted_sheets": (3000, 500.0, sheets),
+    DRAWS = {"simulate_triplet": (3000, 500.0, triplets),
              "bridge_experiments": (1000, 2000.0, bridges),
              "random_walk_bridges": (1200, 1000, walks)}
 
@@ -569,11 +559,7 @@ class TestBridgeExperiment:
 
     def test_variance_decays_near_endpoints(self):
         rng = np.random.default_rng(61)
-        reps = 3000
-        vals = np.empty((reps, 2))
-        for i in range(reps):
-            d = jumpsim.bridge_experiment(400, TwoPoint(1.0), 1.0, [0.02, 0.5], rng)
-            vals[i] = d.values
+        vals = jumpsim.bridge_experiments(400, TwoPoint(1.0), 1.0, [0.02, 0.5], 3000, rng).values
         assert vals[:, 0].var() < 0.1 * vals[:, 1].var()
 
     def test_rejects_flat_second_moment(self):
@@ -648,10 +634,7 @@ class TestRandomWalkBridge:
     def test_empirical_covariance(self):
         rng = np.random.default_rng(64)
         reps = 4000
-        pairs = np.empty((reps, 2))
-        for i in range(reps):
-            pairs[i] = jumpsim.random_walk_bridge(300, 1.0, TwoPoint(1.0), rng,
-                                                  grid=[0.3, 0.6]).values[:, 0]
+        pairs = jumpsim.random_walk_bridges(300, 1.0, TwoPoint(1.0), reps, rng, grid=[0.3, 0.6])
         prods = pairs[:, 0] * pairs[:, 1]
         cov = prods.mean() - pairs[:, 0].mean() * pairs[:, 1].mean()
         target = jumpsim.rw_bridge_cov(300, 1.0, 0.0, 1.0, 0.3, 0.6)
@@ -672,6 +655,34 @@ class TestJumpCountLaw:
         assert report.all_even
         assert report.chi2_pvalue > 1e-3
         assert abs(report.mean_half_count - 2.0) <= 4.0 * math.sqrt(2.0 / 4000)
+
+    def test_counts_are_brute_force_counts(self, monkeypatch):
+        # the same stream drawn as one field per sheet: each draw's events less its jumps
+        # under the terminal rectangle, counted from the sheet itself
+        path, rate, n = LinearPath(0.2, 1.0, 1.5, 1.2, 0.0, 1.0), 6.0, 300  # y(t_hi) = 0.3
+        tested = []
+
+        def recording(counts, *args, **kwargs):
+            tested.append(np.array(counts))
+            return chi2_counts(counts, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "chi2_counts", recording)
+        report = jumpsim.jump_count_law_check(path, rate, n, np.random.default_rng(69))
+        region = jumpsim.RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
+        field, owner = jumpsim.simulate_cpp_sheets(rate, TwoPoint(1.0), region, n,
+                                                   np.random.default_rng(69))
+        x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
+        events, persistent = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        for i in range(n):
+            sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
+            u, v = sheet.locations[:, 0], sheet.locations[:, 1]
+            events[i] = jumpsim.restrict_to_path(sheet, path).times.size
+            persistent[i] = np.sum((u <= x_end) & (v <= y_end))
+        paired = events - persistent
+        assert persistent.sum() > 0 and paired.sum() > 0
+        assert report.all_even and np.all(paired % 2 == 0)
+        assert np.array_equal(tested[0], paired // 2)
+        assert report.mean_half_count == (paired // 2).mean()
 
     def test_swept_area(self):
         assert jumpsim.swept_exit_area(bridge()) == pytest.approx(0.5)
