@@ -51,21 +51,21 @@ def _cells(dx, dy):
 
 
 def lower_area(path: DecreasingPath, s: float, t: float) -> float:
-    """m of the lower increment rectangle (x(s), x(t)] x (0, y(t)]."""
-    return float((path.x(t) - path.x(s)) * path.y(t))
+    """m of the lower increment rectangle (x(s), x(t)] x (0, y(t)], for path times s < t."""
+    _, (xs, xt), (_, yt) = path.grid([s, t])
+    return float((xt - xs) * yt)
 
 
 def upper_area(path: DecreasingPath, s: float, t: float) -> float:
-    """m of the upper increment rectangle (0, x(s)] x (y(t), y(s)]."""
-    return float(path.x(s) * (path.y(s) - path.y(t)))
+    """m of the upper increment rectangle (0, x(s)] x (y(t), y(s)], for path times s < t."""
+    _, (xs, _), (ys, yt) = path.grid([s, t])
+    return float(xs * (ys - yt))
 
 
 def _as_z_matrix(zs, n: int, dim: int) -> np.ndarray:
     arr = np.asarray(zs, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(n, 1) if dim == 1 else arr.reshape(1, dim)
+    if arr.ndim < 2 and arr.size == n * dim and 1 in (n, dim):  # one probe, or one per time
+        arr = arr.reshape(n, dim)
     if arr.shape != (n, dim):
         raise ValueError(f"zs must have shape ({n}, {dim}), got {arr.shape}")
     return arr
@@ -77,14 +77,7 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
     The exponent is summed with running sums in O(n) (module docstring), except the
     jumps of a law with no atoms, over the n(n+1)/2 cells; one time is x y psi(z).
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if not (ts[1:] > ts[:-1]).all():
-        raise ValueError("times must be strictly increasing")
-    if not (path.t_lo - 1e-15 <= ts[0] and ts[-1] <= path.t_hi + 1e-15):  # the ends bound increasing times
-        raise ValueError(f"t outside the path domain [{path.t_lo}, {path.t_hi}]")
-    xs, ys = path.x(ts), path.y(ts)
+    ts, xs, ys = path.grid(times)
     z = _as_z_matrix(zs, ts.size, triplet.dim)
     if ts.size == 1:
         return cmath.exp(xs[0] * ys[0] * eval_psi(triplet, z[0]))
@@ -115,8 +108,6 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,
                  s: float, t: float, z) -> complex:
     """Characteristic function of the increment between path times s < t: `joint_cf` at (-z, z)."""
-    if not s < t:
-        raise ValueError("increment needs s < t")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     return joint_cf(triplet, path, [s, t], np.stack([-zz, zz]))
 
@@ -148,10 +139,7 @@ def stationary_increment_cf(triplet: LevyTriplet, cls: PathClass,
 def conditional_mean(mean11: float, path: DecreasingPath,
                      s: float, t: float, x_s: float) -> float:
     """E[value at t | value at s = x_s] for an integrable real-valued sheet."""
-    if not s < t:
-        raise ValueError("conditioning needs s < t")
-    xs, ys = path.eval(s)
-    xt, yt = path.eval(t)
+    _, (xs, xt), (ys, yt) = path.grid([s, t])
     if ys == 0.0:
         raise ValueError("conditioning time must have y(s) > 0")
-    return (yt / ys) * x_s + (xt - xs) * yt * mean11
+    return float((yt / ys) * x_s + (xt - xs) * yt * mean11)

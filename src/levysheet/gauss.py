@@ -63,13 +63,6 @@ class GaussPathLaw:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def ratio(self, t):
-        """r(t) = x(t)/y(t), defined where y(t) > 0 in the path's domain."""
-        xv, yv = self.path.eval(t)  # floats for a scalar t
-        if np.any(yv <= 0):
-            raise ValueError("ratio requires y(t) > 0")
-        return xv / yv
-
 
 @dataclass(frozen=True)
 class SamplePathGrid:
@@ -111,10 +104,7 @@ def _csv(time_name: str, value_name: str, times, rows) -> str:
 
 def covariance(law: GaussPathLaw, s: float, t: float) -> float:
     """Per-component covariance x(min(s,t)) * y(max(s,t))."""
-    lo, hi = (s, t) if s <= t else (t, s)
-    x_lo, _ = law.path.eval(lo)
-    _, y_hi = law.path.eval(hi)
-    return float(x_lo) * float(y_hi)
+    return float(covariance_matrix(law, [s, t])[0, 1])
 
 
 def covariance_matrix(law: GaussPathLaw, times) -> np.ndarray:
@@ -130,9 +120,7 @@ def covariance_matrix(law: GaussPathLaw, times) -> np.ndarray:
 
 def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
     """Joint characteristic function from the Gaussian quadratic form."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if not (np.diff(ts) > 0).all():
-        raise ValueError("times must be strictly increasing")
+    ts, _, _ = law.path.grid(times)
     z = _as_z_matrix(zs, ts.size, law.dim)
     quad = float(np.sum(covariance_matrix(law, ts) * (z @ z.T)))
     return complex(math.exp(-0.5 * quad))
@@ -163,11 +151,7 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
 def _ratio_time(law: GaussPathLaw, grid):
     """(x, y, std, dead) on a checked grid: the path's values, the standard
     deviation of each ratio-time increment, and where x y = 0."""
-    ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    if ts.size == 0 or not (np.diff(ts) > 0).all():
-        raise ValueError("grid must be nonempty and strictly increasing")
-    xs, ys = law.path.eval(ts)
-    xs, ys = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))
+    _, xs, ys = law.path.grid(grid)
     dead = xs * ys == 0.0
     # y is nonincreasing, so y = 0 only on a final stretch of the grid; r = 0
     # there makes its increments negative, which the clamp below turns into
@@ -238,10 +222,7 @@ def transition_density(law: GaussPathLaw, s: float, t: float,
     """
     if law.dim != 1:
         raise ValueError("transition density is defined for dim=1 only")
-    if not s < t:
-        raise ValueError("transition needs s < t")
-    xs, ys = law.path.eval(s)
-    xt, yt = law.path.eval(t)
+    _, (xs, xt), (ys, yt) = law.path.grid([s, t])
     if ys <= 0:
         raise ValueError("conditioning time must have y(s) > 0")
     if yt == 0.0:
@@ -266,36 +247,33 @@ def zero_prob_conditional(law: GaussPathLaw, s: float, t: float, z: float) -> fl
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
     if not (math.isfinite(z) and z != 0.0):
         raise ValueError("conditioning value must be finite and nonzero")
-    if not s < t:
-        raise ValueError("needs s < t")
-    rs = law.ratio(s)
-    if float(law.path.y(t)) == 0.0:
+    _, (xs, xt), (ys, yt) = law.path.grid([s, t])
+    if yt <= 0.0:  # y(s) >= y(t) > 0 below, as y is nonincreasing
         return 1.0
-    gap = law.ratio(t) - rs
+    gap = xt / yt - xs / ys
     if gap < 0:
         raise ValueError("x/y must be nondecreasing")
     if gap == 0.0:
         return 0.0
-    _, ys = law.path.eval(s)
     a = abs(z / ys) / math.sqrt(gap)
     return math.erfc(a / math.sqrt(2.0))
 
 
 def zero_prob(law: GaussPathLaw, s: float, t: float) -> float:
-    """Unconditional P(at least one zero in (s, t)): (2/pi) arccos sqrt(r(s)/r(t)).
+    """Unconditional P(at least one zero in (s, t)): (2/pi) arccos sqrt(r(s)/r(t)),
+    for path times s < t, and 0 for s = t.
 
     When y(t) = 0 the process is pinned to zero at t and the value is the
     r(t) -> infinity limit, 1.
     """
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
-    if not s <= t:
-        raise ValueError("needs s <= t")
     if s == t:
         return 0.0
-    if float(law.path.y(t)) == 0.0:
+    _, (xs, xt), (ys, yt) = law.path.grid([s, t])
+    if yt <= 0.0:  # y(s) >= y(t) > 0 below, as y is nonincreasing
         return 1.0
-    rs, rt = law.ratio(s), law.ratio(t)
+    rs, rt = xs / ys, xt / yt
     if rt <= 0:
         raise ValueError("zero_prob requires x(t) > 0")
     ratio = min(max(rs / rt, 0.0), 1.0)

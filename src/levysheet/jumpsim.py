@@ -282,12 +282,9 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
     """n_draws exact draws at the times ts, (n_draws, k, d), of the triplet's sheet along
     the path: x(t) y(t) gamma_0, plus the Brownian sheet along the path times the eigen-root
     of A, plus (drawn after it) the jump field on `path_region(path)` restricted."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size == 0 or not (ts[1:] > ts[:-1]).all():
-        raise ValueError("grid must be nonempty and strictly increasing")
+    ts, xs, ys = path.grid(ts)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    xs, ys = path.eval(ts)
     values = np.empty((n_draws, ts.size, triplet.dim))
     values[:] = (xs * ys)[:, None] * triplet.drift
     if triplet.gaussian.any():

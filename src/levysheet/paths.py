@@ -89,6 +89,16 @@ class DecreasingPath:
             return float(xv), float(yv)
         return xv, yv
 
+    def grid(self, times):
+        """(ts, x(ts), y(ts)) as float arrays for nonempty, strictly increasing times
+        in the domain; raises otherwise.  The one place caller times meet a path."""
+        ts = np.atleast_1d(np.asarray(times, dtype=float))
+        if ts.ndim != 1 or ts.size == 0 or not (ts[1:] > ts[:-1]).all():
+            raise ValueError("times must be nonempty and strictly increasing")
+        if not (self.t_lo - 1e-15 <= ts[0] and ts[-1] <= self.t_hi + 1e-15):  # the ends bound increasing times
+            raise ValueError(f"t outside the path domain [{self.t_lo}, {self.t_hi}]")
+        return ts, self._x(ts), self._y(ts)
+
     @property
     def span(self) -> float:
         return self.t_hi - self.t_lo
@@ -412,8 +422,8 @@ def phi(cls: PathClass, u):
 
 def symmetric_increment_area(path: DecreasingPath, s, t):
     """x(s)y(s) + x(t)y(t) - 2 x(s)y(t): the increment's total rectangle area."""
-    xs, ys = path.x(s), path.y(s)
-    xt, yt = path.x(t), path.y(t)
+    xs, ys = path.eval(s)
+    xt, yt = path.eval(t)
     return xs * ys + xt * yt - 2.0 * xs * yt
 
 

@@ -251,8 +251,9 @@ def criterion_4(seed: int = DEFAULT_SEED, n_paths: int = 100_000, grid_points: i
 
     z = 0.1
     closed = gauss.zero_prob_conditional(law, s, t, z)
-    scale = abs(z / float(path.y(s)))
-    gap = law.ratio(t) - law.ratio(s)
+    _, (xs, xt), (ys, yt) = path.grid([s, t])
+    scale = float(abs(z / ys))
+    gap = xt / yt - xs / ys
     integral, _ = quad(lambda u: u ** -1.5 * math.exp(-scale ** 2 / (2.0 * u)),
                        0.0, gap, limit=200)
     quad_value = scale / math.sqrt(2.0 * math.pi) * integral

@@ -170,10 +170,9 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
         raise ValueError("pairs must be an (N, 2) array of (value_s, value_t)")
     if arr.shape[0] < 100:
         raise ValueError("regression needs at least 100 pairs")
-    xs, ys = path.eval(s)
-    xt, yt = path.eval(t)
-    slope_target = yt / ys
-    intercept_target = (xt - xs) * yt * mean11
+    _, (xs, xt), (ys, yt) = path.grid([s, t])
+    slope_target = float(yt / ys)
+    intercept_target = float((xt - xs) * yt * mean11)
     slope, intercept, se_slope, se_intercept = _ols(arr[:, 0], arr[:, 1])
     floor = 1e-9 * max(1.0, abs(slope_target), abs(intercept_target))
     gap_slope = abs(slope - slope_target)

@@ -95,6 +95,10 @@ class TestJointCF:
         # within the 1e-15 slack the times are accepted
         assert cmath.isfinite(fdd.joint_cf(brownian(1), path, [-1e-16, 1.0 + 1e-16], np.ones((2, 1))))
 
+    def test_rejects_bad_probe_shape(self):
+        with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(3,\)"):
+            fdd.joint_cf(brownian(1), bridge(), [0.3, 0.6], [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("times", [[0.2, math.nan], [math.nan, 0.2], [math.nan]])
     def test_rejects_nan_times(self, times):
         with pytest.raises(ValueError, match="strictly increasing|outside the path domain"):

@@ -301,6 +301,10 @@ class TestPhi:
         ph = cls.phi(t[keep] - s[keep])
         assert np.max(np.abs(lhs - ph) / np.maximum(1.0, np.abs(ph))) < 1e-9
 
+    def test_increment_area_rejects_times_outside_the_domain(self):
+        with pytest.raises(ValueError, match="outside the path domain"):
+            pth.symmetric_increment_area(bridge_path(), 0.5, 3.0)
+
     def test_zero_lag(self):
         for path in (bridge_path(), pth.ExponentialPath(1.0, 1.0, 1.0, 0.0, 1.0)):
             assert pth.classify(path).phi(0.0) == 0.0
