@@ -269,6 +269,7 @@ def zero_prob(law: GaussPathLaw, s: float, t: float) -> float:
     if law.dim != 1:
         raise ValueError("zero-crossing probabilities are defined for dim=1 only")
     if s == t:
+        law.path.grid([s])  # raises outside the domain
         return 0.0
     _, (xs, xt), (ys, yt) = law.path.grid([s, t])
     if yt <= 0.0:  # y(s) >= y(t) > 0 below, as y is nonincreasing

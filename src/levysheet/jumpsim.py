@@ -10,7 +10,9 @@ j and 2j + 1 its exit; the kept ones are sorted once, stably, by time, so
 equal times keep that order.  The restricted process is not cadlag and no
 merging is attempted.
 
-The uniform-triangle-to-order-statistics map, the jump-time rearrangement
+`paired_event_counts` returns each draw's count of those paired events; the
+checks of their law are built from the counts by their callers.  The
+uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
 
 Experiments draw N replicates at once, as flat event arrays plus `owner`,
@@ -79,8 +81,7 @@ __all__ = [
     "random_walk_bridges",
     "rw_bridge_cov",
     "swept_exit_area",
-    "JumpCountReport",
-    "jump_count_law_check",
+    "paired_event_counts",
 ]
 
 
@@ -368,11 +369,20 @@ def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPat
     return y_prime, z
 
 
+def _grid_times(times, l: float) -> np.ndarray:
+    """The times as a float array, which must lie in [0, l]."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if not ((ts >= 0) & (ts <= l)).all():  # False at NaN
+        raise ValueError("grid times must lie in [0, l]")
+    return ts
+
+
 def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
                      rng) -> tuple[np.ndarray, np.ndarray]:
-    """Values at the times ts, (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l] and of
-    Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
+    """Values at the times ts in [0, l], (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l]
+    and of Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
     _positive(rate=rate, l=l)
+    ts = _grid_times(ts, l)
 
     def block(lo, hi, gen):
         owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, hi - lo, gen)
@@ -440,10 +450,7 @@ def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None)
     if grid is None:
         idx = np.arange(1, total + 1)
     else:
-        times = np.atleast_1d(np.asarray(grid, dtype=float))
-        if not ((times >= 0) & (times <= l)).all():
-            raise ValueError("grid times must lie in [0, l]")
-        idx = np.floor(n * times).astype(int)
+        idx = np.floor(n * _grid_times(grid, l)).astype(int)
 
     def block(lo, hi, gen):
         steps = xi_dist.sample(gen, (hi - lo) * total)[:, 0].reshape(hi - lo, total)
@@ -475,7 +482,7 @@ def rw_bridge_cov(n: int, l: float, mu1: float, mu2: float, s: float, t: float) 
 
 
 # ---------------------------------------------------------------------------
-# Jump-count law of the restricted process on a straight-line path
+# Paired-event counts of the restricted process
 # ---------------------------------------------------------------------------
 
 def swept_exit_area(path: LinearPath) -> float:
@@ -484,55 +491,22 @@ def swept_exit_area(path: LinearPath) -> float:
     return path.d * (path.a * (hi - lo) + 0.5 * path.b * (hi ** 2 - lo ** 2))
 
 
-@dataclass(frozen=True)
-class JumpCountReport:
-    n_sims: int
-    expected_half_rate: float
-    all_even: bool
-    mean_half_count: float
-    chi2_statistic: float
-    chi2_critical: float  # the statistic's value at the test's p-value threshold
-    chi2_pvalue: float
+def paired_event_counts(path: DecreasingPath, rate: float, n_draws: int, rng) -> np.ndarray:
+    """Each draw's count of events that come in cancelling pairs, (n_draws,) ints.
 
-
-def jump_count_law_check(path: LinearPath, sheet_rate: float, n_sims: int,
-                         rng) -> JumpCountReport:
-    """Check the paired-event count law of the restricted process.
-
-    Events excluding never-exiting jumps always come in cancelling pairs, and
-    the pair counts are Poisson with mean sheet_rate times the swept area.
-    The sheet's jumps are +/-1 with equal probability.
+    n_draws sheets of +/-1 jumps at the given rate are drawn on `path_region(path)`
+    and restricted to the path; each count is the draw's events less its jumps under
+    the terminal rectangle, which enter and never leave.  So every count is even, and
+    on a straight line half of it is Poisson with mean rate * `swept_exit_area(path)`.
     """
-    from .verify import chi2_counts  # deferred: verify is a consumer of this module's outputs
-
-    if not isinstance(path, LinearPath):
-        raise TypeError("the jump-count law check applies to straight-line paths")
-    area = swept_exit_area(path)
-    if area == 0.0:
-        raise ValueError("no jump leaves a horizontal path: its swept exit area is 0")
-    p = sheet_rate * area
-    _positive(rate=sheet_rate)
-    region, signs = path_region(path), TwoPoint(np.array([1.0]))
+    _positive(rate=rate)
+    region, signs = path_region(path), TwoPoint(1.0)  # values unused, but drawn from the stream
 
     def block(lo, hi, gen):
-        # each draw's events less its jumps under the terminal rectangle, which enter and
-        # never leave: those with v <= y(t_hi), as no jump lies right of x(t_hi)
-        field, owner = simulate_cpp_sheets(sheet_rate, signs, region, hi - lo, gen)
+        # the jumps that stay are those with v <= y(t_hi), as no jump lies right of x(t_hi)
+        field, owner = simulate_cpp_sheets(rate, signs, region, hi - lo, gen)
         jump, _, _ = _restrict_events(field, path)
         stays = field.locations[:, 1] <= path.ends[3]
         return np.bincount(owner[jump], minlength=hi - lo) - np.bincount(owner[stays], minlength=hi - lo)
 
-    paired = np.concatenate(_run_blocks(n_sims, sheet_rate * region.area, rng, block))
-    halves = paired // 2
-    chi2 = chi2_counts(halves, lambda k: math.exp(-p) * p ** k / math.factorial(k),
-                       name="jump-count-poisson")
-    all_even = bool(np.all(paired % 2 == 0))
-    return JumpCountReport(
-        n_sims=n_sims,
-        expected_half_rate=p,
-        all_even=all_even,
-        mean_half_count=float(halves.mean()),
-        chi2_statistic=chi2.statistic,
-        chi2_critical=chi2.threshold,
-        chi2_pvalue=chi2.extra["pvalue"],
-    )
+    return np.concatenate(_run_blocks(n_draws, rate * region.area, rng, block))

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import gauss, jumpsim
 from .exponent import LevyTriplet, eval_psi
+from .fdd import _as_z_matrix
 from .paths import ExponentialPath
 
 __all__ = [
@@ -87,7 +88,7 @@ _GAP_THRESHOLD = 1e-3  # a probe whose CF gap exceeds it witnesses a difference 
 def _probes(triplet: LevyTriplet, c: float, t, z):
     """The probes' times, (k,), z values, (k, d), and e^{ct}, (k, 1)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    zs = np.asarray(z, dtype=float).reshape(ts.size, triplet.dim)
+    zs = _as_z_matrix(z, ts.size, triplet.dim)
     if not (math.isfinite(c) and c > 0 and np.all(ts > 0) and np.isfinite(ts).all()):
         raise ValueError("c and t must be finite and positive")
     return ts, zs, np.exp(c * ts)[:, None]

@@ -1,6 +1,7 @@
 """Named verification suites run by `levysheet verify` and the acceptance tests.
 
-Each criterion function is deterministic given the seed, draws its random
+Each criterion function takes the seed as its only parameter (its sample
+sizes are fixed inside it), is deterministic given the seed, draws its random
 input from its own stream, and returns a list of TestReports, one per
 sub-check.  Every check passes iff its statistic is at most its threshold.
 `CRITERIA` wraps the criteria named in the one budget table `_BUDGETS`
@@ -220,8 +221,8 @@ def criterion_2(seed: int = DEFAULT_SEED):
 # Criterion 3: the pinned straight-line path simulates a standard bridge
 # ---------------------------------------------------------------------------
 
-def criterion_3(seed: int = DEFAULT_SEED, n_paths: int = 100_000):
-    rng = _rng(seed, 3)
+def criterion_3(seed: int = DEFAULT_SEED):
+    rng, n_paths = _rng(seed, 3), 100_000
     path = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
     grid = np.array([0.0, 0.3, 0.5, 0.6, 1.0])
     vals = jumpsim.simulate_triplet(brownian(1), path, grid, n_paths, rng)[:, :, 0]
@@ -239,10 +240,10 @@ def criterion_3(seed: int = DEFAULT_SEED, n_paths: int = 100_000):
 # Criterion 4: zero-crossing probabilities (MC and quadrature oracles)
 # ---------------------------------------------------------------------------
 
-def criterion_4(seed: int = DEFAULT_SEED, n_paths: int = 100_000, grid_points: int = 10_000):
+def criterion_4(seed: int = DEFAULT_SEED):
     from scipy.integrate import quad  # deferred: scipy is slow to import
 
-    rng = _rng(seed, 4)
+    rng, n_paths, grid_points = _rng(seed, 4), 100_000, 10_000
     path = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)
     law = gauss.GaussPathLaw(path)
     s, t = 0.25, 0.75
@@ -277,8 +278,8 @@ def _dyadic_jump_dist(rng) -> Categorical:
     return Categorical(points, probs / probs.sum())
 
 
-def criterion_5(seed: int = DEFAULT_SEED, n_fields: int = 100, n_sims: int = 10_000):
-    rng = _rng(seed, 5)
+def criterion_5(seed: int = DEFAULT_SEED):
+    rng, n_fields, n_sims = _rng(seed, 5), 100, 10_000
     exact_failures = 0
     for i in range(n_fields):
         if i % 2 == 0:
@@ -301,17 +302,18 @@ def criterion_5(seed: int = DEFAULT_SEED, n_fields: int = 100, n_sims: int = 10_
             want = jumpsim.rectangle_sum(field, float(path.x(tt)), float(path.y(tt)))
             if not np.array_equal(got, want):
                 exact_failures += 1
-    count_report = jumpsim.jump_count_law_check(
-        LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0), 4.0, n_sims, rng)
+    # on the bridge every sheet jump below the sweep pairs up; half-counts are Poisson
+    path, rate = LinearPath(0.0, 1.0, 1.0, 1.0, 0.0, 1.0), 4.0
+    paired = jumpsim.paired_event_counts(path, rate, n_sims, rng)
+    halves, mean = paired // 2, rate * jumpsim.swept_exit_area(path)
+    chi2 = verify.chi2_counts(halves, lambda k: math.exp(-mean) * mean ** k / math.factorial(k))
     return [
         _report("c5.exact-restriction", exact_failures, 0.5, seed, n=n_fields * 25),
-        _report("c5.even-counts", 0.0 if count_report.all_even else 1.0, 0.5,
+        _report("c5.even-counts", 0.0 if np.all(paired % 2 == 0) else 1.0, 0.5,
                 seed, n=n_sims),
-        _report("c5.half-count-poisson", count_report.chi2_statistic, count_report.chi2_critical,
-                seed, n=n_sims,
-                pvalue=count_report.chi2_pvalue,
-                mean_half_count=count_report.mean_half_count,
-                expected=count_report.expected_half_rate),
+        _report("c5.half-count-poisson", chi2.statistic, chi2.threshold, seed, n=n_sims,
+                pvalue=chi2.extra["pvalue"], mean_half_count=float(halves.mean()),
+                expected=mean),
     ]
 
 
@@ -328,8 +330,8 @@ def _order_stat_cdf(p: float, q: float, l: float) -> float:
     return (q / l) ** 2 - ((q - p) / l) ** 2
 
 
-def criterion_6(seed: int = DEFAULT_SEED, n_samples: int = 100_000):
-    rng = _rng(seed, 6)
+def criterion_6(seed: int = DEFAULT_SEED):
+    rng, n_samples = _rng(seed, 6), 100_000
     b, c, l = 2.0, 3.0, 1.5
     region = jumpsim.TriangleRegion(b * l, c)
     taus = jumpsim.triangle_to_order_stats(region.sample(rng, n_samples), b, c, l)
@@ -349,8 +351,8 @@ def criterion_6(seed: int = DEFAULT_SEED, n_samples: int = 100_000):
 # Criterion 7: rearranged difference matches the symmetrized-sheet law
 # ---------------------------------------------------------------------------
 
-def criterion_7(seed: int = DEFAULT_SEED, n_rep: int = 100_000):
-    rng = _rng(seed, 7)
+def criterion_7(seed: int = DEFAULT_SEED):
+    rng, n_rep = _rng(seed, 7), 100_000
     y, y_prime = jumpsim.rearranged_pairs(2.0, TwoPoint(1.0), 1.0, [0.3, 0.7], n_rep, rng)
     zvals = (y - y_prime)[:, :, 0]
     sheet = cpp_from_atoms([(1.0, 2.0), (-1.0, 2.0)])  # nu + dual(nu) for rate-2 +/-1 jumps
@@ -367,8 +369,8 @@ def criterion_7(seed: int = DEFAULT_SEED, n_rep: int = 100_000):
 # Criterion 8: diffusion-scale bridge convergence at the reported scale
 # ---------------------------------------------------------------------------
 
-def criterion_8(seed: int = DEFAULT_SEED, rate: int = 1000, n_rep: int = 10_000):
-    rng = _rng(seed, 8)
+def criterion_8(seed: int = DEFAULT_SEED):
+    rng, rate, n_rep = _rng(seed, 8), 1000, 10_000
     dist = TwoPoint(1.0)
     draws = jumpsim.bridge_experiments(rate, dist, 1.0, [0.5, 1.0], n_rep, rng)
     var_mid = float(draws.values[:, 0].var())
@@ -395,8 +397,8 @@ def criterion_8(seed: int = DEFAULT_SEED, rate: int = 1000, n_rep: int = 10_000)
 # Criterion 9: exponential-path stationarity
 # ---------------------------------------------------------------------------
 
-def criterion_9(seed: int = DEFAULT_SEED, n_paths: int = 100_000):
-    rng = _rng(seed, 9)
+def criterion_9(seed: int = DEFAULT_SEED):
+    rng, n_paths = _rng(seed, 9), 100_000
     law = stationary.StationaryLaw(brownian(1), a=1.0, b=0.5, c=1.0)
     lags = [0.1, 0.5, 1.0]
     grid = np.array([0.0] + lags)
@@ -448,8 +450,8 @@ def criterion_10(seed: int = DEFAULT_SEED):
 # Criterion 11: law rescaling invariance and conditional-mean regressions
 # ---------------------------------------------------------------------------
 
-def criterion_11(seed: int = DEFAULT_SEED, n_pairs: int = 20_000, n_sims: int = 10_000):
-    rng = _rng(seed, 11)
+def criterion_11(seed: int = DEFAULT_SEED):
+    rng, n_pairs, n_sims = _rng(seed, 11), 20_000, 10_000
     triplets = [brownian(1), cpp_from_atoms([(1.0, 0.7), (-0.5, 1.2)]),
                 cpp_from_atoms([(0.8, 2.0)], drift=0.3)]
     worst = 0.0
@@ -486,9 +488,9 @@ def _timed(number: int, criterion):
     """The criterion with a `cN.runtime` report of its whole call appended."""
 
     @functools.wraps(criterion)
-    def run(seed: int = DEFAULT_SEED, **kwargs):
+    def run(seed: int = DEFAULT_SEED):
         start = time.perf_counter()
-        reports = criterion(seed, **kwargs)
+        reports = criterion(seed)
         elapsed = time.perf_counter() - start
         return reports + [_report(f"c{number}.runtime", elapsed, _BUDGETS[number], seed,
                                   unit="seconds")]

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fdd import conditional_mean
+
 __all__ = [
     "EmpiricalCF",
     "TestReport",
@@ -159,8 +161,9 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
                                 seed: int | None = None) -> TestReport:
     """Regress values at t on values at s and compare with the closed form.
 
-    The slope must match y(t)/y(s) and the intercept (x(t)-x(s)) y(t) mean11,
-    each within k standard errors (plus a tiny absolute floor for the
+    The slope must match y(t)/y(s) and the intercept (x(t)-x(s)) y(t) mean11
+    (`fdd.conditional_mean` at x_s = 1 with no drift, and at x_s = 0), each
+    within k standard errors (plus a tiny absolute floor for the
     deterministic zero-residual case).  The standard errors are
     heteroskedasticity-robust (HC0): for a jump sheet the conditional variance
     of the value at t grows with the value at s.
@@ -170,9 +173,8 @@ def conditional_mean_regression(pairs, path, s: float, t: float, mean11: float,
         raise ValueError("pairs must be an (N, 2) array of (value_s, value_t)")
     if arr.shape[0] < 100:
         raise ValueError("regression needs at least 100 pairs")
-    _, (xs, xt), (ys, yt) = path.grid([s, t])
-    slope_target = float(yt / ys)
-    intercept_target = float((xt - xs) * yt * mean11)
+    slope_target = conditional_mean(0.0, path, s, t, 1.0)
+    intercept_target = conditional_mean(mean11, path, s, t, 0.0)
     slope, intercept, se_slope, se_intercept = _ols(arr[:, 0], arr[:, 1])
     floor = 1e-9 * max(1.0, abs(slope_target), abs(intercept_target))
     gap_slope = abs(slope - slope_target)

@@ -5,6 +5,8 @@ pinned seed and prints one PASS/FAIL line per criterion (visible with -s or
 on failure).
 """
 
+import inspect
+
 import pytest
 
 from levysheet import suites
@@ -49,6 +51,14 @@ def test_criterion(number):
     for report in reports:
         assert report.passed, report.to_json()
         assert report.passed == (report.statistic <= report.threshold), report.to_json()
+
+
+@pytest.mark.parametrize("follow_wrapped", [True, False])
+def test_every_criterion_takes_only_the_seed(follow_wrapped):
+    # each sample size is fixed inside its criterion: no keyword can change it
+    for number, criterion in suites.CRITERIA.items():
+        params = inspect.signature(criterion, follow_wrapped=follow_wrapped).parameters
+        assert list(params) == ["seed"], number
 
 
 def test_suite_runs_its_criteria_in_order():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levysheet import fdd
+from levysheet import fdd, stationary
 from levysheet.exponent import (
     Categorical,
     GaussianJumps,
@@ -98,6 +98,10 @@ class TestJointCF:
     def test_rejects_bad_probe_shape(self):
         with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(3,\)"):
             fdd.joint_cf(brownian(1), bridge(), [0.3, 0.6], [1.0, 2.0, 3.0])
+
+    def test_ou_probes_take_the_same_shape_check(self):
+        with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(3,\)"):
+            stationary.ou_cf(brownian(1), 1.0, [0.5, 1.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("times", [[0.2, math.nan], [math.nan, 0.2], [math.nan]])
     def test_rejects_nan_times(self, times):

@@ -22,6 +22,7 @@ BAD_TIMES = {
     "nan-last": [0.2, math.nan],
     "nan": [math.nan],
     "past-end": [0.2, 1.5],
+    "equal-outside": [5.0, 5.0],
 }
 
 

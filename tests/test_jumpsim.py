@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from levysheet import fdd, gauss, jumpsim, verify
+from levysheet import fdd, gauss, jumpsim
 from levysheet.exponent import (Categorical, LevyTriplet, ScaledJumps, TwoPoint, cpp,
                                  cpp_from_atoms, pure_drift)
 from levysheet.paths import ExponentialPath, LinearPath
@@ -272,7 +272,7 @@ class TestRestrictedSheets:
         values = jumpsim.simulate_triplet(cpp(4.0, TwoPoint(1.0)), bridge(), [0.5, 1.0], 37, rng)
         assert values.shape == (37, 2, 1)
         assert np.all(values[:, 1] == 0.0)  # y(1) = 0: every jump has left
-        assert jumpsim.jump_count_law_check(bridge(), 4.0, 37, rng).all_even
+        assert np.all(jumpsim.paired_event_counts(bridge(), 4.0, 37, rng) % 2 == 0)
         draws = jumpsim.bridge_experiments(20, TwoPoint(1.0), 1.0, [0.5, 1.0], 37, rng)
         assert draws.values.shape == (37, 2)
         assert np.all(draws.values[:, 1] == 0.0)
@@ -619,11 +619,17 @@ class TestRandomWalkBridge:
             jumpsim.rw_bridge_cov(30, l, 0.0, 1.0, 0.3, 0.6)
 
     @pytest.mark.parametrize("s, t", [(2.0, 3.0), (0.3, 1.5), (-0.1, 0.5), (math.nan, 0.5),
-                                      (0.3, math.inf)])
+                                      (0.3, math.inf), (0.5, math.nan), (-1.0, 0.5), (2.0, 0.5)])
     def test_rejects_times_outside_the_walk(self, s, t):
+        # the walk, the rearranged pair and the bridge experiment share one check
         with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
             jumpsim.random_walk_bridges(30, 1.0, TwoPoint(1.0), 5, np.random.default_rng(63),
                                         grid=[s, t])
+        with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
+            jumpsim.rearranged_pairs(10.0, TwoPoint(1.0), 1.0, [s, t], 3, np.random.default_rng(63))
+        with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
+            jumpsim.bridge_experiments(10.0, TwoPoint(1.0), 1.0, [s, t], 3,
+                                       np.random.default_rng(63))
         with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
             jumpsim.rw_bridge_cov(30, 1.0, 0.0, 1.0, s, t)
 
@@ -641,48 +647,57 @@ class TestRandomWalkBridge:
         assert abs(cov - target) <= 4.0 * prods.std(ddof=1) / math.sqrt(reps)
 
 
+def brute_force_counts(path, rate, n, seed):
+    """`paired_event_counts`' stream drawn as one field per sheet: each draw's events,
+    and its jumps under the terminal rectangle, counted from the sheet itself."""
+    region = jumpsim.path_region(path)
+    field, owner = jumpsim.simulate_cpp_sheets(rate, TwoPoint(1.0), region, n,
+                                               np.random.default_rng(seed))
+    x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
+    events, persistent = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for i in range(n):
+        sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
+        u, v = sheet.locations[:, 0], sheet.locations[:, 1]
+        events[i] = jumpsim.restrict_to_path(sheet, path).times.size
+        persistent[i] = np.sum((u <= x_end) & (v <= y_end))
+    return events, persistent
+
+
+def poisson_halves(paired, mean):
+    """The chi-square report of the half-counts against Poisson(mean), as c5 builds it."""
+    return chi2_counts(paired // 2, lambda k: math.exp(-mean) * mean ** k / math.factorial(k))
+
+
 class TestJumpCountLaw:
     def test_zero_rate(self):
         rng = np.random.default_rng(65)
-        report = jumpsim.jump_count_law_check(bridge(), 1e-9, 200, rng)
-        assert report.all_even
-        assert report.mean_half_count == 0.0
+        paired = jumpsim.paired_event_counts(bridge(), 1e-9, 200, rng)
+        assert paired.shape == (200,)
+        assert np.all(paired == 0)
 
     def test_bridge_path_poisson_counts(self):
         rng = np.random.default_rng(66)
-        report = jumpsim.jump_count_law_check(bridge(), 4.0, 4000, rng)
-        assert report.expected_half_rate == pytest.approx(2.0)
-        assert report.all_even
-        assert report.chi2_pvalue > 1e-3
-        assert abs(report.mean_half_count - 2.0) <= 4.0 * math.sqrt(2.0 / 4000)
+        paired = jumpsim.paired_event_counts(bridge(), 4.0, 4000, rng)
+        mean = 4.0 * jumpsim.swept_exit_area(bridge())
+        assert mean == pytest.approx(2.0)
+        assert np.all(paired % 2 == 0)
+        assert poisson_halves(paired, mean).extra["pvalue"] > 1e-3
+        assert abs((paired // 2).mean() - 2.0) <= 4.0 * math.sqrt(2.0 / 4000)
 
-    def test_counts_are_brute_force_counts(self, monkeypatch):
-        # the same stream drawn as one field per sheet: each draw's events less its jumps
-        # under the terminal rectangle, counted from the sheet itself
+    def test_counts_are_brute_force_counts(self):
         path, rate, n = LinearPath(0.2, 1.0, 1.5, 1.2, 0.0, 1.0), 6.0, 300  # y(t_hi) = 0.3
-        tested = []
-
-        def recording(counts, *args, **kwargs):
-            tested.append(np.array(counts))
-            return chi2_counts(counts, *args, **kwargs)
-
-        monkeypatch.setattr(verify, "chi2_counts", recording)
-        report = jumpsim.jump_count_law_check(path, rate, n, np.random.default_rng(69))
-        region = jumpsim.RectRegion(float(path.x(path.t_hi)), float(path.y(path.t_lo)))
-        field, owner = jumpsim.simulate_cpp_sheets(rate, TwoPoint(1.0), region, n,
-                                                   np.random.default_rng(69))
-        x_end, y_end = float(path.x(path.t_hi)), float(path.y(path.t_hi))
-        events, persistent = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        for i in range(n):
-            sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
-            u, v = sheet.locations[:, 0], sheet.locations[:, 1]
-            events[i] = jumpsim.restrict_to_path(sheet, path).times.size
-            persistent[i] = np.sum((u <= x_end) & (v <= y_end))
-        paired = events - persistent
+        paired = jumpsim.paired_event_counts(path, rate, n, np.random.default_rng(69))
+        events, persistent = brute_force_counts(path, rate, n, 69)
         assert persistent.sum() > 0 and paired.sum() > 0
-        assert report.all_even and np.all(paired % 2 == 0)
-        assert np.array_equal(tested[0], paired // 2)
-        assert report.mean_half_count == (paired // 2).mean()
+        assert np.array_equal(paired, events - persistent)
+        assert np.all(paired % 2 == 0)
+
+    def test_even_counts_on_every_form(self, six_forms):
+        for name, path in six_forms.items():
+            paired = jumpsim.paired_event_counts(path, 3.0, 200, np.random.default_rng(72))
+            assert np.all(paired % 2 == 0), name
+            events, persistent = brute_force_counts(path, 3.0, 200, 72)
+            assert np.array_equal(paired, events - persistent), name
 
     def test_swept_area(self):
         assert jumpsim.swept_exit_area(bridge()) == pytest.approx(0.5)
@@ -697,15 +712,17 @@ class TestJumpCountLaw:
         assert jumpsim.swept_exit_area(vertical) == pytest.approx(2.0 * (y_lo - y_hi))
 
     def test_horizontal_line_has_no_pairs_to_count(self):
+        # y never falls, so every jump that enters stays
         rng = np.random.default_rng(67)
-        with pytest.raises(ValueError, match="swept exit area is 0"):
-            jumpsim.jump_count_law_check(LinearPath(0.5, 2.0, 1.5, 0.0, 0.0, 1.0), 4.0, 200, rng)
+        paired = jumpsim.paired_event_counts(LinearPath(0.5, 2.0, 1.5, 0.0, 0.0, 1.0), 4.0, 200, rng)
+        assert np.all(paired == 0)
 
     def test_vertical_line_poisson_counts(self):
         rng = np.random.default_rng(68)
         vertical = LinearPath(2.0, 0.0, 3.0, 1.0, 0.0, 1.0)  # swept area 2
-        report = jumpsim.jump_count_law_check(vertical, 3.0, 4000, rng)
-        assert report.expected_half_rate == pytest.approx(6.0)
-        assert report.all_even
-        assert report.chi2_statistic <= report.chi2_critical
-        assert abs(report.mean_half_count - 6.0) <= 4.0 * math.sqrt(6.0 / 4000)
+        paired = jumpsim.paired_event_counts(vertical, 3.0, 4000, rng)
+        mean = 3.0 * jumpsim.swept_exit_area(vertical)
+        assert mean == pytest.approx(6.0)
+        assert np.all(paired % 2 == 0)
+        assert poisson_halves(paired, mean).passed
+        assert abs((paired // 2).mean() - 6.0) <= 4.0 * math.sqrt(6.0 / 4000)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from levysheet import suites, verify
-from levysheet.paths import LinearPath
+from levysheet.paths import LinearPath, TabulatedPath
 
 
 class TestEmpiricalCF:
@@ -110,6 +110,13 @@ class TestRegression:
                    abs(intercept) / (4.0 * se_intercept + 1e-9))
         assert report.statistic == pytest.approx(want, rel=1e-12)
 
+    def test_rejects_conditioning_where_y_vanishes(self):
+        # y(1) = 0, and 1 + 2^-52 is inside the domain's 1e-15 slack
+        path = TabulatedPath.from_knots([[0.0, 0.2, 1.0], [0.5, 0.6, 0.5], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"conditioning time must have y\(s\) > 0"):
+            verify.conditional_mean_regression(np.zeros((100, 2)), path, 1.0,
+                                               np.nextafter(1.0, 2.0), 0.0)
+
     def test_noisy_but_correct(self):
         rng = np.random.default_rng(84)
         x = rng.normal(size=20_000)
@@ -199,7 +206,7 @@ class TestReportUnits:
             assert report.passed == (report.statistic <= report.threshold)
 
     def test_half_count_reports_chi2_statistic(self):
-        reports = {r.name: r for r in suites.criterion_5(seed=1, n_fields=2, n_sims=2000)}
+        reports = {r.name: r for r in suites.criterion_5(seed=1)}
         report = reports["c5.half-count-poisson"]
         assert report.statistic != report.extra["pvalue"]
         assert report.passed == (report.statistic <= report.threshold)
