@@ -1,14 +1,12 @@
 """Sheets restricted to decreasing paths: whole triplets, and compound-Poisson fields.
 
-`simulate_triplet` draws any triplet's sheet along a path, its jump field on
-`path_region(path)`, the one place that says where a path's jumps are drawn.
-Each sheet jump at location (u, v) below the path's sweep produces a pair of
-cancelling events in the restricted process: the jump enters at the first
-time x(t) reaches u and leaves at the last time y(t) still covers v.  Jumps
-left under the terminal rectangle never leave.  Event 2j is the entry of jump
-j and 2j + 1 its exit; the kept ones are sorted once, stably, by time, so
-equal times keep that order.  The restricted process is not cadlag and no
-merging is attempted.
+`simulate_triplet` draws a sheet at k times of a path from the jumps in the
+union of their k rectangles alone.  Event paths draw every jump below the
+path's sweep, on `path_region(path)`: a jump at (u, v) enters at the first time
+x(t) reaches u and leaves at the last time y(t) still covers v; jumps under the
+terminal rectangle never leave.  Event 2j is the entry of jump j and 2j + 1 its
+exit; the kept ones are sorted once, stably, by time, so equal times keep that
+order.  The restricted process is not cadlag and no merging is attempted.
 
 `paired_event_counts` returns each draw's count of those paired events; the
 checks of their law are built from the counts by their callers.  The
@@ -37,15 +35,14 @@ from .paths import DecreasingPath, LinearPath
 _SIGNS = np.array([1.0, -1.0])  # of an entry (even event index) and an exit (odd)
 
 
-def _batch_values(owner, times, increments, n_draws: int, ts) -> np.ndarray:
-    """Values at the times ts, (n_draws, k, d), of the event paths from 0 of each owner."""
-    q = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty((n_draws, q.size, increments.shape[1]))
-    for j, t in enumerate(q):
-        hit = times <= t
-        for c in range(increments.shape[1]):
-            out[:, j, c] = np.bincount(owner[hit], weights=increments[hit, c], minlength=n_draws)
-    return out
+def _slot_sums(owner, slots, jumps, n_draws: int, n_slots: int) -> np.ndarray:
+    """Running sums along the slots, (n_draws, n_slots, d), of the jumps put at
+    (owner, slot): one bincount per component, then one cumulative sum."""
+    at = owner * n_slots + slots
+    sums = np.empty((n_draws, n_slots, jumps.shape[1]))
+    for c in range(jumps.shape[1]):
+        sums[:, :, c] = np.bincount(at, jumps[:, c], n_draws * n_slots).reshape(n_draws, n_slots)
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 def _as_increments(increments, n_events: int, default_dim: int) -> np.ndarray:
@@ -273,8 +270,8 @@ def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
 
 
 def path_region(path: DecreasingPath) -> RectRegion:
-    """Where a path's jump fields are drawn: (0, x(t_hi)] x (0, y(t_lo)], which covers
-    the path's sweep, the union over t of (0, x(t)] x (0, y(t)], as x rises and y falls."""
+    """Where an event path's jump fields are drawn: (0, x(t_hi)] x (0, y(t_lo)], which
+    covers the path's sweep, the union over t of (0, x(t)] x (0, y(t)], as x rises and y falls."""
     _, x_end, y_start, _ = path.ends
     return RectRegion(x_end, y_start)
 
@@ -282,7 +279,8 @@ def path_region(path: DecreasingPath) -> RectRegion:
 def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np.ndarray:
     """n_draws exact draws at the times ts, (n_draws, k, d), of the triplet's sheet along
     the path: x(t) y(t) gamma_0, plus the Brownian sheet along the path times the eigen-root
-    of A, plus (drawn after it) the jump field on `path_region(path)` restricted."""
+    of A, plus (drawn after it) the jumps in the union of the rectangles (0, x(t)] x (0, y(t)]:
+    a jump over (x(t_{i-1}), x(t_i)] at height v lies in those of t_i..the last t with y(t) >= v."""
     ts, xs, ys = path.grid(ts)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
@@ -293,14 +291,19 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         values += simulate_paths(GaussPathLaw(path, triplet.dim), ts, rng, n_paths=n_draws) @ root.T
     if triplet.jumps is not None:
-        rate, dist, region = triplet.jumps.rate, triplet.jumps.dist, path_region(path)
+        rate, areas = triplet.jumps.rate, np.cumsum(np.diff(xs, prepend=0.0) * ys)  # columns 0..i
 
         def block(lo, hi, gen):
-            field, owner = simulate_cpp_sheets(rate, dist, region, hi - lo, gen)
-            jump, times, incs = _restrict_events(field, path)
-            return _batch_values(owner[jump], times, incs, hi - lo, ts)
+            owner = np.repeat(np.arange(hi - lo), gen.poisson(rate * areas[-1], size=hi - lo))
+            col = areas[:-1].searchsorted(gen.uniform(0.0, areas[-1], owner.size), side="right")
+            # a height uniform on (0, y(t_col)], and the slot after the last probe that covers it
+            stop = (-ys).searchsorted(-ys[col] * (1.0 - gen.random(owner.size)), side="right")
+            jumps = triplet.jumps.dist.sample(gen, owner.size)
+            return _slot_sums(np.tile(owner, 2), np.concatenate([col, stop]),
+                              np.concatenate([jumps, -jumps]), hi - lo, ts.size + 1)[:, :-1]
 
-        values += np.concatenate(_run_blocks(n_draws, rate * region.area, rng, block))
+        jumps = np.concatenate(_run_blocks(n_draws, rate * areas[-1], rng, block))
+        values += np.where((xs * ys > 0.0)[:, None], jumps, 0.0)  # empty ones read 0, not +J - J
     return values
 
 
@@ -383,12 +386,15 @@ def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
     and of Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
     _positive(rate=rate, l=l)
     ts = _grid_times(ts, l)
+    up, after = np.sort(ts), ts.size - 1 - np.argsort(np.argsort(ts))  # after[j] sums the jumps after ts[j]
 
     def block(lo, hi, gen):
         owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, hi - lo, gen)
         new_times = gen.uniform(0.0, l, size=owner.size)
-        return (_batch_values(owner, times, jumps, hi - lo, ts),
-                _batch_values(owner, new_times, jumps, hi - lo, ts))
+        total = _slot_sums(owner, 0, jumps, hi - lo, 1)  # Y(t) = total - (the jumps after t);
+        # a jump's slot is the count of times at or after it
+        return tuple(total - _slot_sums(owner, ts.size - up.searchsorted(tau), jumps, hi - lo,
+                                        ts.size + 1).take(after, axis=1) for tau in (times, new_times))
 
     ys, rearranged = zip(*_run_blocks(n_draws, 2.0 * rate * l, rng, block))
     return np.concatenate(ys), np.concatenate(rearranged)

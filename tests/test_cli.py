@@ -204,24 +204,24 @@ class TestSimulate:
                                         flat_stretch_path, grid, 1, np.random.default_rng(6))[0]
         assert capsys.readouterr().out == gauss.SamplePathGrid(grid, draw).to_csv()
 
-    # SHA-256 of stdout (numpy 2.4's Generator streams).  A batch of at most 2^19 jump
-    # events draws from the seeded generator itself, so how larger batches are cut into
-    # blocks does not reach these bytes.
-    @pytest.mark.parametrize("dim, seed, digest", [
-        (1, 1, "c505d61f09804996e031080c1a663716f677dea92a1b7dfd437240531b8b4fe1"),
-        (1, 2, "d9d453865d1285743a8b10dc0a7dc1d5e89816709f3d3de5c01216448586d7a3"),
-        (1, 3, "71c43239fbf1eaeb4b2e84b989a57e2efcc09d0eeaf87693b4b32382e2071966"),
-        (2, 1, "ce89e9cfc3c7a3074992aca807382d801352493cab4fd728c50c128983fdb5fd"),
-        (2, 2, "29f050d899faa692a85c10fc336dba3683d03be25193e40e773a385ec24a8c9d"),
-        (2, 3, "c329e6ee2d04400c78d3d647f681463826e2af0561086c6d8d9190f4b7a4fefd"),
-    ])
-    def test_mixed_triplet_output_is_pinned(self, capsys, tmp_path, flat_stretch_path,
-                                            dim, seed, digest):
+    # SHA-256 of stdout by (dim, seed) (numpy 2.4's Generator streams).  A batch of at most
+    # 2^19 jump events draws from the seeded generator itself, so how larger batches are cut
+    # into blocks does not reach these bytes.
+    PINNED = {(1, 1): "38734770e079502be9a1821e9793aae16af8a988aefd65add42a9318aabf0c2c",
+              (1, 2): "da412224f3afd18a41efc923c9c0c640fa0a4c232ba2b436ba82a2a194ed66b4",
+              (1, 3): "7f19ad1f145ab0ac7e19b464ba4a4a35d0a5ecdd56466d5bdf155f03f767c868",
+              (2, 1): "6dbe1b8dda252a3d8b8fc860519d2a13fd500bdba800b4b1222a78bf51d60df6",
+              (2, 2): "aecbbc1938532d56db86060e4ff5c81a70f285fe948c2ac43e7b88563e31bdc3",
+              (2, 3): "83288a6b550d3bea93f75f0c696d8c00094ba659ec1ad5e4ce67c6e70a24f29b"}
+
+    @pytest.mark.parametrize("dim, seed", PINNED)
+    def test_mixed_triplet_output_is_pinned(self, capsys, tmp_path, flat_stretch_path, dim, seed):
         triplet = write_json(tmp_path, "mixed.json", mixed_triplet_dict(dim))
         path = write_json(tmp_path, "flat.json", path_to_dict(flat_stretch_path))
         assert main(["simulate", "--triplet", triplet, "--path", path,
                      "--grid", "0", "1", "33", "--seed", str(seed)]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.PINNED[dim, seed]
 
     def test_cpp_rejects_drift_and_gaussian_part(self, capsys, tmp_path, bridge_file):
         mixed = tmp_path / "mixed.json"

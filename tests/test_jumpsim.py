@@ -25,6 +25,20 @@ def covering_rect(path):
     return jumpsim.RectRegion(float(path.x(path.t_hi)) * 1.2, float(path.y(path.t_lo)) * 1.2)
 
 
+def staircase_sheets(path, ts, rate, dist, n, rng):
+    """The jumps that `simulate_triplet` draws for n draws at the times ts, from the same
+    stream, as one sheet per draw on `path_region`.  A jump over the column
+    (x(t_{i-1}), x(t_i)] is put at u = x(t_i): any u there has the same rectangle sums."""
+    _, xs, ys = path.grid(ts)
+    areas = np.cumsum(np.diff(xs, prepend=0.0) * ys)
+    owner = np.repeat(np.arange(n), rng.poisson(rate * areas[-1], size=n))
+    col = np.searchsorted(areas[:-1], rng.uniform(0.0, areas[-1], owner.size), side="right")
+    locs = np.column_stack([xs[col], ys[col] * (1.0 - rng.random(owner.size))])
+    jumps = dist.sample(rng, owner.size)
+    region = jumpsim.path_region(path)
+    return [jumpsim.JumpField(region, locs[owner == i], jumps[owner == i]) for i in range(n)]
+
+
 class TestSheetSimulation:
     def test_zero_rate_gives_empty_field(self):
         rng = np.random.default_rng(50)
@@ -224,35 +238,30 @@ class TestEventIndices:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_restricted_sheets_equal_interleaved_restriction(self, dim, flat_stretch_path):
-        # a compound-Poisson triplet's draws against its fields on path_region, restricted here
+        # one field of a batch of sheets on path_region, restricted in one pass
         path, rate, n = flat_stretch_path, 30.0, 200
         rng = np.random.default_rng(63)
         dist = Categorical(rng.normal(size=(4, dim)), [0.4, 0.3, 0.2, 0.1])
-        probes = np.unique(np.concatenate([[path.t_lo], path.times[::5], rng.uniform(0.0, 1.0, 10)]))
-        values = jumpsim.simulate_triplet(cpp(rate, dist), path, probes, n, np.random.default_rng(64))
         field, owner = jumpsim.simulate_cpp_sheets(rate, dist, jumpsim.path_region(path), n,
                                                    np.random.default_rng(64))
-        jump, times, incs = interleaved_restriction(field, path)
-        want = np.empty((n, probes.size, dim))
-        for j, t in enumerate(probes):
-            hit = times <= t
-            for c in range(dim):
-                want[:, j, c] = np.bincount(owner[jump][hit], weights=incs[hit, c], minlength=n)
-        assert values.tobytes() == want.tobytes()
+        jump, times, incs = jumpsim._restrict_events(field, path)
+        want_jump, want_times, want_incs = interleaved_restriction(field, path)
+        assert np.array_equal(jump, want_jump) and np.unique(owner[jump]).size == n
+        assert times.tobytes() == want_times.tobytes()
+        assert incs.tobytes() == want_incs.tobytes()
 
 
 class TestRestrictedSheets:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_each_draw_equals_its_rectangle_sums(self, dim, flat_stretch_path):
-        path = flat_stretch_path
-        region, dist, rate, n = jumpsim.path_region(path), dyadic_dist(dim), 20.0, 300
+        # x is flat between two of the probes: their column is empty
+        path, dist, rate, n = flat_stretch_path, dyadic_dist(dim), 20.0, 300
         probes = np.sort(np.concatenate([path.times[::7], [0.123, 0.77]]))
         values = jumpsim.simulate_triplet(cpp(rate, dist), path, probes, n, np.random.default_rng(57))
-        # the same stream, drawn as one field per sheet
-        field, owner = jumpsim.simulate_cpp_sheets(rate, dist, region, n, np.random.default_rng(57))
+        sheets = staircase_sheets(path, probes, rate, dist, n, np.random.default_rng(57))
         assert values.shape == (n, probes.size, dim)
-        for i in range(n):
-            sheet = jumpsim.JumpField(region, field.locations[owner == i], field.jumps[owner == i])
+        assert sum(sheet.count for sheet in sheets) > 1000
+        for i, sheet in enumerate(sheets):
             for j, t in enumerate(probes):
                 want = jumpsim.rectangle_sum(sheet, float(path.x(t)), float(path.y(t)))
                 assert np.array_equal(values[i, j], want)
@@ -269,7 +278,8 @@ class TestRestrictedSheets:
     def test_draws_spread_over_several_chunks(self, monkeypatch):
         monkeypatch.setattr(gauss, "_BLOCK_NORMALS", 40)
         rng = np.random.default_rng(59)
-        values = jumpsim.simulate_triplet(cpp(4.0, TwoPoint(1.0)), bridge(), [0.5, 1.0], 37, rng)
+        # the staircase at (0.5, 1.0) has area 1/4: 4 jumps a draw, 10 draws a block
+        values = jumpsim.simulate_triplet(cpp(16.0, TwoPoint(1.0)), bridge(), [0.5, 1.0], 37, rng)
         assert values.shape == (37, 2, 1)
         assert np.all(values[:, 1] == 0.0)  # y(1) = 0: every jump has left
         assert np.all(jumpsim.paired_event_counts(bridge(), 4.0, 37, rng) % 2 == 0)
@@ -291,7 +301,8 @@ class TestBlockedDraws:
     from the b-th rng.spawn child, on the sampler's pool."""
 
     def triplets(n, rng):
-        return (jumpsim.simulate_triplet(cpp(500.0, TwoPoint(1.0)), bridge(), [0.25, 0.5], n, rng),)
+        # the staircase at (0.25, 0.5) has area 0.25 * 0.75 + 0.25 * 0.5 = 0.3125
+        return (jumpsim.simulate_triplet(cpp(1600.0, TwoPoint(1.0)), bridge(), [0.25, 0.5], n, rng),)
 
     def bridges(n, rng):
         d = jumpsim.bridge_experiments(1000, TwoPoint(1.0), 1.0, [0.25, 0.5], n, rng)
@@ -359,21 +370,19 @@ class TestSimulateTriplet:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_one_draw_is_its_three_parts(self, dim):
-        # the Gaussian part is drawn first, then one sheet over (x(t_hi), y(t_lo)), whose
-        # dyadic jumps sum exactly in any order
+        # the Gaussian part is drawn first, then the jumps on the probes' staircase, whose
+        # dyadic values sum exactly in any order
         path, ts = ExponentialPath(1.0, 0.8, 1.0, 0.0, 1.0), np.array([0.0, 0.5, 1.0])
         triplet = LevyTriplet(np.full(dim, 0.75), 4.0 * np.eye(dim),
                               ScaledJumps(3.0, dyadic_dist(dim)))
         got = jumpsim.simulate_triplet(triplet, path, ts, 1, np.random.default_rng(65))[0]
         rng = np.random.default_rng(65)
         gaussian = 2.0 * gauss.simulate_paths(gauss.GaussPathLaw(path, dim), ts, rng)[0]
-        _, x_end, y_start, _ = path.ends
-        region = jumpsim.RectRegion(x_end, y_start)
-        field = jumpsim.simulate_cpp_sheet(3.0, dyadic_dist(dim), region, rng)
+        [sheet] = staircase_sheets(path, ts, 3.0, dyadic_dist(dim), 1, rng)
         drift = (path.x(ts) * path.y(ts))[:, None] * triplet.drift
-        want = drift + gaussian + jumpsim.restrict_to_path(field, path).values(ts)
-        assert field.count > 0
-        assert got.tobytes() == want.tobytes()
+        jumps = [jumpsim.rectangle_sum(sheet, float(path.x(t)), float(path.y(t))) for t in ts]
+        assert sheet.count > 0
+        assert got.tobytes() == (drift + gaussian + np.array(jumps)).tobytes()
 
     def test_bridge_draws_vanish_at_both_ends(self):
         # y(1) = 0 on (t, 1 - t): every jump has left and x y gamma_0 = 0
@@ -381,6 +390,45 @@ class TestSimulateTriplet:
                                          np.random.default_rng(62))
         assert np.all(draws[:, [0, 2]] == 0.0)
         assert np.all(draws[:, 1] != 0.0)
+
+    def test_empty_rectangles_read_exactly_zero(self):
+        # at t = 0 and 1 the bridge's rectangle is empty: no +J - J may round to +-1e-16 there
+        triplet = cpp_from_atoms([(0.6, 0.9), (-1.1, 0.4), (0.37, 1.3)])
+        draws = jumpsim.simulate_triplet(triplet, bridge(), np.linspace(0.0, 1.0, 11), 5000,
+                                         np.random.default_rng(66))
+        assert np.all(draws[:, [0, -1]] == 0.0)
+        assert np.mean(np.any(draws[:, 1:-1] != 0.0, axis=(1, 2))) > 0.5
+
+    def test_zero_area_staircase_has_no_jumps(self):
+        draws = jumpsim.simulate_triplet(mixed_triplet(2), bridge(), [0.0, 1.0], 50,
+                                         np.random.default_rng(67))
+        assert draws.shape == (50, 2, 2) and np.all(draws == 0.0)
+
+    def test_joint_cf_on_a_long_exponential_path(self):
+        # (e^t, e^{-t} / 2) over [0, 20]: its bounding rectangle has area e^20 / 2, the
+        # staircase at these times 1/2 + (1 - e^{-10}) / 2 + e^{-10} (1 - e^{-10}) / 2 < 1
+        path, times, n = ExponentialPath(1.0, 0.5, 1.0, 0.0, 20.0), [0.0, 10.0, 20.0], 100_000
+        triplet = cpp_from_atoms([([0.8], 1.5), ([-1.3], 0.5)])
+        draws = jumpsim.simulate_triplet(triplet, path, times, n, np.random.default_rng(68))
+        for z in ([0.5, -0.3, 0.4], [0.2, 0.6, -0.5]):
+            z = np.array(z)[:, None]
+            emp = empirical_cf(draws.reshape(n, -1), z.ravel())
+            report = cf_match(emp, fdd.joint_cf(triplet, path, times, z), k=4.0)
+            assert report.passed, report
+
+    def test_grid_draws_never_restrict_events(self, monkeypatch, six_forms):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid draws must not restrict event streams")
+
+        monkeypatch.setattr(jumpsim, "_restrict_events", refuse)
+        monkeypatch.setattr(jumpsim, "simulate_cpp_sheets", refuse)
+        monkeypatch.setattr(jumpsim, "path_region", refuse)
+        for path in six_forms.values():
+            for name in ("first_time_x_at_least", "last_time_y_at_least", "_x_inverse", "_y_inverse"):
+                monkeypatch.setattr(type(path), name, refuse)
+            draws = jumpsim.simulate_triplet(mixed_triplet(2), path, [0.1, 0.5, 0.9], 200,
+                                             np.random.default_rng(69))
+            assert np.all(draws[:, :, 0] != 0.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_jump_fields_add_nothing(self, dim):
@@ -549,6 +597,29 @@ class TestRearrangement:
         sheet = cpp_from_atoms([(1.0, 2.0), (-1.0, 2.0)])
         target = fdd.joint_cf(sheet, bridge(), [0.5], [[1.0]])
         assert cf_match(empirical_cf(vals, np.array([1.0])), target).passed
+
+    def test_pair_agrees_bit_for_bit_at_the_end(self):
+        # Y(l) and Y'(l) sum the same jumps: with non-dyadic values, in the same order
+        dist = Categorical([[0.1], [-0.37], [1.3]], [0.3, 0.3, 0.4])
+        ys, rearr = jumpsim.rearranged_pairs(5.0, dist, 1.0, [0.2, 0.5, 0.8, 1.0], 2000,
+                                             np.random.default_rng(70))
+        assert ys[:, -1].tobytes() == rearr[:, -1].tobytes()
+        assert np.mean(ys[:, 1] != rearr[:, 1]) > 0.5
+
+    @staticmethod
+    def bridges(ts, rng):
+        d = jumpsim.bridge_experiments(4.0, TwoPoint(1.0), 1.0, ts, 300, rng)
+        return d.values, d.centered_original, d.centered_rearranged
+
+    def test_times_in_any_order(self):
+        # the reversed times give the reversed columns, drawn from the same stream
+        for draw in (lambda ts, rng: jumpsim.rearranged_pairs(4.0, TwoPoint(1.0), 1.0, ts, 300, rng),
+                     self.bridges):
+            down = draw([0.7, 0.3], np.random.default_rng(71))
+            up = draw([0.3, 0.7], np.random.default_rng(71))
+            for a, b in zip(down, up):
+                assert a.tobytes() == b[:, ::-1].tobytes()
+                assert not np.array_equal(a, b)
 
 
 class TestBridgeExperiment:
