@@ -176,7 +176,8 @@ class Categorical:
     sum to 1 up to rounding are kept bit for bit, so a law read back from its
     own params is the same law.  Sampling inverts the cumulative weights on
     uniform draws, which is the draw numpy's `Generator.choice(k, p=probs)`
-    makes.
+    makes.  `mean` and `abs_second_moment` are computed once per law, on
+    first use.
     """
 
     points: np.ndarray  # (k, d)
@@ -216,7 +217,7 @@ class Categorical:
     def sample(self, rng, size: int) -> np.ndarray:
         if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
             return np.repeat(self.points, size, axis=0)
-        return self.points[np.searchsorted(self._cdf, rng.random(size), side="right")]
+        return self.points.take(self._cdf.searchsorted(rng.random(size), side="right"), axis=0)
 
     @property
     def atoms(self):
@@ -228,11 +229,13 @@ class Categorical:
         inside = np.linalg.norm(self.points, axis=1) <= 1.0
         return (self.probs[inside, None] * self.points[inside]).sum(axis=0)
 
-    @property
+    @functools.cached_property
     def mean(self) -> np.ndarray:
-        return (self.probs[:, None] * self.points).sum(axis=0)
+        mean = (self.probs[:, None] * self.points).sum(axis=0)
+        mean.flags.writeable = False  # shared by every reader of the law
+        return mean
 
-    @property
+    @functools.cached_property
     def abs_second_moment(self) -> float:
         return float(np.sum(self.probs * np.sum(self.points ** 2, axis=1)))
 

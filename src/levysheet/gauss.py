@@ -78,9 +78,9 @@ class SamplePathGrid:
             vals = vals[:, None]
         if ts.ndim != 1 or vals.shape[0] != ts.size:
             raise ValueError("values must have one row per grid time")
-        if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
+        if not (np.isfinite(ts).all() and (ts[1:] > ts[:-1]).all()):
             raise ValueError("grid times must be finite and strictly increasing")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", vals)

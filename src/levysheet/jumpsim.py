@@ -35,14 +35,15 @@ from .paths import DecreasingPath, LinearPath
 _SIGNS = np.array([1.0, -1.0])  # of an entry (even event index) and an exit (odd)
 
 
-def _slot_sums(owner, slots, jumps, n_draws: int, n_slots: int) -> np.ndarray:
-    """Running sums along the slots, (n_draws, n_slots, d), of the jumps put at
-    (owner, slot): one bincount per component, then one cumulative sum."""
-    at = owner * n_slots + slots
-    sums = np.empty((n_draws, n_slots, jumps.shape[1]))
-    for c in range(jumps.shape[1]):
-        sums[:, :, c] = np.bincount(at, jumps[:, c], n_draws * n_slots).reshape(n_draws, n_slots)
-    return np.cumsum(sums, axis=1, out=sums)
+def _slot_sums(out, owner, slots, jumps) -> np.ndarray:
+    """Write into out, (n_draws, n_slots, d), the running sums along the slots of the jumps put at
+    (owner, slot), slot n_slots being past the last: one bincount per component, then one cumsum."""
+    n_draws, n_slots, d = out.shape
+    at = owner * (n_slots + 1) + slots
+    for c in range(d):
+        sums = np.bincount(at, jumps[:, c], n_draws * (n_slots + 1)).reshape(n_draws, n_slots + 1)
+        np.add.accumulate(sums[:, :-1], axis=1, out=out[:, :, c])
+    return out
 
 
 def _as_increments(increments, n_events: int, default_dim: int) -> np.ndarray:
@@ -97,9 +98,10 @@ class RectRegion:
         return self.x_max * self.y_max
 
     def sample(self, rng, size: int) -> np.ndarray:
-        u = rng.uniform(0.0, self.x_max, size=size)
-        v = rng.uniform(0.0, self.y_max, size=size)
-        return np.column_stack([u, v])
+        locs = np.empty((size, 2))
+        locs[:, 0] = rng.uniform(0.0, self.x_max, size=size)
+        locs[:, 1] = rng.uniform(0.0, self.y_max, size=size)
+        return locs
 
     def contains(self, locations: np.ndarray) -> np.ndarray:
         u, v = locations[:, 0], locations[:, 1]
@@ -146,11 +148,11 @@ class JumpField:
         js = np.atleast_2d(np.asarray(self.jumps, dtype=float))
         if js.shape[0] != locs.shape[0]:
             raise ValueError("locations and jumps must have matching lengths")
-        if locs.size and not np.all(self.region.contains(locs)):
+        if not self.region.contains(locs).all():
             raise ValueError("all jump locations must lie strictly inside the region")
         if not np.isfinite(js).all():
             raise ValueError("jump values must be finite")
-        if js.size and np.any(np.all(js == 0.0, axis=1)):
+        if js.size and (np.ascontiguousarray(js.T) == 0.0).all(axis=0).any():  # by column: fast
             raise ValueError("zero jumps are not allowed")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "jumps", js)
@@ -192,13 +194,13 @@ class EventPath:
         DecreasingPath._validate_domain(self)  # finite t_lo < t_hi, as for paths
         ts = np.asarray(self.times, dtype=float)
         incs = _as_increments(self.increments, ts.size, 1 if self.initial is None else np.size(self.initial))
-        init = (np.zeros(incs.shape[1]) if self.initial is None
-                else np.atleast_1d(np.asarray(self.initial, dtype=float)))
+        init = (np.zeros(incs.shape[1]) if self.initial is None  # finite zeros: no check needed
+                else np.array(self.initial, dtype=float, ndmin=1))
         if incs.shape[1] != init.size:
             raise ValueError("increments and initial value must have the same width")
-        if not (np.isfinite(incs).all() and np.isfinite(init).all()):
+        if not (np.isfinite(incs).all() and (self.initial is None or np.isfinite(init).all())):
             raise ValueError("increments and initial value must be finite")
-        order = np.argsort(ts, kind="stable")  # NaN sorts last
+        order = ts.argsort(kind="stable")  # NaN sorts last
         ts, incs = ts.take(order), incs.take(order, axis=0)
         if ts.size and not (self.t_lo - 1e-12 <= ts[0] and ts[-1] <= self.t_hi + 1e-12):
             raise ValueError("event times must lie within the domain")
@@ -212,12 +214,14 @@ class EventPath:
 
     def values(self, ts) -> np.ndarray:
         """Path values at query times; output (k, d)."""
-        q = np.atleast_1d(np.asarray(ts, dtype=float))
+        q = np.array(ts, dtype=float, ndmin=1)
         if not np.isfinite(q).all():
             raise ValueError("query times must be finite")
         # row k sums the first k events; row 0 is -0.0, which adds to `initial` bit for bit
-        sums = np.cumsum(np.concatenate([np.full((1, self.dim), -0.0), self.increments]), axis=0)
-        return self.initial + sums[self.times.searchsorted(q, side="right")]
+        sums = np.empty((self.times.size + 1, self.dim))
+        sums[0] = -0.0
+        np.add.accumulate(self.increments, axis=0, out=sums[1:])
+        return self.initial + sums.take(self.times.searchsorted(q, side="right"), axis=0)
 
     def to_csv(self) -> str:
         return _csv("tau", "dj", self.times, self.increments)
@@ -229,9 +233,9 @@ class EventPath:
 
 def simulate_cpp_sheets(rate: float, jump_dist, region, n_draws: int, rng) -> tuple[JumpField, np.ndarray]:
     """n_draws sheets as in `simulate_cpp_sheet`: one field of all their jumps, and each jump's draw."""
-    if not (np.isfinite(rate) and rate >= 0):
+    if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
-    if not np.isfinite(region.area):
+    if not math.isfinite(region.area):
         raise ValueError("region must have finite area")
     owner = np.repeat(np.arange(n_draws), rng.poisson(rate * region.area, size=n_draws))
     locs = region.sample(rng, owner.size)
@@ -254,10 +258,12 @@ def _restrict_events(field: JumpField, path: DecreasingPath):
     if not field.region.covers_path(path):
         raise ValueError("field region does not cover the path's sweep")
     u, v = field.locations[:, 0], field.locations[:, 1]
-    entry, exit_ = path.first_time_x_at_least(u), path.last_time_y_at_least(v)
-    enters = entry <= exit_  # False where either is NaN
-    event = np.flatnonzero(np.column_stack([enters, enters & (v > path.ends[3])]))
-    times = np.column_stack([entry, exit_]).ravel().take(event)
+    stamps, kept = np.empty((u.size, 2)), np.empty((u.size, 2), dtype=bool)  # row j: jump j's events
+    stamps[:, 0], stamps[:, 1] = path.first_time_x_at_least(u), path.last_time_y_at_least(v)
+    np.less_equal(stamps[:, 0], stamps[:, 1], out=kept[:, 0])  # False where either is NaN
+    np.logical_and(kept[:, 0], v > path.ends[3], out=kept[:, 1])
+    event = kept.reshape(-1).nonzero()[0]
+    times = stamps.ravel().take(event)
     incs = field.jumps.take(event >> 1, axis=0)
     incs *= _SIGNS.take(event & 1)[:, None]  # an exact sign flip at exits
     return event >> 1, times, incs
@@ -284,26 +290,31 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
     ts, xs, ys = path.grid(ts)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    values = np.empty((n_draws, ts.size, triplet.dim))
-    values[:] = (xs * ys)[:, None] * triplet.drift
-    if triplet.gaussian.any():
+    xys = xs * ys
+    rest = xys[:, None] * triplet.drift  # the drift part, (k, d), then plus the Gaussian part
+    if np.count_nonzero(triplet.gaussian):
         eigvals, eigvecs = np.linalg.eigh(triplet.gaussian)
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        values += simulate_paths(GaussPathLaw(path, triplet.dim), ts, rng, n_paths=n_draws) @ root.T
-    if triplet.jumps is not None:
-        rate, areas = triplet.jumps.rate, np.cumsum(np.diff(xs, prepend=0.0) * ys)  # columns 0..i
+        gaussian = simulate_paths(GaussPathLaw(path, triplet.dim), ts, rng, n_paths=n_draws) @ root.T
+        rest = np.add(gaussian, rest, out=gaussian)
+    if triplet.jumps is None:
+        return np.broadcast_to(rest, (n_draws, ts.size, triplet.dim)).copy()
+    values = np.empty((n_draws, ts.size, triplet.dim))  # the jump part, then the sum
+    rate, neg_ys = triplet.jumps.rate, -ys
+    areas = np.cumsum((xs - np.concatenate(([0.0], xs[:-1]))) * ys)  # columns 0..i
 
-        def block(lo, hi, gen):
-            owner = np.repeat(np.arange(hi - lo), gen.poisson(rate * areas[-1], size=hi - lo))
-            col = areas[:-1].searchsorted(gen.uniform(0.0, areas[-1], owner.size), side="right")
-            # a height uniform on (0, y(t_col)], and the slot after the last probe that covers it
-            stop = (-ys).searchsorted(-ys[col] * (1.0 - gen.random(owner.size)), side="right")
-            jumps = triplet.jumps.dist.sample(gen, owner.size)
-            return _slot_sums(np.tile(owner, 2), np.concatenate([col, stop]),
-                              np.concatenate([jumps, -jumps]), hi - lo, ts.size + 1)[:, :-1]
+    def block(lo, hi, gen):
+        owner = np.repeat(np.arange(hi - lo), gen.poisson(rate * areas[-1], size=hi - lo))
+        col = areas[:-1].searchsorted(gen.uniform(0.0, areas[-1], owner.size), side="right")
+        # a height uniform on (0, y(t_col)], and the slot after the last probe that covers it
+        stop = neg_ys.searchsorted(neg_ys.take(col) * (1.0 - gen.random(owner.size)), side="right")
+        jumps = triplet.jumps.dist.sample(gen, owner.size)
+        _slot_sums(values[lo:hi], np.concatenate([owner, owner]), np.concatenate([col, stop]),
+                   np.concatenate([jumps, -jumps]))
 
-        jumps = np.concatenate(_run_blocks(n_draws, rate * areas[-1], rng, block))
-        values += np.where((xs * ys > 0.0)[:, None], jumps, 0.0)  # empty ones read 0, not +J - J
+    _run_blocks(n_draws, rate * areas[-1], rng, block)
+    values[:, xys <= 0.0] = 0.0  # empty rectangles read 0, not +J - J
+    values += rest
     return values
 
 
@@ -383,21 +394,28 @@ def _grid_times(times, l: float) -> np.ndarray:
 def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
                      rng) -> tuple[np.ndarray, np.ndarray]:
     """Values at the times ts in [0, l], (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l]
-    and of Y' with Y's jump values at fresh uniform times (see `rearranged_difference`)."""
+    and of Y' with Y's jump values at fresh uniform times (see `rearranged_difference`); each sums
+    its jumps at or before t (exactly 0 before the first), and where none comes later Y and Y' read
+    Y's total, so Y(l) == Y'(l) bit for bit."""
     _positive(rate=rate, l=l)
     ts = _grid_times(ts, l)
-    up, after = np.sort(ts), ts.size - 1 - np.argsort(np.argsort(ts))  # after[j] sums the jumps after ts[j]
+    up, rank, k = np.sort(ts), np.argsort(np.argsort(ts)), ts.size  # ts[j] is up[rank[j]]
+    pairs = np.empty((2, n_draws, k, jump_dist.dim))
 
     def block(lo, hi, gen):
         owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, hi - lo, gen)
-        new_times = gen.uniform(0.0, l, size=owner.size)
-        total = _slot_sums(owner, 0, jumps, hi - lo, 1)  # Y(t) = total - (the jumps after t);
-        # a jump's slot is the count of times at or after it
-        return tuple(total - _slot_sums(owner, ts.size - up.searchsorted(tau), jumps, hi - lo,
-                                        ts.size + 1).take(after, axis=1) for tau in (times, new_times))
+        new_slot = up.searchsorted(gen.uniform(0.0, l, size=owner.size))  # the probes before it
+        # Y at the sorted probes, then at slot k, past them all, its total
+        ys = _slot_sums(np.empty((hi - lo, k + 1, jumps.shape[1])), owner, up.searchsorted(times), jumps)
+        rearranged = _slot_sums(np.empty((hi - lo, k, jumps.shape[1])), owner, new_slot, jumps)
+        seen = np.bincount(owner * (k + 1) + new_slot, minlength=(hi - lo) * (k + 1))
+        seen = seen.reshape(hi - lo, k + 1).cumsum(axis=1)  # Y''s jumps up to each probe
+        np.copyto(rearranged, ys[:, -1:], where=(seen[:, :-1] == seen[:, -1:])[:, :, None])
+        ys.take(rank, axis=1, out=pairs[0, lo:hi])
+        rearranged.take(rank, axis=1, out=pairs[1, lo:hi])
 
-    ys, rearranged = zip(*_run_blocks(n_draws, 2.0 * rate * l, rng, block))
-    return np.concatenate(ys), np.concatenate(rearranged)
+    _run_blocks(n_draws, 2.0 * rate * l, rng, block)
+    return pairs[0], pairs[1]
 
 
 @dataclass(frozen=True)
@@ -461,8 +479,8 @@ def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None)
     def block(lo, hi, gen):
         steps = xi_dist.sample(gen, (hi - lo) * total)[:, 0].reshape(hi - lo, total)
         gap = np.zeros((hi - lo, total + 1))
-        gap[:, 1:] = np.cumsum(steps, axis=1) - np.cumsum(gen.permuted(steps, axis=1), axis=1)
-        return gap[:, idx]
+        gap[:, 1:] = steps.cumsum(axis=1) - gen.permuted(steps, axis=1).cumsum(axis=1)
+        return gap.take(idx, axis=1)
 
     return np.concatenate(_run_blocks(n_draws, total, rng, block)) / math.sqrt(2.0 * mu2 * n)
 

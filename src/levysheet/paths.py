@@ -115,10 +115,11 @@ class DecreasingPath:
     # that takes arrays and floats alike: _x_inverse(u) for
     # x(t_lo) < u <= x(t_hi) and _y_inverse(v) for y(t_hi) < v <= y(t_lo).
     # An array is inverted everywhere, with division and log warnings off,
-    # and np.where keeps the values inside that range.  A scalar is
-    # range-tested as a float against `ends` first, so the formula runs only
-    # strictly inside the range, where no form divides by zero: np.where and
-    # errstate on a 0-d value cost many times what the formula does.
+    # and the entries outside that range are overwritten in the formula's
+    # result, a new array (no form returns its argument).  A
+    # scalar is range-tested as a float against `ends` first, so the formula
+    # runs only strictly inside the range, where no form divides by zero:
+    # errstate and masks on a 0-d value cost many times what the formula does.
 
     def first_time_x_at_least(self, u):
         """inf{t : x(t) >= u} elementwise: NaN where x never reaches u, None for a scalar u."""
@@ -127,8 +128,10 @@ class DecreasingPath:
             u = np.asarray(u, dtype=float)
             if u.ndim:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    inside = self._x_inverse(u)
-                return np.where(u <= x_lo, self.t_lo, np.where(u > x_hi, np.nan, inside))
+                    t = self._x_inverse(u)
+                np.putmask(t, u > x_hi, np.nan)
+                np.putmask(t, u <= x_lo, self.t_lo)
+                return t
         u = float(u)
         if u <= x_lo:
             return float(self.t_lo)
@@ -141,8 +144,10 @@ class DecreasingPath:
             v = np.asarray(v, dtype=float)
             if v.ndim:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    inside = self._y_inverse(v)
-                return np.where(v > y_lo, np.nan, np.where(v <= y_hi, self.t_hi, inside))
+                    t = self._y_inverse(v)
+                np.putmask(t, v <= y_hi, self.t_hi)
+                np.putmask(t, v > y_lo, np.nan)
+                return t
         v = float(v)
         if v <= y_hi:
             return float(self.t_hi)

@@ -59,7 +59,11 @@ class StationaryLaw:
         return self.a * self.b * eval_psi(self.triplet, z)
 
     def path(self, t_hi: float, t_lo: float = 0.0) -> ExponentialPath:
-        return ExponentialPath(self.a, self.b, self.c, t_lo, t_hi)
+        return _exponential_path(self.a, self.b, self.c, t_lo, t_hi)
+
+
+# Each path is built and checked once for the 64 parameter sets and domains used last.
+_exponential_path = functools.lru_cache(maxsize=64)(ExponentialPath)
 
 
 def autocorrelation(law: StationaryLaw, u: float) -> float:

@@ -7,6 +7,9 @@ references.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +55,17 @@ def test_every_public_name_is_reached():
             if name not in used and name not in ALLOWED:
                 unreached.append(f"{stem}.{name}")
     assert not unreached, f"public names only the tests reach: {unreached}"
+
+
+def test_import_loads_only_the_core_modules():
+    """`import levysheet` loads its six core modules and nothing that costs start-up time:
+    no scipy, no thread pool, and not the CLI or the verification modules."""
+    code = ("import sys, levysheet\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('levysheet.'))))\n"
+            "print(' '.join(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split("\n")
+    core = ("exponent", "fdd", "gauss", "jumpsim", "paths", "stationary")
+    assert out[0].split() == [f"levysheet.{name}" for name in core]
+    assert out[1] == ""

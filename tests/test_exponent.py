@@ -337,6 +337,12 @@ class TestSerialization:
         assert np.array_equal(draws, np.tile([0.5, -0.5], (3, 1)))
         assert rng.bit_generator.state == state  # a one-atom law draws nothing
 
+    def test_categorical_moments_are_computed_once(self):
+        dist = ex.Categorical([[1.0, 0.5], [-2.0, 0.0]], [0.25, 0.75])
+        mean, m2 = dist.mean, dist.abs_second_moment
+        assert mean.tolist() == [-1.25, 0.125] and m2 == 0.25 * 1.25 + 0.75 * 4.0
+        assert dist.mean is mean and not mean.flags.writeable
+
     def test_jump_samplers_match_declared_moments(self):
         rng = np.random.default_rng(13)
         for dist in (ex.TwoPoint(1.0), ex.UniformJumps(1.5), ex.GaussianJumps(0.7),

@@ -166,6 +166,16 @@ class TestSimulate:
             with pytest.raises(ValueError, match="finite and strictly increasing"):
                 gauss.SamplePathGrid(times, np.zeros(len(times)))
 
+    def test_sample_grid_rejects_unordered_times_and_bad_values(self):
+        for times in ([0.5, 0.5], [0.5, 0.2], [0.1, 0.3, 0.2]):
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                gauss.SamplePathGrid(times, np.zeros(len(times)))
+        with pytest.raises(ValueError, match="one row per grid time"):
+            gauss.SamplePathGrid([0.1, 0.2], np.zeros(3))
+        with pytest.raises(ValueError, match="sample values must be finite"):
+            gauss.SamplePathGrid([0.1, 0.2], [[0.0], [math.inf]])
+        assert gauss.SamplePathGrid([0.3], [1.0]).values.tolist() == [[1.0]]
+
     def test_one_draw_wrapper(self):
         rng = np.random.default_rng(49)
         sample = gauss.SamplePathGrid([0.25, 0.5],

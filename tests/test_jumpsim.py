@@ -66,6 +66,24 @@ class TestSheetSimulation:
                              ((0.0, 2.0), (0.0, 1.0)))
         assert report.extra["pvalue"] > 1e-3
 
+    @pytest.mark.parametrize("rate, region, message", [
+        (math.nan, jumpsim.RectRegion(1.0, 1.0), "rate must be finite and nonnegative"),
+        (-1.0, jumpsim.RectRegion(1.0, 1.0), "rate must be finite and nonnegative"),
+        (1.0, jumpsim.RectRegion(1e300, 1e300), "region must have finite area"),
+    ])
+    def test_rejects_bad_rate_and_region(self, rate, region, message):
+        with pytest.raises(ValueError, match=message):
+            jumpsim.simulate_cpp_sheet(rate, TwoPoint(1.0), region, np.random.default_rng(53))
+
+    def test_field_rejects_bad_shapes_and_locations(self):
+        region = jumpsim.RectRegion(1.0, 1.0)
+        with pytest.raises(ValueError, match="matching lengths"):
+            jumpsim.JumpField(region, [[0.5, 0.5], [0.2, 0.2]], [[1.0]])
+        for loc in ([0.0, 0.5], [0.5, 1.5], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="strictly inside the region"):
+                jumpsim.JumpField(region, [loc], [[1.0]])
+        assert jumpsim.JumpField(region, [0.5, 1.0], 2.0).jumps.tolist() == [[2.0]]
+
     def test_triangle_sampler_stays_inside(self):
         rng = np.random.default_rng(53)
         u, v = jumpsim.TriangleRegion(2.0, 3.0).sample(rng, 10_000).T
@@ -605,6 +623,25 @@ class TestRearrangement:
                                              np.random.default_rng(70))
         assert ys[:, -1].tobytes() == rearr[:, -1].tobytes()
         assert np.mean(ys[:, 1] != rearr[:, 1]) > 0.5
+
+    def test_pair_reads_exactly_zero_before_every_jump(self):
+        # non-dyadic values: a difference of two sums of the same jumps need not read 0
+        dist = Categorical([[0.1], [-0.37], [1.3]], [0.3, 0.3, 0.4])
+        for ts in ([0.0, 0.5, 1.0], [1.0, 0.0, 0.5]):
+            ys, rearr = jumpsim.rearranged_pairs(3.0, dist, 1.0, ts, 2000, np.random.default_rng(1))
+            first, last = ts.index(0.0), ts.index(1.0)
+            assert ys[:, first].tobytes() == rearr[:, first].tobytes() == np.zeros((2000, 1)).tobytes()
+            assert ys[:, last].tobytes() == rearr[:, last].tobytes()
+
+    def test_pair_reads_the_total_after_the_last_jump(self):
+        # a probe with no jump after it reads the same total as t = l, in Y and in Y'
+        dist = Categorical([[0.1], [-0.37], [1.3]], [0.3, 0.3, 0.4])
+        ys, rearr = jumpsim.rearranged_pairs(3.0, dist, 1.0, [0.9, 1.0], 4000, np.random.default_rng(2))
+        for vals in (ys, rearr):
+            done = vals[:, 0, 0] == vals[:, 1, 0]
+            assert 0 < done.sum() < 4000
+        both = (ys[:, 0, 0] == ys[:, 1, 0]) & (rearr[:, 0, 0] == rearr[:, 1, 0])
+        assert np.array_equal(ys[both, 0], rearr[both, 0])
 
     @staticmethod
     def bridges(ts, rng):

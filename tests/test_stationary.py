@@ -252,6 +252,15 @@ class TestStationaryLaw:
         law = stationary.StationaryLaw(brownian(1), a=2.0, b=0.5, c=1.0)
         assert law.marginal_psi(1.0) == pytest.approx(-0.5 + 0j)
 
+    def test_path_is_built_once_per_domain(self):
+        law = stationary.StationaryLaw(brownian(1), a=2.0, b=0.5, c=1.0)
+        path = law.path(1.5)
+        assert law.path(1.5) is path and law.path(2.0) is not path
+        assert stationary.StationaryLaw(brownian(1), a=2.0, b=0.5, c=1.0).path(1.5) is path
+        assert path == ExponentialPath(2.0, 0.5, 1.0, 0.0, 1.5)
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            law.path(0.0)
+
     def test_class_iv_joint_cf_shift_invariant_analytically(self):
         rng = np.random.default_rng(77)
         trip = cpp_from_atoms([(1.0, 1.0)], drift=0.2)
