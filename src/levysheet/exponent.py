@@ -168,7 +168,7 @@ class GaussianJumps:
         return {"sigma": self.sigma, "dim": self.dim_}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Categorical:
     """Finitely supported jump distribution with given atoms and weights.
 
@@ -176,13 +176,16 @@ class Categorical:
     sum to 1 up to rounding are kept bit for bit, so a law read back from its
     own params is the same law.  Sampling inverts the cumulative weights on
     uniform draws, which is the draw numpy's `Generator.choice(k, p=probs)`
-    makes.  `mean` and `abs_second_moment` are computed once per law, on
-    first use.
+    makes.  The checks, the cumulative weights and the views `cf` reads run
+    once, at construction, and `mean` and `abs_second_moment` once per law, on
+    first use.  Laws compare and hash by identity.
     """
 
     points: np.ndarray  # (k, d)
     probs: np.ndarray  # (k,)
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False)
+    _point_cols: np.ndarray = field(init=False, repr=False)  # points.T[:, :, None]
+    _prob_col: np.ndarray = field(init=False, repr=False)  # probs[:, None]
     name: ClassVar[str] = "categorical"
     has_finite_mean: ClassVar[bool] = True
 
@@ -201,18 +204,17 @@ class Categorical:
         if abs(total - 1.0) > 4 * pr.size * np.finfo(float).eps:
             pr = pr / total
         cdf = np.cumsum(pr)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
-        object.__setattr__(self, "_cdf", cdf / cdf[-1])
+        for name, value in (("points", pts), ("probs", pr), ("_cdf", cdf / cdf[-1]),
+                            ("_point_cols", pts.T[:, :, None]), ("_prob_col", pr[:, None])):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.points.shape[1]
 
     def cf(self, z: np.ndarray):
-        phases = _lead_sum(self.points.T[:, :, None] * z.T[:, None, :])  # (k, m)
-        probs = self.probs[:, None]
-        return _lead_sum(probs * np.cos(phases)), _lead_sum(probs * np.sin(phases))
+        phases = _lead_sum(self._point_cols * z.T[:, None, :])  # (k, m)
+        return _lead_sum(self._prob_col * np.cos(phases)), _lead_sum(self._prob_col * np.sin(phases))
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.probs.size == 1:  # a one-atom law is deterministic: draw nothing
@@ -300,14 +302,14 @@ def dist_from_dict(spec: dict):
 # Finite-activity jump measure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledJumps:
-    """Jump measure nu = rate * F for a named sampleable distribution F."""
+    """Jump measure nu = rate * F for a named sampleable distribution F; compared by identity."""
 
     rate: float
     dist: object
     # rate * F's truncated mean, read by every psi evaluation
-    truncated_first_moment: np.ndarray = field(init=False, repr=False, compare=False)
+    truncated_first_moment: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _positive(rate=self.rate)
@@ -355,17 +357,20 @@ def _jumps_from_dict(spec: dict):
 # Levy triplet
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyTriplet:
     """(gamma, A, nu) with finite-activity nu; jumps=None means nu = 0.
 
     The Gaussian matrix is symmetrized on input and must be nonnegative
-    definite up to an eigenvalue tolerance of -1e-12.
+    definite up to an eigenvalue tolerance of -1e-12.  The checks run, and
+    `drift` and `has_gaussian` are computed, once; laws compare by identity.
     """
 
     gamma: np.ndarray
     gaussian: np.ndarray
     jumps: ScaledJumps | None = None
+    drift: np.ndarray = field(init=False, repr=False)  # gamma_0 = gamma - integral_{|x|<=1} x nu(dx)
+    has_gaussian: bool = field(init=False, repr=False)  # False iff every entry of A is +0.0
 
     def __post_init__(self):
         g = _as_vector(self.gamma, "gamma")
@@ -377,23 +382,18 @@ class LevyTriplet:
         if not np.all(np.isfinite(a)):
             raise ValueError("gaussian must be finite")
         a = 0.5 * (a + a.T)
-        if a.size and np.min(np.linalg.eigvalsh(a)) < -1e-12:
+        has_gaussian = bool(a.any() or np.signbit(a).any())  # A = 0 needs no eigenvalues
+        if has_gaussian and np.min(np.linalg.eigvalsh(a)) < -1e-12:
             raise ValueError("gaussian must be nonnegative definite")
         if self.jumps is not None and self.jumps.dim != g.size:
             raise ValueError("jump measure dimension does not match gamma")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "gaussian", a)
+        drift = g if self.jumps is None else g - self.jumps.truncated_first_moment
+        for name, value in (("gamma", g), ("gaussian", a), ("drift", drift), ("has_gaussian", has_gaussian)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.gamma.size
-
-    @property
-    def drift(self) -> np.ndarray:
-        """gamma_0 = gamma - integral_{|x|<=1} x nu(dx)."""
-        if self.jumps is None:
-            return self.gamma
-        return self.gamma - self.jumps.truncated_first_moment
 
     @property
     def mean11(self) -> np.ndarray:
@@ -418,22 +418,26 @@ def eval_psi(triplet: LevyTriplet, z):
     row of z, shape (m, d), as an (m,) array: one pass of real arithmetic over the
     rows, the single z being the m = 1 batch.  A zero row gives exactly 0j."""
     zz = np.asarray(z, dtype=float)
-    rows = np.atleast_1d(zz)[None, :] if zz.ndim <= 1 else zz
+    rows = zz.reshape(1, -1) if zz.ndim <= 1 else zz
     if rows.ndim != 2 or rows.shape[1] != triplet.dim:
         raise ValueError(f"z has shape {zz.shape}, not ({triplet.dim},) or (m, {triplet.dim})")
-    if not np.isfinite(rows).all():
+    if np.count_nonzero(np.isfinite(rows)) < rows.size:  # count_nonzero: a third of all()'s cost
         raise ValueError("z must be finite")
     cols = rows.T  # (d, m): every array operation below runs along the m rows
-    az = _lead_sum(triplet.gaussian[:, :, None] * cols[:, None, :])  # (z A)_j as row j
-    re, im = -0.5 * _lead_sum(az * cols), _lead_sum(triplet.gamma[:, None] * cols)
+    re = -0.0  # the Gaussian term where A is all +0.0: exactly -0.0 at every finite z
+    if triplet.has_gaussian:
+        az = _lead_sum(triplet.gaussian[:, :, None] * cols[:, None, :])  # (z A)_j as row j
+        re = -0.5 * _lead_sum(az * cols)
+    im = _lead_sum(triplet.gamma[:, None] * cols)
     jumps = triplet.jumps
     if jumps is not None:  # rate * (cf(z) - 1) - i <truncated first moment, z>
         cf_re, cf_im = jumps.dist.cf(rows)
         re = re + jumps.rate * (cf_re - 1.0)
         im = im + (jumps.rate * cf_im - _lead_sum(jumps.truncated_first_moment[:, None] * cols))
     val = re + 1j * im
-    val[~cols.any(axis=0)] = 0j
-    return complex(val[0]) if zz.ndim <= 1 else val
+    if np.count_nonzero(rows) < rows.size:  # then a row may be zero, and its psi exactly 0j
+        val[~cols.any(axis=0)] = 0j
+    return val.item() if zz.ndim <= 1 else val
 
 
 def is_symmetric(triplet: LevyTriplet) -> bool:

@@ -81,15 +81,18 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
     z = _as_z_matrix(zs, ts.size, triplet.dim)
     if ts.size == 1:
         return cmath.exp(xs[0] * ys[0] * eval_psi(triplet, z[0]))
-    if not np.isfinite(z).all():
+    if np.count_nonzero(np.isfinite(z)) < z.size:
         raise ValueError("z must be finite")
-    dx, dy = xs - np.concatenate(([0.0], xs[:-1])), ys - np.concatenate((ys[1:], [0.0]))
     xz = xs[:, None] * z
     re, im = 0.0, float(triplet.drift @ (ys @ xz))
-    if triplet.gaussian.any():  # sum_m y_m z_m.A (z_m x_m + 2 sum_{l<m} x_l z_l)
+    if triplet.has_gaussian:  # sum_m y_m z_m.A (z_m x_m + 2 sum_{l<m} x_l z_l)
         re = -0.5 * float(np.vdot(ys[:, None] * (z @ triplet.gaussian), 2.0 * xz.cumsum(axis=0) - xz))
     if (jumps := triplet.jumps) is not None:
-        prefix = np.concatenate([np.zeros((1, triplet.dim)), z.cumsum(axis=0)])  # P_0 .. P_n
+        dx, dy = xs.copy(), ys.copy()  # x_i - x_{i-1} and y_k - y_{k+1}, x_0 = y_{n+1} = 0
+        dx[1:] -= xs[:-1]
+        dy[:-1] -= ys[1:]
+        prefix = np.zeros((ts.size + 1, triplet.dim))  # P_0 .. P_n
+        z.cumsum(axis=0, out=prefix[1:])
         atoms = getattr(jumps.dist, "atoms", None)
         if atoms is None:
             first, last, area = _cells(dx, dy)
@@ -108,8 +111,8 @@ def joint_cf(triplet: LevyTriplet, path: DecreasingPath, times, zs) -> complex:
 def increment_cf(triplet: LevyTriplet, path: DecreasingPath,
                  s: float, t: float, z) -> complex:
     """Characteristic function of the increment between path times s < t: `joint_cf` at (-z, z)."""
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    return joint_cf(triplet, path, [s, t], np.stack([-zz, zz]))
+    zz = np.array(z, dtype=float, copy=None, ndmin=1)
+    return joint_cf(triplet, path, [s, t], np.array([-zz, zz]))
 
 
 def stationary_increment_cf(triplet: LevyTriplet, cls: PathClass,

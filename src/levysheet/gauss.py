@@ -64,7 +64,7 @@ class GaussPathLaw:
             raise ValueError("dim must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePathGrid:
     """Sample values on a strictly increasing time grid; values are (n, d)."""
 

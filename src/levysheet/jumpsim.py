@@ -135,7 +135,7 @@ class TriangleRegion:
         return np.column_stack([u, v])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpField:
     """Finite set of sheet jumps: locations in the region, values in R^d."""
 
@@ -175,7 +175,7 @@ class JumpField:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventPath:
     """Initial value plus time-stamped increments on [t_lo, t_hi].
 
@@ -418,7 +418,7 @@ def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
     return pairs[0], pairs[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgeDraw:
     """Diffusion-scaled draws of the rearrangement difference on a grid.
 

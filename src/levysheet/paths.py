@@ -70,6 +70,7 @@ class DecreasingPath:
 
     t_lo: float
     t_hi: float
+    ends: tuple[float, float, float, float]  # (x(t_lo), x(t_hi), y(t_lo), y(t_hi)), set by the checks
 
     # -- evaluation ---------------------------------------------------------
 
@@ -92,8 +93,8 @@ class DecreasingPath:
     def grid(self, times):
         """(ts, x(ts), y(ts)) as float arrays for nonempty, strictly increasing times
         in the domain; raises otherwise.  The one place caller times meet a path."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if ts.ndim != 1 or ts.size == 0 or not (ts[1:] > ts[:-1]).all():
+        ts = np.array(times, dtype=float, copy=None, ndmin=1)
+        if ts.ndim != 1 or ts.size == 0 or np.count_nonzero(ts[1:] > ts[:-1]) < ts.size - 1:
             raise ValueError("times must be nonempty and strictly increasing")
         if not (self.t_lo - 1e-15 <= ts[0] and ts[-1] <= self.t_hi + 1e-15):  # the ends bound increasing times
             raise ValueError(f"t outside the path domain [{self.t_lo}, {self.t_hi}]")
@@ -102,13 +103,6 @@ class DecreasingPath:
     @property
     def span(self) -> float:
         return self.t_hi - self.t_lo
-
-    @functools.cached_property
-    def ends(self) -> tuple[float, float, float, float]:
-        """(x(t_lo), x(t_hi), y(t_lo), y(t_hi)) as floats, computed once per path."""
-        lo, hi = self.t_lo, self.t_hi
-        return (float(self._x(lo)), float(self._x(hi)),
-                float(self._y(lo)), float(self._y(hi)))
 
     # -- sweep inverses (used when restricting jump fields to the path) -----
     # Each form inverts x and y exactly, with no iteration, by one formula
@@ -161,10 +155,17 @@ class DecreasingPath:
         if not self.t_hi > self.t_lo:
             raise ValueError("domain must satisfy t_lo < t_hi")
 
-    def _validate_values(self):
-        """Finiteness, sign and non-constancy checks, read off `ends` (monotone forms)."""
+    def _ends(self) -> tuple[float, float, float, float]:
+        lo, hi = self.t_lo, self.t_hi
         with np.errstate(over="ignore", invalid="ignore"):
-            x_lo, x_hi, y_lo, y_hi = self.ends
+            return (float(self._x(lo)), float(self._x(hi)),
+                    float(self._y(lo)), float(self._y(hi)))
+
+    def _validate_values(self):
+        """Finiteness, sign and non-constancy checks, read off the end values (monotone
+        forms), which it keeps as `ends`."""
+        x_lo, x_hi, y_lo, y_hi = ends = self._ends()
+        object.__setattr__(self, "ends", ends)
         if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
             raise ValueError("path values must be finite")
         scale_x, scale_y = max(1.0, abs(x_lo), abs(x_hi)), max(1.0, abs(y_lo), abs(y_hi))
@@ -203,6 +204,10 @@ class LinearPath(DecreasingPath):
 
     def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
         return x_hi > 0 and y_lo > 0  # a line from (near) zero must leave it
+
+    def _ends(self):  # in float arithmetic, which never warns: no errstate to enter
+        a, b, c, d, lo, hi = map(float, (self.a, self.b, self.c, self.d, self.t_lo, self.t_hi))
+        return a + b * lo, a + b * hi, c - d * lo, c - d * hi
 
     def _x(self, t):
         return self.a + self.b * t
@@ -269,6 +274,10 @@ class VThenHPath(DecreasingPath):
             raise ValueError("corner s_star must be interior to the domain")
         self._validate_values()
 
+    def _ends(self):  # _x and _y at t_lo < s* < t_hi, in float arithmetic, which never warns
+        s, a, b, c, d, lo, hi = map(float, (self.s_star, self.a, self.b, self.c, self.d, self.t_lo, self.t_hi))
+        return a + d * 0.0, a + d * (hi - s), b + c * (s - lo), b + c * 0.0
+
     def _x(self, t):
         return self.a + self.d * np.maximum(t - self.s_star, 0.0)
 
@@ -298,13 +307,15 @@ class VerticalPath:
         return LinearPath(x_const, 0.0, intercept, slope, t_lo, t_hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedPath(DecreasingPath):
-    """Piecewise-linear path through strictly increasing knot times.
+    """Piecewise-linear path through strictly increasing knot times, compared by identity.
 
-    The sweep inverses locate the knot segment with one binary search on the
-    monotone knot values and invert the linear piece there.  That piece is
-    never flat, so flat stretches of x or y need no special case.
+    The knots are checked once and kept as float lists too, whose first and
+    last values are the end values.  The sweep inverses locate the knot
+    segment with one binary search on the monotone knot values and invert the
+    linear piece there.  That piece is never flat, so flat stretches of x or y
+    need no special case.
     """
 
     times: np.ndarray
@@ -319,16 +330,17 @@ class TabulatedPath(DecreasingPath):
             raise ValueError("tabulated path needs at least two knots")
         if xs.shape != ts.shape or ys.shape != ts.shape:
             raise ValueError("knot arrays must have matching shapes")
-        if np.any(np.diff(ts) <= 0):
+        if (ts[1:] - ts[:-1] <= 0).any():  # a NaN difference passes on to the next check
             raise ValueError("knot times must be strictly increasing")
-        if not np.isfinite([ts, xs, ys]).all():
+        knots = np.array([ts, xs, ys])
+        if not np.isfinite(knots).all():
             raise ValueError("path values must be finite")
         # linear between knots, the path is monotone iff its knots are
-        if np.any(np.diff(xs) < -1e-12 * max(1.0, np.abs(xs).max())):
+        if (xs[1:] - xs[:-1] < -1e-12 * max(1.0, np.abs(xs).max())).any():
             raise ValueError("x must be nondecreasing")
-        if np.any(np.diff(ys) > 1e-12 * max(1.0, np.abs(ys).max())):
+        if (ys[1:] - ys[:-1] > 1e-12 * max(1.0, np.abs(ys).max())).any():
             raise ValueError("y must be nonincreasing")
-        lists = tuple(a.tolist() for a in (ts, xs, ys, -ys))
+        lists = (*knots.tolist(), (-ys).tolist())
         for name, value in (("times", ts), ("xs", xs), ("ys", ys), ("_neg_ys", -ys), ("_knot_lists", lists)):
             object.__setattr__(self, name, value)
         self._validate_values()
@@ -352,8 +364,12 @@ class TabulatedPath(DecreasingPath):
     def t_hi(self) -> float:  # type: ignore[override]
         return self._knot_lists[0][-1]
 
+    def _ends(self) -> tuple[float, float, float, float]:
+        _, xs, ys, _ = self._knot_lists  # np.interp gives a knot's own value at its time
+        return xs[0], xs[-1], ys[0], ys[-1]
+
     def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
-        return bool((self.xs[1:] > 0).all() and (self.ys[:-1] > 0).all())  # LinearPath's, per piece
+        return bool(self.xs[1:].min() > 0 and self.ys[:-1].min() > 0)  # LinearPath's, per piece
 
     def _x(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.xs)
@@ -439,18 +455,25 @@ def _fit_affine(ts, vals):
     centred = ts - t_mean
     slope = float(centred @ (vals - v_mean) / (centred @ centred))
     intercept = float(v_mean - slope * t_mean)
-    return intercept, slope, float(np.max(np.abs(vals - (intercept + slope * ts))))
+    return intercept, slope, float(np.abs(vals - (intercept + slope * ts)).max())
+
+
+@functools.lru_cache(maxsize=64)
+def _knot_pairs(size: int, grid_size: int):
+    """Indices s < t of the pairs of at most `grid_size` evenly spread knots, built once per size."""
+    pick = np.linspace(0, size - 1, min(size, grid_size)).round().astype(int)
+    s, t = (pick[i] for i in np.triu_indices(pick.size, 1))
+    s.flags.writeable = t.flags.writeable = False  # shared by every later call
+    return s, t
 
 
 def _functional_equation_holds(path, cls, tol, grid_size=50):
     """Validate phi at pairs s < t of (at most `grid_size`, evenly spread) knots, where the
     values are exact; between knots the interpolant of a curved family solves it only roughly."""
     ts, xs, ys = path.times, path.xs, path.ys
-    if ts.size > grid_size:
-        pick = np.linspace(0, ts.size - 1, grid_size).round().astype(int)
-        ts, xs, ys = ts[pick], xs[pick], ys[pick]
-    s, t = np.triu_indices(ts.size, 1)
-    lhs = xs[s] * ys[s] + xs[t] * ys[t] - 2.0 * xs[s] * ys[t]
+    s, t = _knot_pairs(ts.size, grid_size)
+    xy, x2 = xs * ys, 2.0 * xs
+    lhs = xy[s] + xy[t] - x2[s] * ys[t]
     ph = phi(cls, ts[t] - ts[s])
     return bool((np.abs(lhs - ph) <= tol * np.maximum(1.0, np.abs(ph))).all())
 
@@ -461,13 +484,13 @@ def _line_candidates(ts, xs, ys, span, tol):
     a, b, resid_x = _fit_affine(ts, xs)
     c, negd, resid_y = _fit_affine(ts, ys)
     d = -negd
-    scale_x = max(1.0, float(np.max(np.abs(xs))))
-    scale_y = max(1.0, float(np.max(np.abs(ys))))
+    scale_x = max(1.0, float(np.abs(xs).max()))
+    scale_y = max(1.0, float(np.abs(ys).max()))
     level_x, level_y = float(xs.mean()), float(ys.mean())
     found = []
-    if np.max(np.abs(ys - level_y)) <= tol * scale_y and b > 0 and resid_x <= tol * scale_x:
+    if np.abs(ys - level_y).max() <= tol * scale_y and b > 0 and resid_x <= tol * scale_x:
         found.append(PathClass(PathTag.HORIZONTAL, {"a": level_y, "b": a, "c": b}, span))
-    if np.max(np.abs(xs - level_x)) <= tol * scale_x and d > 0 and resid_y <= tol * scale_y:
+    if np.abs(xs - level_x).max() <= tol * scale_x and d > 0 and resid_y <= tol * scale_y:
         found.append(PathClass(PathTag.VERTICAL, {"a": level_x, "b": c, "c": d}, span))
     if b > 0 and d > 0 and max(resid_x, resid_y) <= tol * max(scale_x, scale_y):
         found.append(PathClass(PathTag.LINEAR, {"a": a, "b": b, "c": c, "d": d}, span))
@@ -476,7 +499,7 @@ def _line_candidates(ts, xs, ys, span, tol):
 
 def _candidate_corner(ts, xs, ys, span, tol):
     best = None
-    scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
+    scale = max(1.0, float(np.abs(xs).max()), float(np.abs(ys).max()))
     # A corner at knot k needs xs[:k+1] and ys[k:] flat within tol * scale, and a
     # residual is at least half a stretch's range: skip ranges over 2 tol scale.
     spread = lambda v: np.maximum.accumulate(v) - np.minimum.accumulate(v)  # noqa: E731
@@ -491,10 +514,10 @@ def _candidate_corner(ts, xs, ys, span, tol):
         if a <= 0 or b <= 0 or c <= 0 or d <= 0:
             continue
         resid = max(
-            float(np.max(np.abs(xs[: k + 1] - a))),
-            float(np.max(np.abs(ys[k:] - b))),
-            float(np.max(np.abs(ys[: k + 1] - (b + c * (s_star - left))))),
-            float(np.max(np.abs(xs[k:] - (a + d * (right - s_star))))),
+            float(np.abs(xs[: k + 1] - a).max()),
+            float(np.abs(ys[k:] - b).max()),
+            float(np.abs(ys[: k + 1] - (b + c * (s_star - left))).max()),
+            float(np.abs(xs[k:] - (a + d * (right - s_star))).max()),
         )
         if resid > tol * scale:
             continue
@@ -511,20 +534,22 @@ def _candidate_corner(ts, xs, ys, span, tol):
 
 def _candidate_exponential(ts, xs, ys, span, tol):
     """Log-linear fit of x = a e^{ct}, y = b e^{-ct}, if no such curve is far off."""
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    if (xs <= 0).any() or (ys <= 0).any():
         return None
-    _, cx, _ = _fit_affine(ts, np.log(xs))
-    _, cy, _ = _fit_affine(ts, np.log(ys))
+    log_x, log_y = np.log(xs), np.log(ys)
+    _, cx, _ = _fit_affine(ts, log_x)
+    _, cy, _ = _fit_affine(ts, log_y)
     if cx <= 0 or cy >= 0:
         return None
     c = 0.5 * (cx - cy)
-    a = float(np.exp(np.mean(np.log(xs) - c * ts)))
-    b = float(np.exp(np.mean(np.log(ys) + c * ts)))
+    ct = c * ts
+    a = float(np.exp((log_x - ct).mean()))
+    b = float(np.exp((log_y + ct).mean()))
     resid = max(
-        float(np.max(np.abs(xs - a * np.exp(c * ts)))),
-        float(np.max(np.abs(ys - b * np.exp(-c * ts)))),
+        float(np.abs(xs - a * np.exp(ct)).max()),
+        float(np.abs(ys - b * np.exp(-ct)).max()),
     )
-    scale = max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
+    scale = max(1.0, float(np.abs(xs).max()), float(np.abs(ys).max()))
     if resid / scale > np.sqrt(tol):  # loose pre-filter; the functional equation decides
         return None
     return PathClass(PathTag.EXPONENTIAL, {"a": a, "b": b, "c": c}, span)

@@ -37,7 +37,7 @@ P_THRESHOLD = 1e-3
 _BINS = 10  # per axis of `chi2_binned`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCF:
     """Sample means and standard errors of cos<z, X> and sin<z, X>."""
 

@@ -1,4 +1,5 @@
-"""Every public name is reached by the program, not only by the tests.
+"""Every public name is reached by the program, not only by the tests, and every
+value type compares and hashes without raising.
 
 A name in a module's `__all__` counts as reached when some identifier in
 `src/levysheet` outside its own top-level definition, or in `demos/` or
@@ -7,10 +8,13 @@ references.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from levysheet import exponent, gauss, jumpsim, paths, stationary, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "levysheet"
@@ -69,3 +73,33 @@ def test_import_loads_only_the_core_modules():
     core = ("exponent", "fdd", "gauss", "jumpsim", "paths", "stationary")
     assert out[0].split() == [f"levysheet.{name}" for name in core]
     assert out[1] == ""
+
+
+def _array_holding_dataclasses():
+    return {cls for mod in (exponent, gauss, jumpsim, paths, stationary, verify) for cls in vars(mod).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__
+            and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    holders = _array_holding_dataclasses()
+    assert {cls.__name__ for cls in holders} >= {
+        "Categorical", "ScaledJumps", "LevyTriplet", "TabulatedPath", "SamplePathGrid"}
+    for cls in holders:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
+
+
+def test_equality_never_raises():
+    makers = [lambda: exponent.TwoPoint(1.0), lambda: exponent.brownian(1), lambda: exponent.brownian(2),
+              lambda: paths.TabulatedPath([0.0, 0.5, 1.0], [0.5, 1.0, 1.5], [2.0, 1.5, 1.0]),
+              lambda: gauss.SamplePathGrid([0.0, 1.0], [[0.0], [1.0]]),
+              lambda: stationary.StationaryLaw(exponent.brownian(1), 1.0, 0.5, 2.0)]
+    for make in makers:
+        one, other = make(), make()
+        assert (one == one) is True and (one == other) is False
+        assert hash(one) == hash(one)
+    # the closed path forms, a Gaussian path law and a path class keep value equality
+    line = paths.LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0)
+    assert line == paths.LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0)
+    assert gauss.GaussPathLaw(line) == gauss.GaussPathLaw(paths.LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0))
+    assert paths.classify(line) == paths.classify(paths.LinearPath(0.25, 1.0, 2.0, 1.5, 0.0, 1.0))

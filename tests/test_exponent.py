@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -61,10 +62,12 @@ class TestEvalPsi:
         assert ex.eval_psi(trip2, z) == pytest.approx(expected2, abs=1e-14)
 
     def test_rejects_bad_z(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="z must be finite"):
             ex.eval_psi(ex.brownian(1), np.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"z has shape \(1,\), not \(2,\) or \(m, 2\)"):
             ex.eval_psi(ex.brownian(2), np.array([1.0]))
+        with pytest.raises(ValueError, match=r"z has shape \(\), not \(2,\) or \(m, 2\)"):
+            ex.eval_psi(ex.brownian(2), 1.0)
 
     @given(st.floats(-20.0, 20.0))
     def test_hermitian_symmetry(self, z):
@@ -153,12 +156,12 @@ class TestEvalPsiBatch:
     def test_rejects_bad_shapes_and_nonfinite_rows(self):
         law2 = batch_laws()["categorical-d2"]
         for z in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 3, 2)), np.zeros(3)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"z has shape {z.shape}, not (2,) or (m, 2)")):
                 ex.eval_psi(law2, z)
         for bad in (np.nan, np.inf, -np.inf):
             zs = np.ones((4, 2))
             zs[2, 1] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="z must be finite"):
                 ex.eval_psi(law2, zs)
 
 
@@ -226,6 +229,31 @@ class TestConstruction:
     def test_gaussian_must_be_psd(self):
         with pytest.raises(ValueError):
             ex.LevyTriplet(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("gamma,gaussian,jumps,message", [
+        ([], [[1.0]], None, "gamma must be a nonempty 1-d array"),
+        ([[0.0]], [[1.0]], None, "gamma must be a nonempty 1-d array"),
+        ([np.nan], [[1.0]], None, "gamma must be finite"),
+        ([0.0, 0.0], [[1.0]], None, r"gaussian must be 2x2, got \(1, 1\)"),
+        ([0.0], [[np.inf]], None, "gaussian must be finite"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, -1e-9]], None, "gaussian must be nonnegative definite"),
+        ([0.0], [[-1e-9]], None, "gaussian must be nonnegative definite"),
+        ([0.0, 0.0], np.zeros((2, 2)), ex.ScaledJumps(1.0, ex.TwoPoint(1.0)),
+         "jump measure dimension does not match gamma"),
+    ])
+    def test_construction_messages(self, gamma, gaussian, jumps, message):
+        with pytest.raises(ValueError, match=message):
+            ex.LevyTriplet(gamma, gaussian, jumps)
+
+    @pytest.mark.parametrize("gaussian,has", [
+        (np.zeros((2, 2)), False), (np.eye(2), True), (-np.zeros((2, 2)), True),
+        ([[0.0, 1e-300], [1e-300, 0.0]], True)])
+    def test_gaussian_part_and_drift_are_computed_once(self, gaussian, has):
+        jumps = ex.ScaledJumps(2.0, ex.TwoPoint([0.5, 0.0]))
+        trip = ex.LevyTriplet([0.25, 1.0], gaussian, jumps)
+        assert trip.has_gaussian is has
+        assert trip.drift is trip.drift
+        assert trip.drift.tolist() == (trip.gamma - jumps.truncated_first_moment).tolist()
 
     def test_gaussian_symmetrized_on_input(self):
         trip = ex.LevyTriplet(np.zeros(2), np.array([[1.0, 0.2], [0.2, 1.0]]))

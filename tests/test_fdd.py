@@ -99,6 +99,21 @@ class TestJointCF:
         with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(3,\)"):
             fdd.joint_cf(brownian(1), bridge(), [0.3, 0.6], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("times", [[0.5], [0.3, 0.6], [0.2, 0.4, 0.6]])
+    @pytest.mark.parametrize("triplet", [brownian(2), cpp_from_atoms([([1.0, 0.5], 1.0)])])
+    def test_rejects_nonfinite_probes(self, times, triplet):
+        for bad in (math.nan, math.inf):
+            zs = np.ones((len(times), 2))
+            zs[-1, 1] = bad
+            with pytest.raises(ValueError, match="z must be finite"):
+                fdd.joint_cf(triplet, bridge(), times, zs)
+
+    def test_increment_probe_takes_the_shape_check(self):
+        with pytest.raises(ValueError, match=r"zs must have shape \(2, 2\), got \(2, 1\)"):
+            fdd.increment_cf(brownian(2), bridge(), 0.3, 0.6, 1.0)
+        with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(2, 1, 1\)"):
+            fdd.increment_cf(brownian(1), bridge(), 0.3, 0.6, [[1.0]])
+
     def test_ou_probes_take_the_same_shape_check(self):
         with pytest.raises(ValueError, match=r"zs must have shape \(2, 1\), got \(3,\)"):
             stationary.ou_cf(brownian(1), 1.0, [0.5, 1.0], [1.0, 2.0, 3.0])

@@ -115,6 +115,17 @@ CONSTRUCTION_VERDICTS = [
         np.array([0.0, 1.0]), np.zeros(2), np.array([2.0, 1.0])), "strictly positive on the interior"),
     ("flat x and y stretches", lambda: pth.TabulatedPath(
         _STAIRS, 0.2 + np.floor(4 * _STAIRS) / 4, 1.5 - np.ceil(4 * _STAIRS) / 4), None),
+    ("one knot", lambda: pth.TabulatedPath([0.0], [1.0], [1.0]), "at least two knots"),
+    ("knot times in rows", lambda: pth.TabulatedPath(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))),
+     "at least two knots"),
+    ("knot arrays differ", lambda: pth.TabulatedPath(_KNOTS3, np.array([1.0, 2.0]), np.array([2.0, 1.5, 1.0])),
+     "matching shapes"),
+    ("repeated knot time", lambda: pth.TabulatedPath(
+        np.array([0.0, 0.5, 0.5]), np.array([1.0, 1.5, 2.0]), np.array([2.0, 1.5, 1.0])), "strictly increasing"),
+    # a NaN difference of knot times is not a decrease: the finiteness check names it
+    ("nan knot time", lambda: pth.TabulatedPath(
+        np.array([0.0, np.nan, 1.0]), np.array([1.0, 1.5, 2.0]), np.array([2.0, 1.5, 1.0])),
+     "path values must be finite"),
     ("x dips", lambda: pth.TabulatedPath(
         _KNOTS3, np.array([1.0, 0.5, 2.0]), np.array([2.0, 1.5, 1.0])), "x must be nondecreasing"),
     ("y rises", lambda: pth.TabulatedPath(
