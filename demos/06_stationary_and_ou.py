@@ -43,6 +43,8 @@ report = stationary.distinguish_ou(one_atom, 1.0)
 w = report.witness
 print(f"\nOU discrimination for the one-atom jump law: witness at "
       f"t = {w.t:.3f}, z = {w.z[0]:.3f}, CF gap {w.gap:.4f}")
+print(f"  there the OU-type CF reads {stationary.ou_cf(one_atom, 1.0, w.t, w.z[0]):.4f} "
+      f"and the path's {stationary.exp_path_cf(one_atom, 1.0, w.t, w.z[0]):.4f}")
 print(f"same probes on the Gaussian law: max gap {stationary.distinguish_ou(brownian(1), 1.0).max_gap:.2e}"
       f" (indistinguishable by this test)")
 

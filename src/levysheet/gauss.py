@@ -74,13 +74,12 @@ class SamplePathGrid:
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        vals = vals[:, None] if vals.ndim == 1 else vals
         if ts.ndim != 1 or vals.shape[0] != ts.size:
             raise ValueError("values must have one row per grid time")
-        if not (np.isfinite(ts).all() and (ts[1:] > ts[:-1]).all()):
+        if np.count_nonzero(np.isfinite(ts)) + np.count_nonzero(ts[1:] > ts[:-1]) < 2 * ts.size - 1:
             raise ValueError("grid times must be finite and strictly increasing")
-        if not np.isfinite(vals).all():
+        if np.count_nonzero(np.isfinite(vals)) < vals.size:
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", vals)

@@ -13,8 +13,8 @@ checks of their law are built from the counts by their callers.  The
 uniform-triangle-to-order-statistics map, the jump-time rearrangement
 construction, and its diffusion-scale bridge limit experiments live here too.
 
-Experiments draw N replicates at once, as flat event arrays plus `owner`,
-the draw each event belongs to; single-draw functions are their N = 1 calls.
+Experiments draw N replicates at once, as flat event arrays plus each event's
+draw (or the first of its draw's result bins); single-draw functions are their N = 1 calls.
 `gauss._run_blocks` cuts a batch into blocks of whole draws by its expected
 events (or walk steps): a batch of at most 2^19 draws from `rng` itself, a
 larger one draws block b from the b-th `rng.spawn` child on the sampler's pool.
@@ -32,30 +32,18 @@ from .gauss import GaussPathLaw, SamplePathGrid, _csv, _run_blocks, simulate_pat
 from .paths import DecreasingPath, LinearPath
 
 
-_SIGNS = np.array([1.0, -1.0])  # of an entry (even event index) and an exit (odd)
+_SIGNS = np.array([[1.0], [-1.0]])  # of an entry (even event index) and an exit (odd)
 
 
-def _slot_sums(out, owner, slots, jumps) -> np.ndarray:
-    """Write into out, (n_draws, n_slots, d), the running sums along the slots of the jumps put at
-    (owner, slot), slot n_slots being past the last: one bincount per component, then one cumsum."""
+def _slot_sums(out, at, jumps) -> np.ndarray:
+    """Write into out, (n_draws, n_slots, d), the running sums along the slots of the jumps in bins
+    at = draw * (n_slots + 1) + slot, slot n_slots past the last: a bincount per component, a cumsum."""
     n_draws, n_slots, d = out.shape
-    at = owner * (n_slots + 1) + slots
     for c in range(d):
         sums = np.bincount(at, jumps[:, c], n_draws * (n_slots + 1)).reshape(n_draws, n_slots + 1)
         np.add.accumulate(sums[:, :-1], axis=1, out=out[:, :, c])
     return out
 
-
-def _as_increments(increments, n_events: int, default_dim: int) -> np.ndarray:
-    """(m, d) increments; no events given as [] or (0, 0) take the width default_dim."""
-    incs = np.asarray(increments, dtype=float)
-    if incs.size == 0 and (incs.ndim == 1 or incs.shape[1] == 0):
-        incs = incs.reshape(0, default_dim)
-    elif incs.ndim == 1:
-        incs = incs[:, None]
-    if incs.shape[0] != n_events:
-        raise ValueError("times and increments must have matching lengths")
-    return incs
 
 __all__ = [
     "RectRegion",
@@ -98,14 +86,13 @@ class RectRegion:
         return self.x_max * self.y_max
 
     def sample(self, rng, size: int) -> np.ndarray:
-        locs = np.empty((size, 2))
-        locs[:, 0] = rng.uniform(0.0, self.x_max, size=size)
-        locs[:, 1] = rng.uniform(0.0, self.y_max, size=size)
-        return locs
-
-    def contains(self, locations: np.ndarray) -> np.ndarray:
-        u, v = locations[:, 0], locations[:, 1]
-        return (u > 0) & (u <= self.x_max) & (v > 0) & (v <= self.y_max)
+        """size locations, (size, 2): the u's, then the v's, each side * U, rng.uniform(0.0, side)'s
+        bits; U = 0 reads as 1 (the law of 1 - U on the same grid), so each lies in the region."""
+        draws = rng.random((2, size))
+        np.putmask(draws, draws == 0.0, 1.0)
+        draws[0] *= self.x_max
+        draws[1] *= self.y_max
+        return draws.T
 
     def covers_path(self, path: DecreasingPath) -> bool:
         tol = 1e-9
@@ -145,14 +132,15 @@ class JumpField:
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=float).reshape(-1, 2)
-        js = np.atleast_2d(np.asarray(self.jumps, dtype=float))
+        js = np.array(self.jumps, dtype=float, copy=None, ndmin=2)
         if js.shape[0] != locs.shape[0]:
             raise ValueError("locations and jumps must have matching lengths")
-        if not self.region.contains(locs).all():
+        sides = self.region.x_max, self.region.y_max  # inside (0, x_max] x (0, y_max]: NaN fails
+        if np.count_nonzero(locs > 0.0) + np.count_nonzero(locs <= sides) < 2 * locs.size:
             raise ValueError("all jump locations must lie strictly inside the region")
-        if not np.isfinite(js).all():
+        if np.count_nonzero(np.isfinite(js)) < js.size:
             raise ValueError("jump values must be finite")
-        if js.size and (np.ascontiguousarray(js.T) == 0.0).all(axis=0).any():  # by column: fast
+        if np.count_nonzero(js) < js.size and (np.ascontiguousarray(js.T) == 0.0).all(axis=0).any():
             raise ValueError("zero jumps are not allowed")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "jumps", js)
@@ -175,37 +163,44 @@ class JumpField:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EventPath:
     """Initial value plus time-stamped increments on [t_lo, t_hi].
 
-    value(t) sums the initial value and every increment with time <= t.
-    The events are sorted stably by time, so simultaneous events keep their
-    input order.  `initial` defaults to zeros of the increments' width.
+    value(t) sums the initial value and every increment with time <= t.  The events are
+    sorted stably by time, so simultaneous events keep their input order.  `initial`
+    defaults to zeros of the increments' width.  The constructor checks and sets each field once.
     """
 
     t_lo: float
     t_hi: float
     times: np.ndarray  # (m,)
     increments: np.ndarray  # (m, d)
-    initial: np.ndarray | None = None  # (d,)
+    initial: np.ndarray  # (d,)
 
-    def __post_init__(self):
+    def __init__(self, t_lo: float, t_hi: float, times, increments, initial=None):
+        object.__setattr__(self, "t_lo", t_lo)
+        object.__setattr__(self, "t_hi", t_hi)
         DecreasingPath._validate_domain(self)  # finite t_lo < t_hi, as for paths
-        ts = np.asarray(self.times, dtype=float)
-        incs = _as_increments(self.increments, ts.size, 1 if self.initial is None else np.size(self.initial))
-        init = (np.zeros(incs.shape[1]) if self.initial is None  # finite zeros: no check needed
-                else np.array(self.initial, dtype=float, ndmin=1))
+        ts, incs = np.asarray(times, dtype=float), np.asarray(increments, dtype=float)
+        if incs.ndim < 2 or not incs.shape[1]:  # flat increments, or no events as [] or (0, 0)
+            width = 1 if initial is None or incs.size else np.size(initial)
+            incs = incs.reshape(-1 if incs.size else 0, width)
+        if incs.shape[0] != ts.size:
+            raise ValueError("times and increments must have matching lengths")
+        init = (np.zeros(incs.shape[1]) if initial is None  # finite zeros: no check needed
+                else np.array(initial, dtype=float, ndmin=1))
         if incs.shape[1] != init.size:
             raise ValueError("increments and initial value must have the same width")
-        if not (np.isfinite(incs).all() and (self.initial is None or np.isfinite(init).all())):
+        if np.count_nonzero(np.isfinite(incs)) < incs.size or (
+                initial is not None and np.count_nonzero(np.isfinite(init)) < init.size):
             raise ValueError("increments and initial value must be finite")
         order = ts.argsort(kind="stable")  # NaN sorts last
-        ts, incs = ts.take(order), incs.take(order, axis=0)
-        if ts.size and not (self.t_lo - 1e-12 <= ts[0] and ts[-1] <= self.t_hi + 1e-12):
+        ts = ts.take(order)
+        if ts.size and not (t_lo - 1e-12 <= ts[0] and ts[-1] <= t_hi + 1e-12):
             raise ValueError("event times must lie within the domain")
         object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "increments", incs)
+        object.__setattr__(self, "increments", incs.take(order, axis=0))
         object.__setattr__(self, "initial", init)
 
     @property
@@ -214,8 +209,8 @@ class EventPath:
 
     def values(self, ts) -> np.ndarray:
         """Path values at query times; output (k, d)."""
-        q = np.array(ts, dtype=float, ndmin=1)
-        if not np.isfinite(q).all():
+        q = np.array(ts, dtype=float, copy=None, ndmin=1)
+        if np.count_nonzero(np.isfinite(q)) < q.size:
             raise ValueError("query times must be finite")
         # row k sums the first k events; row 0 is -0.0, which adds to `initial` bit for bit
         sums = np.empty((self.times.size + 1, self.dim))
@@ -237,7 +232,7 @@ def simulate_cpp_sheets(rate: float, jump_dist, region, n_draws: int, rng) -> tu
         raise ValueError("rate must be finite and nonnegative")
     if not math.isfinite(region.area):
         raise ValueError("region must have finite area")
-    owner = np.repeat(np.arange(n_draws), rng.poisson(rate * region.area, size=n_draws))
+    owner = np.arange(n_draws).repeat(rng.poisson(rate * region.area, size=n_draws))
     locs = region.sample(rng, owner.size)
     return JumpField(region, locs, jump_dist.sample(rng, owner.size)), owner
 
@@ -263,10 +258,10 @@ def _restrict_events(field: JumpField, path: DecreasingPath):
     np.less_equal(stamps[:, 0], stamps[:, 1], out=kept[:, 0])  # False where either is NaN
     np.logical_and(kept[:, 0], v > path.ends[3], out=kept[:, 1])
     event = kept.reshape(-1).nonzero()[0]
-    times = stamps.ravel().take(event)
-    incs = field.jumps.take(event >> 1, axis=0)
-    incs *= _SIGNS.take(event & 1)[:, None]  # an exact sign flip at exits
-    return event >> 1, times, incs
+    jump = event >> 1
+    incs = field.jumps.take(jump, axis=0)
+    incs *= _SIGNS.take(event & 1, axis=0)  # an exact sign flip at exits
+    return jump, stamps.ravel().take(event), incs
 
 
 def restrict_to_path(field: JumpField, path: DecreasingPath) -> EventPath:
@@ -299,21 +294,22 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
         rest = np.add(gaussian, rest, out=gaussian)
     if triplet.jumps is None:
         return np.broadcast_to(rest, (n_draws, ts.size, triplet.dim)).copy()
-    values = np.empty((n_draws, ts.size, triplet.dim))  # the jump part, then the sum
-    rate, neg_ys = triplet.jumps.rate, -ys
-    areas = np.cumsum((xs - np.concatenate(([0.0], xs[:-1]))) * ys)  # columns 0..i
+    rate, neg_ys, k = triplet.jumps.rate, -ys, ts.size
+    values = np.empty((n_draws, k, triplet.dim))  # the jump part, then the sum
+    widths = xs.copy()  # x(t_i) - x(t_{i-1}), with x(t_{-1}) = 0
+    widths[1:] -= xs[:-1]
+    areas = (widths * ys).cumsum()  # columns 0..i
 
-    def block(lo, hi, gen):
-        owner = np.repeat(np.arange(hi - lo), gen.poisson(rate * areas[-1], size=hi - lo))
-        col = areas[:-1].searchsorted(gen.uniform(0.0, areas[-1], owner.size), side="right")
+    def block(lo, hi, gen):  # base: the first of the k + 1 bins of each jump's draw (see _slot_sums)
+        base = np.arange(0, (hi - lo) * (k + 1), k + 1).repeat(gen.poisson(rate * areas[-1], size=hi - lo))
+        col = areas[:-1].searchsorted(areas[-1] * gen.random(base.size), side="right")  # A U: uniform(0, A)
         # a height uniform on (0, y(t_col)], and the slot after the last probe that covers it
-        stop = neg_ys.searchsorted(neg_ys.take(col) * (1.0 - gen.random(owner.size)), side="right")
-        jumps = triplet.jumps.dist.sample(gen, owner.size)
-        _slot_sums(values[lo:hi], np.concatenate([owner, owner]), np.concatenate([col, stop]),
-                   np.concatenate([jumps, -jumps]))
+        stop = neg_ys.searchsorted(neg_ys.take(col) * (1.0 - gen.random(base.size)), side="right")
+        jumps = triplet.jumps.dist.sample(gen, base.size)
+        _slot_sums(values[lo:hi], np.concatenate([base + col, base + stop]), np.concatenate([jumps, -jumps]))
 
     _run_blocks(n_draws, rate * areas[-1], rng, block)
-    values[:, xys <= 0.0] = 0.0  # empty rectangles read 0, not +J - J
+    np.copyto(values, 0.0, where=(xys <= 0.0)[:, None])  # empty rectangles read 0, not +J - J
     values += rest
     return values
 
@@ -352,19 +348,12 @@ def triangle_to_order_stats(xi, b: float, c: float, l: float):
 # Rearrangement construction and bridge-limit experiments
 # ---------------------------------------------------------------------------
 
-def _cpp_path_jumps(rate: float, jump_dist, t_lo: float, t_hi: float, n_draws: int, rng):
-    """Owner, times and values of the jumps of n_draws compound-Poisson paths on [t_lo, t_hi]."""
-    if not t_hi > t_lo:
-        raise ValueError("domain must satisfy t_lo < t_hi")
-    owner = np.repeat(np.arange(n_draws), rng.poisson(rate * (t_hi - t_lo), size=n_draws))
-    times = rng.uniform(t_lo, t_hi, size=owner.size)
-    return owner, times, jump_dist.sample(rng, owner.size)
-
-
 def simulate_cpp_path(rate: float, jump_dist, t_lo: float, t_hi: float, rng) -> EventPath:
     """One-parameter compound Poisson path on [t_lo, t_hi] starting at 0."""
-    _, times, jumps = _cpp_path_jumps(rate, jump_dist, t_lo, t_hi, 1, rng)
-    return EventPath(t_lo, t_hi, times, jumps)
+    if not t_hi > t_lo:
+        raise ValueError("domain must satisfy t_lo < t_hi")
+    m = rng.poisson(rate * (t_hi - t_lo))
+    return EventPath(t_lo, t_hi, rng.uniform(t_lo, t_hi, size=m), jump_dist.sample(rng, m))
 
 
 def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPath]:
@@ -378,44 +367,44 @@ def rearranged_difference(y_events: EventPath, rng) -> tuple[EventPath, EventPat
     y_prime = EventPath(y_events.t_lo, y_events.t_hi, new_times, y_events.increments,
                         y_events.initial)
     diff_times = np.concatenate([y_events.times, new_times])
-    diff_incs = np.vstack([y_events.increments, -y_events.increments])
+    diff_incs = np.concatenate([y_events.increments, -y_events.increments])
     z = EventPath(y_events.t_lo, y_events.t_hi, diff_times, diff_incs)
     return y_prime, z
 
 
 def _grid_times(times, l: float) -> np.ndarray:
     """The times as a float array, which must lie in [0, l]."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if not ((ts >= 0) & (ts <= l)).all():  # False at NaN
+    ts = np.array(times, dtype=float, copy=None, ndmin=1)
+    if np.count_nonzero((ts >= 0) & (ts <= l)) < ts.size:  # False at NaN
         raise ValueError("grid times must lie in [0, l]")
     return ts
 
 
-def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int,
-                     rng) -> tuple[np.ndarray, np.ndarray]:
-    """Values at the times ts in [0, l], (n_draws, k, d) each, of Y ~ CPP(rate) on [0, l]
-    and of Y' with Y's jump values at fresh uniform times (see `rearranged_difference`); each sums
-    its jumps at or before t (exactly 0 before the first), and where none comes later Y and Y' read
-    Y's total, so Y(l) == Y'(l) bit for bit."""
+def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int, rng) -> np.ndarray:
+    """Values at the times ts in [0, l] of Y ~ CPP(rate) on [0, l] and of Y' with Y's jump values
+    at fresh uniform times (see `rearranged_difference`), (2, n_draws, k, d), which unpacks as (Y, Y');
+    each sums its jumps at or before t (exactly 0 before the first), and where none comes later Y
+    and Y' read Y's total, so Y(l) == Y'(l) bit for bit."""
     _positive(rate=rate, l=l)
     ts = _grid_times(ts, l)
-    up, rank, k = np.sort(ts), np.argsort(np.argsort(ts)), ts.size  # ts[j] is up[rank[j]]
+    up, k = np.sort(ts), ts.size
+    rank = up.searchsorted(ts)  # ts[j] is up[rank[j]]; equal probes read equal slot sums
     pairs = np.empty((2, n_draws, k, jump_dist.dim))
 
     def block(lo, hi, gen):
-        owner, times, jumps = _cpp_path_jumps(rate, jump_dist, 0.0, l, hi - lo, gen)
-        new_slot = up.searchsorted(gen.uniform(0.0, l, size=owner.size))  # the probes before it
-        # Y at the sorted probes, then at slot k, past them all, its total
-        ys = _slot_sums(np.empty((hi - lo, k + 1, jumps.shape[1])), owner, up.searchsorted(times), jumps)
-        rearranged = _slot_sums(np.empty((hi - lo, k, jumps.shape[1])), owner, new_slot, jumps)
-        seen = np.bincount(owner * (k + 1) + new_slot, minlength=(hi - lo) * (k + 1))
-        seen = seen.reshape(hi - lo, k + 1).cumsum(axis=1)  # Y''s jumps up to each probe
-        np.copyto(rearranged, ys[:, -1:], where=(seen[:, :-1] == seen[:, -1:])[:, :, None])
-        ys.take(rank, axis=1, out=pairs[0, lo:hi])
-        rearranged.take(rank, axis=1, out=pairs[1, lo:hi])
+        # Y's jumps (first of their draw's k + 2 bins, times, values), then Y''s bins; l U: uniform(0, l)
+        base = np.arange(0, (hi - lo) * (k + 2), k + 2).repeat(gen.poisson(rate * l, size=hi - lo))
+        times, jumps = l * gen.random(base.size), jump_dist.sample(gen, base.size)
+        at = base + up.searchsorted(l * gen.random(base.size))
+        sums = np.empty((2, hi - lo, k + 1, jumps.shape[1]))  # Y, Y' at the sorted probes, then past all
+        _slot_sums(sums[0], base + up.searchsorted(times), jumps)
+        _slot_sums(sums[1], at, jumps)
+        seen = np.bincount(at, minlength=(hi - lo) * (k + 2)).reshape(hi - lo, k + 2).cumsum(axis=1)
+        np.copyto(sums[1], sums[0, :, -1:], where=(seen[:, :-1] == seen[:, -1:])[:, :, None])  # none after
+        sums.take(rank, axis=2, out=pairs[:, lo:hi])
 
     _run_blocks(n_draws, 2.0 * rate * l, rng, block)
-    return pairs[0], pairs[1]
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,12 +430,11 @@ def bridge_experiments(rate: float, jump_dist, l: float, grid, n_draws: int, rng
         raise ValueError("jump distribution needs a positive second moment")
     if jump_dist.dim != 1:
         raise ValueError("bridge experiment is defined for real-valued jumps")
-    ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    y, y_prime = rearranged_pairs(rate, jump_dist, l, ts, n_draws, rng)
-    y, y_prime = y[:, :, 0], y_prime[:, :, 0]
+    ts = np.array(grid, dtype=float, copy=None, ndmin=1)
+    pairs = rearranged_pairs(rate, jump_dist, l, ts, n_draws, rng)[..., 0]  # Y and Y'
     norm = math.sqrt(2.0 * mu2 * rate)
-    drift = rate * float(jump_dist.mean[0]) * ts
-    return BridgeDraw(ts, (y - y_prime) / norm, (y - drift) / norm, (y_prime - drift) / norm)
+    centered = (pairs - rate * float(jump_dist.mean[0]) * ts) / norm
+    return BridgeDraw(ts, (pairs[0] - pairs[1]) / norm, centered[0], centered[1])
 
 
 def bridge_experiment(rate: float, jump_dist, l: float, grid, rng) -> BridgeDraw:
@@ -474,21 +462,24 @@ def random_walk_bridges(n: int, l: float, xi_dist, n_draws: int, rng, grid=None)
     if grid is None:
         idx = np.arange(1, total + 1)
     else:
-        idx = np.floor(n * _grid_times(grid, l)).astype(int)
+        idx = (n * _grid_times(grid, l)).astype(int)  # truncation floors these nonnegative times
+    gaps = np.empty((n_draws, idx.size))
 
     def block(lo, hi, gen):
         steps = xi_dist.sample(gen, (hi - lo) * total)[:, 0].reshape(hi - lo, total)
-        gap = np.zeros((hi - lo, total + 1))
-        gap[:, 1:] = steps.cumsum(axis=1) - gen.permuted(steps, axis=1).cumsum(axis=1)
-        return gap.take(idx, axis=1)
+        walks = np.zeros((2, hi - lo, total + 1))  # S and S', 0 before the first step
+        np.add.accumulate(steps, axis=1, out=walks[0, :, 1:])
+        np.add.accumulate(gen.permuted(steps, axis=1), axis=1, out=walks[1, :, 1:])
+        np.subtract(walks[0].take(idx, axis=1), walks[1].take(idx, axis=1), out=gaps[lo:hi])
 
-    return np.concatenate(_run_blocks(n_draws, total, rng, block)) / math.sqrt(2.0 * mu2 * n)
+    _run_blocks(n_draws, total, rng, block)
+    return np.divide(gaps, math.sqrt(2.0 * mu2 * n), out=gaps)
 
 
 def random_walk_bridge(n: int, l: float, xi_dist, rng, grid=None) -> SamplePathGrid:
     """One draw of `random_walk_bridges` at the grid times, or at every step time k/n."""
     vals = random_walk_bridges(n, l, xi_dist, 1, rng, grid)[0]
-    ts = np.arange(1, vals.size + 1) / n if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
+    ts = np.arange(1, vals.size + 1) / n if grid is None else np.array(grid, dtype=float, copy=None, ndmin=1)
     return SamplePathGrid(ts, vals)
 
 

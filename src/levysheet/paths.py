@@ -30,6 +30,7 @@ data; `equivalent` and `scaled` relate law-equivalent paths (p x, y / p), and
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
 import functools
 import math
@@ -63,6 +64,7 @@ _PROBE_COUNT = 33
 
 # Argument types that the sweep inverses answer with float arithmetic.
 _SCALARS = (float, int, np.generic)
+_QUIET = contextlib.nullcontext()  # in place of np.errstate for the forms with `_quiet_inverses`
 
 
 class DecreasingPath:
@@ -108,12 +110,13 @@ class DecreasingPath:
     # Each form inverts x and y exactly, with no iteration, by one formula
     # that takes arrays and floats alike: _x_inverse(u) for
     # x(t_lo) < u <= x(t_hi) and _y_inverse(v) for y(t_hi) < v <= y(t_lo).
-    # An array is inverted everywhere, with division and log warnings off,
-    # and the entries outside that range are overwritten in the formula's
-    # result, a new array (no form returns its argument).  A
+    # An array is inverted everywhere, with division and log warnings off (unless no
+    # float makes the form's formulas warn), and the entries outside that range are
+    # overwritten in the formula's result, a new array (no form returns its argument).  A
     # scalar is range-tested as a float against `ends` first, so the formula
     # runs only strictly inside the range, where no form divides by zero:
     # errstate and masks on a 0-d value cost many times what the formula does.
+    _quiet_inverses = False  # True where no float makes a formula divide by zero or take a log
 
     def first_time_x_at_least(self, u):
         """inf{t : x(t) >= u} elementwise: NaN where x never reaches u, None for a scalar u."""
@@ -121,7 +124,7 @@ class DecreasingPath:
         if not isinstance(u, _SCALARS):
             u = np.asarray(u, dtype=float)
             if u.ndim:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
                     t = self._x_inverse(u)
                 np.putmask(t, u > x_hi, np.nan)
                 np.putmask(t, u <= x_lo, self.t_lo)
@@ -137,7 +140,7 @@ class DecreasingPath:
         if not isinstance(v, _SCALARS):
             v = np.asarray(v, dtype=float)
             if v.ndim:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
                     t = self._y_inverse(v)
                 np.putmask(t, v <= y_hi, self.t_hi)
                 np.putmask(t, v > y_lo, np.nan)
@@ -201,6 +204,7 @@ class LinearPath(DecreasingPath):
         if not (self.b >= 0 and self.d >= 0):
             raise ValueError("linear path needs nonnegative slopes b and d")
         self._validate_values()
+        object.__setattr__(self, "_quiet_inverses", self.b > 0 and self.d > 0)  # finite, as the ends are
 
     def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
         return x_hi > 0 and y_lo > 0  # a line from (near) zero must leave it
@@ -265,6 +269,7 @@ class VThenHPath(DecreasingPath):
     d: float
     t_lo: float
     t_hi: float
+    _quiet_inverses = True  # the formulas divide by c, d > 0 (a class attribute, not a field)
 
     def __post_init__(self):
         self._validate_domain()
@@ -330,8 +335,9 @@ class TabulatedPath(DecreasingPath):
             raise ValueError("tabulated path needs at least two knots")
         if xs.shape != ts.shape or ys.shape != ts.shape:
             raise ValueError("knot arrays must have matching shapes")
-        if (ts[1:] - ts[:-1] <= 0).any():  # a NaN difference passes on to the next check
-            raise ValueError("knot times must be strictly increasing")
+        with np.errstate(invalid="ignore"):  # a NaN difference (inf - inf) passes on to the next check
+            if (ts[1:] - ts[:-1] <= 0).any():
+                raise ValueError("knot times must be strictly increasing")
         knots = np.array([ts, xs, ys])
         if not np.isfinite(knots).all():
             raise ValueError("path values must be finite")

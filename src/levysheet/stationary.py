@@ -78,7 +78,7 @@ def autocorrelation(law: StationaryLaw, u: float) -> float:
 def simulate_stationary(law: StationaryLaw, grid, rng) -> gauss.SamplePathGrid:
     """One draw of the stationary process on the grid (within [0, inf)): the n_draws = 1
     `jumpsim.simulate_triplet` call on `law.path(t_hi)`, t_hi the last time or 1."""
-    ts = np.atleast_1d(np.asarray(grid, dtype=float))
+    ts = np.array(grid, dtype=float, copy=None, ndmin=1)
     path = law.path(float(ts[-1]) if ts.size and ts[-1] > 0 else 1.0)
     return gauss.SamplePathGrid(ts, jumpsim.simulate_triplet(law.triplet, path, ts, 1, rng)[0])
 
@@ -103,6 +103,15 @@ def _cf(exponents, t):
     return cmath.exp(exponents[0]) if np.ndim(t) == 0 else np.exp(exponents)
 
 
+def _ou_exponents(triplet: LevyTriplet, c: float, t, z):
+    """The exponents of `ou_cf` and `exp_path_cf` at the probes, from one psi call (row by row)."""
+    ts, zs, ect = _probes(triplet, c, t, z)
+    rows = np.concatenate([ect * zs, zs, (ect - 1.0) * zs, -zs])
+    up, base, diff, neg = eval_psi(triplet, rows).reshape(4, ts.size)
+    emct = np.exp(-c * ts)
+    return up - base, emct * diff + (1.0 - emct) * (up + neg)
+
+
 def ou_cf(triplet: LevyTriplet, c: float, t, z):
     """CF of the integrated driver e^{ct} V_t - V_0 of a stationary OU-type process.
 
@@ -110,9 +119,7 @@ def ou_cf(triplet: LevyTriplet, c: float, t, z):
     exponent psi.  At one probe (t, z) a complex; at the probes (t[k], z[k]),
     t of shape (k,) and z of shape (k, d), a (k,) array from one psi call.
     """
-    ts, zs, ect = _probes(triplet, c, t, z)
-    up, base = eval_psi(triplet, np.concatenate([ect * zs, zs])).reshape(2, ts.size)
-    return _cf(up - base, t)
+    return _cf(_ou_exponents(triplet, c, t, z)[0], t)
 
 
 def exp_path_cf(triplet: LevyTriplet, c: float, t, z):
@@ -121,11 +128,7 @@ def exp_path_cf(triplet: LevyTriplet, c: float, t, z):
     Equals exp[e^{-ct} psi((e^{ct}-1) z)
                + (1 - e^{-ct}) (psi(e^{ct} z) + psi(-z))].
     """
-    ts, zs, ect = _probes(triplet, c, t, z)
-    emct = np.exp(-c * ts)
-    rows = np.concatenate([ect * zs, (ect - 1.0) * zs, -zs])
-    up, diff, neg = eval_psi(triplet, rows).reshape(3, ts.size)
-    return _cf(emct * diff + (1.0 - emct) * (up + neg), t)
+    return _cf(_ou_exponents(triplet, c, t, z)[1], t)
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,8 @@ def distinguish_ou(triplet: LevyTriplet, c: float) -> OUDistinguishReport:
     max gap).
     """
     ts, zs = _default_probe_arrays(triplet.dim)
-    gaps = np.abs(ou_cf(triplet, c, ts, zs) - exp_path_cf(triplet, c, ts, zs))
+    ou, exp_path = _ou_exponents(triplet, c, ts, zs)
+    gaps = np.abs(np.exp(ou) - np.exp(exp_path))
     hits = np.flatnonzero(gaps > _GAP_THRESHOLD)
     witness = None
     if hits.size:  # the first probe, in probe order, over the threshold

@@ -166,6 +166,26 @@ class TestSimulate:
             with pytest.raises(ValueError, match="finite and strictly increasing"):
                 gauss.SamplePathGrid(times, np.zeros(len(times)))
 
+    @pytest.mark.parametrize("times, values, message", [
+        ([math.nan], [0.0], "finite and strictly increasing"),
+        ([0.0, math.nan], [0.0, 0.0], "finite and strictly increasing"),
+        ([math.nan, 0.5], [0.0, 0.0], "finite and strictly increasing"),
+        ([-math.inf, 0.5], [0.0, 0.0], "finite and strictly increasing"),
+        ([0.1, 0.3, 0.3], [0.0, 0.0, 0.0], "finite and strictly increasing"),
+        ([0.3, 0.1, 0.2], [0.0, 0.0, 0.0], "finite and strictly increasing"),
+        ([0.2, 0.1], [math.nan, 0.0], "finite and strictly increasing"),  # times are checked first
+        ([0.1, 0.2], [0.0, math.nan], "sample values must be finite"),
+        ([0.1, 0.2], [[0.0, 1.0], [-math.inf, 0.0]], "sample values must be finite"),
+        ([0.1], [[math.nan]], "sample values must be finite"),
+        ([], [], None),
+    ])
+    def test_sample_grid_verdicts(self, times, values, message):
+        if message is None:
+            assert gauss.SamplePathGrid(times, values).values.shape == (len(times), 1)
+        else:
+            with pytest.raises(ValueError, match=message):
+                gauss.SamplePathGrid(times, values)
+
     def test_sample_grid_rejects_unordered_times_and_bad_values(self):
         for times in ([0.5, 0.5], [0.5, 0.2], [0.1, 0.3, 0.2]):
             with pytest.raises(ValueError, match="finite and strictly increasing"):

@@ -84,6 +84,54 @@ class TestSheetSimulation:
                 jumpsim.JumpField(region, [loc], [[1.0]])
         assert jumpsim.JumpField(region, [0.5, 1.0], 2.0).jumps.tolist() == [[2.0]]
 
+    @pytest.mark.parametrize("locs, jumps, message", [
+        ([[1.0, 2.0], [1e-300, 5e-324]], [[1.0], [-2.0]], None),  # the closed upper ends, tiny lower ones
+        ([[math.nan, 0.5]], [[1.0]], "strictly inside the region"),
+        ([[0.5, math.nan]], [[1.0]], "strictly inside the region"),
+        ([[0.0, 0.5]], [[1.0]], "strictly inside the region"),
+        ([[0.5, -0.0]], [[1.0]], "strictly inside the region"),
+        ([[1.0 + 1e-15, 0.5]], [[1.0]], "strictly inside the region"),
+        ([[0.5, 2.5]], [[1.0]], "strictly inside the region"),
+        ([[0.5, math.inf]], [[1.0]], "strictly inside the region"),
+        ([[math.nan, 0.5]], [[math.nan]], "strictly inside the region"),  # locations are checked first
+        ([[0.5, 0.5]], [[math.nan]], "jump values must be finite"),
+        ([[0.5, 0.5]], [[-math.inf]], "jump values must be finite"),
+        ([[0.5, 0.5], [0.2, 0.2]], [[0.0, math.inf], [1.0, 1.0]], "jump values must be finite"),
+        ([[0.5, 0.5]], [[-0.0]], "zero jumps"),
+        ([[0.5, 0.5], [0.2, 0.2]], [[1.0, -0.0], [-0.0, -0.0]], "zero jumps"),
+        ([[0.5, 0.5], [0.2, 0.2]], [[1.0, 0.0], [0.0, -1.0]], None),  # zero entries, no zero jump
+    ])
+    def test_field_verdicts(self, locs, jumps, message):
+        region = jumpsim.RectRegion(1.0, 2.0)
+        if message is None:
+            assert jumpsim.JumpField(region, np.array(locs), np.array(jumps)).count == len(locs)
+        else:
+            with pytest.raises(ValueError, match=message):
+                jumpsim.JumpField(region, np.array(locs), np.array(jumps))
+
+    def test_a_zero_uniform_draw_stays_inside_the_region(self):
+        """U = 0 happens with probability 2^-53 per coordinate; it reads as U = 1."""
+        class ZeroUniforms:  # every uniform draw exactly 0.0, the other draws from a real generator
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, size=None):
+                return np.zeros(size)
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                return np.full(size, float(low))
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        region = jumpsim.RectRegion(2.0, 3.0)
+        assert region.sample(ZeroUniforms(1), 3).tolist() == [[2.0, 3.0]] * 3
+        field = jumpsim.simulate_cpp_sheet(5.0, TwoPoint(1.0), region, ZeroUniforms(2))
+        assert field.count > 0 and np.all(field.locations == [2.0, 3.0])
+        path = LinearPath(0.5, 1.0, 2.0, 1.0, 0.0, 1.0)  # sweeps (0, 1.5] x (0, 2]; (1.5, 2) is above it
+        counts = jumpsim.paired_event_counts(path, 3.0, 50, ZeroUniforms(3))
+        assert counts.tolist() == [0] * 50
+
     def test_triangle_sampler_stays_inside(self):
         rng = np.random.default_rng(53)
         u, v = jumpsim.TriangleRegion(2.0, 3.0).sample(rng, 10_000).T
@@ -210,7 +258,7 @@ def tie_heavy_field(path, dim, rng, count=400):
         np.column_stack([path.x(t), path.y(t)]),
         np.column_stack([levels_x, levels_y]),
     ])
-    locs = locs[region.contains(locs)]
+    locs = locs[np.all((locs > 0) & (locs <= [region.x_max, region.y_max]), axis=1)]  # inside the region
     return jumpsim.JumpField(region, locs, rng.normal(size=(locs.shape[0], dim)))
 
 
@@ -521,6 +569,36 @@ class TestEventPath:
         with pytest.raises(ValueError, match="query times must be finite"):
             ev.values([math.nan])
 
+    @pytest.mark.parametrize("times, incs, initial, message", [
+        ([0.5], [[math.nan]], None, "increments and initial value must be finite"),
+        ([0.5], [[math.inf]], [0.0], "increments and initial value must be finite"),
+        ([0.5], [[-math.inf]], None, "increments and initial value must be finite"),
+        ([0.5], [[1.0]], [math.nan], "increments and initial value must be finite"),
+        ([0.5], [[1.0]], [math.inf], "increments and initial value must be finite"),
+        ([], [], [-math.inf], "increments and initial value must be finite"),
+        # a NaN time sorts last, and then lies outside the domain
+        ([math.nan], [[1.0]], None, "event times must lie within the domain"),
+        ([0.5, math.nan], [[1.0], [2.0]], None, "event times must lie within the domain"),
+        ([math.nan, 0.5], [[1.0], [2.0]], [0.0], "event times must lie within the domain"),
+        ([0.5, math.inf], [[1.0], [2.0]], None, "event times must lie within the domain"),
+        ([-math.inf, 0.5], [[1.0], [2.0]], None, "event times must lie within the domain"),
+        ([math.nan, 0.5], [[1.0], [math.inf]], None, "must be finite"),  # increments come first
+        ([0.5, 0.2], [[1.0]], None, "matching lengths"),
+    ])
+    @pytest.mark.parametrize("layout", ["rows", "flat"])
+    def test_event_verdicts(self, times, incs, initial, message, layout):
+        """Increments given as (m, 1) rows, taken as they are, or flat, widened first."""
+        incs = np.array(incs) if layout == "rows" else [row[0] for row in incs]
+        with pytest.raises(ValueError, match=message):
+            jumpsim.EventPath(0.0, 1.0, times, incs, initial)
+
+    @pytest.mark.parametrize("query", [math.nan, [math.nan], [0.5, math.nan], [math.inf, 0.5],
+                                       np.array([0.2, -math.inf])])
+    def test_values_rejects_non_finite_queries(self, query):
+        ev = jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]])
+        with pytest.raises(ValueError, match="query times must be finite"):
+            ev.values(query)
+
     @pytest.mark.parametrize("t_lo, t_hi, message", [
         (1.0, 0.0, "t_lo < t_hi"), (0.5, 0.5, "t_lo < t_hi"),
         (math.nan, 1.0, "domain endpoints must be finite"),
@@ -727,7 +805,8 @@ class TestRandomWalkBridge:
             jumpsim.rw_bridge_cov(30, l, 0.0, 1.0, 0.3, 0.6)
 
     @pytest.mark.parametrize("s, t", [(2.0, 3.0), (0.3, 1.5), (-0.1, 0.5), (math.nan, 0.5),
-                                      (0.3, math.inf), (0.5, math.nan), (-1.0, 0.5), (2.0, 0.5)])
+                                      (0.3, math.inf), (0.5, math.nan), (-1.0, 0.5), (2.0, 0.5),
+                                      (math.nan, math.nan), (-math.inf, 0.5)])
     def test_rejects_times_outside_the_walk(self, s, t):
         # the walk, the rearranged pair and the bridge experiment share one check
         with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):

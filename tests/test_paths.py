@@ -126,6 +126,9 @@ CONSTRUCTION_VERDICTS = [
     ("nan knot time", lambda: pth.TabulatedPath(
         np.array([0.0, np.nan, 1.0]), np.array([1.0, 1.5, 2.0]), np.array([2.0, 1.5, 1.0])),
      "path values must be finite"),
+    ("two infinite knot times", lambda: pth.TabulatedPath(
+        np.array([0.0, np.inf, np.inf]), np.array([1.0, 1.5, 2.0]), np.array([2.0, 1.5, 1.0])),
+     "path values must be finite"),
     ("x dips", lambda: pth.TabulatedPath(
         _KNOTS3, np.array([1.0, 0.5, 2.0]), np.array([2.0, 1.5, 1.0])), "x must be nondecreasing"),
     ("y rises", lambda: pth.TabulatedPath(
@@ -456,6 +459,18 @@ def test_array_inverses_match_scalar_calls(form, six_forms):
             if want is not None:
                 assert one == got
                 assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("form", SIX_FORMS)
+def test_quiet_inverses_raise_nothing(form, six_forms):
+    """The forms whose arrays skip the errstate (lines with two nonzero slopes, corners) have
+    formulas that divide by zero or make an invalid operation at no float at all."""
+    path = six_forms[form]
+    assert path._quiet_inverses == (form in ("linear", "corner"))
+    probes = np.array([-np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan, *path.ends])
+    if path._quiet_inverses:
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            path._x_inverse(probes), path._y_inverse(probes)
 
 
 @pytest.mark.parametrize("form", SIX_FORMS)

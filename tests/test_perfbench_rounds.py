@@ -1,5 +1,5 @@
-"""One round each of perfbench's cf-exact and cpp-dense-field workloads, judged by
-the benchmark's own checker: every result matches its oracle and no operation
+"""One round each of perfbench's cf-exact, cpp-dense-field and cpp-small-draws workloads,
+judged by the benchmark's own checker: every result matches its oracle and no operation
 fails.
 
 The round is round 0 at seed 1, drawn from the stream `perfbench/run.py` gives
@@ -20,7 +20,8 @@ BENCH = ROOT / "perfbench"
 
 # (module, position in run.py's WORKLOADS table): run.py seeds round r of the
 # workload at that position with [seed, position, r]
-WORKLOADS = {"cf-exact": ("cf_exact", 3), "cpp-dense-field": ("cpp_dense", 2)}
+WORKLOADS = {"cf-exact": ("cf_exact", 3), "cpp-dense-field": ("cpp_dense", 2),
+             "cpp-small-draws": ("cpp_small", 1)}
 
 
 class _Context:
