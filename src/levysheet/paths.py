@@ -112,10 +112,12 @@ class DecreasingPath:
     # x(t_lo) < u <= x(t_hi) and _y_inverse(v) for y(t_hi) < v <= y(t_lo).
     # An array is inverted everywhere, with division and log warnings off (unless no
     # float makes the form's formulas warn), and the entries outside that range are
-    # overwritten in the formula's result, a new array (no form returns its argument).  A
-    # scalar is range-tested as a float against `ends` first, so the formula
-    # runs only strictly inside the range, where no form divides by zero:
-    # errstate and masks on a 0-d value cost many times what the formula does.
+    # overwritten in the formula's result, a new array (no form returns its argument):
+    # t_lo and t_hi by `_entry_times` and `_exit_times`, which leave any value where x
+    # never reaches u (y starts below v), and then NaN.  A scalar is range-tested as a
+    # float against `ends` first, so the formula runs only strictly inside the range,
+    # where no form divides by zero: errstate and masks on a 0-d value cost many times
+    # what the formula does.
     _quiet_inverses = False  # True where no float makes a formula divide by zero or take a log
 
     def first_time_x_at_least(self, u):
@@ -124,10 +126,8 @@ class DecreasingPath:
         if not isinstance(u, _SCALARS):
             u = np.asarray(u, dtype=float)
             if u.ndim:
-                with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
-                    t = self._x_inverse(u)
+                t = self._entry_times(u)
                 np.putmask(t, u > x_hi, np.nan)
-                np.putmask(t, u <= x_lo, self.t_lo)
                 return t
         u = float(u)
         if u <= x_lo:
@@ -140,15 +140,25 @@ class DecreasingPath:
         if not isinstance(v, _SCALARS):
             v = np.asarray(v, dtype=float)
             if v.ndim:
-                with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
-                    t = self._y_inverse(v)
-                np.putmask(t, v <= y_hi, self.t_hi)
+                t = self._exit_times(v)
                 np.putmask(t, v > y_lo, np.nan)
                 return t
         v = float(v)
         if v <= y_hi:
             return float(self.t_hi)
         return float(self._y_inverse(v)) if v <= y_lo else None
+
+    def _entry_times(self, u: np.ndarray) -> np.ndarray:
+        with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
+            t = self._x_inverse(u)
+        np.putmask(t, u <= self.ends[0], self.t_lo)
+        return t
+
+    def _exit_times(self, v: np.ndarray) -> np.ndarray:
+        with _QUIET if self._quiet_inverses else np.errstate(divide="ignore", invalid="ignore"):
+            t = self._y_inverse(v)
+        np.putmask(t, v <= self.ends[3], self.t_hi)
+        return t
 
     # -- construction checks -------------------------------------------------
 
@@ -316,18 +326,21 @@ class VerticalPath:
 class TabulatedPath(DecreasingPath):
     """Piecewise-linear path through strictly increasing knot times, compared by identity.
 
-    The knots are checked once and kept as float lists too, whose first and
-    last values are the end values.  The sweep inverses locate the knot
-    segment with one binary search on the monotone knot values and invert the
-    linear piece there.  That piece is never flat, so flat stretches of x or y
-    need no special case.
+    The knots are checked once and kept with the differences the checks take, each
+    piece's rise in t and x and its drop in y, as arrays and as float lists.  The sweep
+    inverses locate the knot segment with one binary search on the monotone knot values
+    and invert the linear piece there.  That piece is never flat, so flat stretches of x
+    or y need no special case.
     """
 
     times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    _neg_ys: np.ndarray = field(init=False, repr=False, compare=False)  # nondecreasing
-    _knot_lists: tuple = field(init=False, repr=False, compare=False)  # times, xs, ys, -ys as floats
+    t_lo: float = field(init=False, repr=False)
+    t_hi: float = field(init=False, repr=False)
+    _knots: np.ndarray = field(init=False, repr=False)  # rows: times, xs, -ys, each nondecreasing
+    _steps: np.ndarray = field(init=False, repr=False)  # rows: each piece's rise in t, x and -y
+    _knot_lists: tuple = field(init=False, repr=False)  # the rows of both as float lists
 
     def __post_init__(self):
         ts, xs, ys = (np.asarray(v, dtype=float) for v in (self.times, self.xs, self.ys))
@@ -335,19 +348,21 @@ class TabulatedPath(DecreasingPath):
             raise ValueError("tabulated path needs at least two knots")
         if xs.shape != ts.shape or ys.shape != ts.shape:
             raise ValueError("knot arrays must have matching shapes")
+        knots = np.array([ts, xs, -ys])
         with np.errstate(invalid="ignore"):  # a NaN difference (inf - inf) passes on to the next check
-            if (ts[1:] - ts[:-1] <= 0).any():
-                raise ValueError("knot times must be strictly increasing")
-        knots = np.array([ts, xs, ys])
-        if not np.isfinite(knots).all():
+            steps = knots[:, 1:] - knots[:, :-1]  # -ys[k] - -ys[k-1] is ys[k-1] - ys[k], bit for bit
+        if np.count_nonzero(steps[0] <= 0):
+            raise ValueError("knot times must be strictly increasing")
+        if np.count_nonzero(np.isfinite(knots)) < knots.size:
             raise ValueError("path values must be finite")
         # linear between knots, the path is monotone iff its knots are
-        if (xs[1:] - xs[:-1] < -1e-12 * max(1.0, np.abs(xs).max())).any():
+        if np.count_nonzero(steps[1] < -1e-12 * max(1.0, np.abs(xs).max())):
             raise ValueError("x must be nondecreasing")
-        if (ys[1:] - ys[:-1] > 1e-12 * max(1.0, np.abs(ys).max())).any():
+        if np.count_nonzero(steps[2] < -1e-12 * max(1.0, np.abs(ys).max())):
             raise ValueError("y must be nonincreasing")
-        lists = (*knots.tolist(), (-ys).tolist())
-        for name, value in (("times", ts), ("xs", xs), ("ys", ys), ("_neg_ys", -ys), ("_knot_lists", lists)):
+        lists = (*knots.tolist(), *steps.tolist())
+        for name, value in (("times", knots[0]), ("xs", knots[1]), ("ys", ys), ("t_lo", lists[0][0]),
+                            ("t_hi", lists[0][-1]), ("_knots", knots), ("_steps", steps), ("_knot_lists", lists)):
             object.__setattr__(self, name, value)
         self._validate_values()
 
@@ -362,17 +377,9 @@ class TabulatedPath(DecreasingPath):
             raise ValueError("tabulated knots must be [t, x, y] rows of numbers")
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
-    @property
-    def t_lo(self) -> float:  # type: ignore[override]
-        return self._knot_lists[0][0]
-
-    @property
-    def t_hi(self) -> float:  # type: ignore[override]
-        return self._knot_lists[0][-1]
-
     def _ends(self) -> tuple[float, float, float, float]:
-        _, xs, ys, _ = self._knot_lists  # np.interp gives a knot's own value at its time
-        return xs[0], xs[-1], ys[0], ys[-1]
+        _, xs, neg_ys = self._knot_lists[:3]  # np.interp gives a knot's own value at its time
+        return xs[0], xs[-1], -neg_ys[0], -neg_ys[-1]
 
     def _interior_positive(self, x_lo, x_hi, y_lo, y_hi) -> bool:
         return bool(self.xs[1:].min() > 0 and self.ys[:-1].min() > 0)  # LinearPath's, per piece
@@ -383,23 +390,26 @@ class TabulatedPath(DecreasingPath):
     def _y(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.ys)
 
-    # Searching the inner knots keeps k in [1, n - 1].  Bisect on the knot lists takes
-    # searchsorted's steps, so a float finds the same k and runs the formula on floats.
+    # Searching the inner knots puts the piece j in [0, n - 2].  Bisect on the knot lists takes
+    # searchsorted's steps, so a float finds the same j and runs the same formula on floats.
     def _x_inverse(self, u):
         if isinstance(u, float):
-            ts, xs, _, _ = self._knot_lists
-            k = bisect.bisect_left(xs, u, 1, len(xs) - 1)
+            ts, xs, _, dts, dxs, _ = self._knot_lists
+            j = bisect.bisect_left(xs, u, 1, len(xs) - 1) - 1
         else:
-            ts, xs, k = self.times, self.xs, self.xs[1:-1].searchsorted(u) + 1  # xs[k-1] < u <= xs[k]
-        return ts[k - 1] + (u - xs[k - 1]) / (xs[k] - xs[k - 1]) * (ts[k] - ts[k - 1])
+            (ts, xs, _), (dts, dxs, _) = self._knots, self._steps
+            j = xs[1:-1].searchsorted(u)  # xs[j] < u <= xs[j+1]
+        return ts[j] + (u - xs[j]) / dxs[j] * dts[j]
 
     def _y_inverse(self, v):
+        w = -v  # searched among the -ys; w - -ys[j] is ys[j] - v, bit for bit
         if isinstance(v, float):
-            ts, _, ys, neg_ys = self._knot_lists
-            k = bisect.bisect_right(neg_ys, -v, 1, len(ys) - 1)
-        else:  # ys[k-1] >= v > ys[k]
-            ts, ys, k = self.times, self.ys, self._neg_ys[1:-1].searchsorted(-v, side="right") + 1
-        return ts[k - 1] + (ys[k - 1] - v) / (ys[k - 1] - ys[k]) * (ts[k] - ts[k - 1])
+            ts, _, neg_ys, dts, _, drops = self._knot_lists
+            j = bisect.bisect_right(neg_ys, w, 1, len(neg_ys) - 1) - 1
+        else:
+            (ts, _, neg_ys), (dts, _, drops) = self._knots, self._steps
+            j = neg_ys[1:-1].searchsorted(w, side="right")  # ys[j] >= v > ys[j+1]
+        return ts[j] + (w - neg_ys[j]) / drops[j] * dts[j]
 
 
 # ---------------------------------------------------------------------------

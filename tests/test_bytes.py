@@ -2,7 +2,9 @@
 
 Each digest hashes the float64 bytes of every array a route returns, over a
 few draws with the shapes and laws of perfbench's cpp-small-draws at seeds
-1-3, or the restricted events of a 2,000-jump d = 2 field on each path form.
+1-3, or the restricted events of a 2,000-jump d = 2 field on each path form
+(a 24,000-jump one on a line and on an exponential path, whose more than
+20,000 events take `EventPath`'s bucketed order).
 The closed forms (`joint_cf`, `increment_cf`, `eval_psi`,
 `stationary_increment_cf`, `distinguish_ou` and tabulated `classify`) are
 hashed per law over the six path forms, at n = 1, 2, 5, 50 and 200 times for
@@ -123,15 +125,32 @@ def test_small_draws_keep_their_bytes(route, seed):
     assert _digest(ROUTES[route](np.random.default_rng(seed))) == DIGESTS[route, seed]
 
 
+LONG_FIELD_JUMPS = 24_000
+LONG_FIELD_DIGESTS = {  # seed 1: 27,605 events on the line, 23,607 on the exponential path
+    "linear": "96b05c61976fc0fa105170d846142f8cad97845debfcc49cf5f9f9c1e82121fc",
+    "exponential": "a076a8f4b809938f4491d45f59530d56225505f1366824eb33febaf761f65f62",
+}
+
+
+def _restricted(path, n_jumps, rng):
+    region = jumpsim.path_region(path)
+    locs = np.column_stack([(1.0 - rng.random(n_jumps)) * region.x_max,
+                            (1.0 - rng.random(n_jumps)) * region.y_max])
+    return jumpsim.restrict_to_path(jumpsim.JumpField(region, locs, rng.normal(size=(n_jumps, 2))), path)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("form", ["linear", "exponential", "corner", "horizontal", "vertical", "tabulated"])
 def test_restricted_fields_keep_their_bytes(form, seed, six_forms):
-    path, rng = six_forms[form], np.random.default_rng(seed)
-    region = jumpsim.path_region(path)
-    locs = np.column_stack([(1.0 - rng.random(FIELD_JUMPS)) * region.x_max,
-                            (1.0 - rng.random(FIELD_JUMPS)) * region.y_max])
-    events = jumpsim.restrict_to_path(jumpsim.JumpField(region, locs, rng.normal(size=(FIELD_JUMPS, 2))), path)
+    events = _restricted(six_forms[form], FIELD_JUMPS, np.random.default_rng(seed))
     assert _digest([events.times, events.increments, events.initial]) == FIELD_DIGESTS[form, seed]
+
+
+@pytest.mark.parametrize("form", sorted(LONG_FIELD_DIGESTS))
+def test_long_restricted_fields_keep_their_bytes(form, six_forms):
+    events = _restricted(six_forms[form], LONG_FIELD_JUMPS, np.random.default_rng(1))
+    assert events.times.size >= 20_000
+    assert _digest([events.times, events.increments, events.initial]) == LONG_FIELD_DIGESTS[form]
 
 
 # --- closed forms ---------------------------------------------------------

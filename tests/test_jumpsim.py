@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levysheet import fdd, gauss, jumpsim
 from levysheet.exponent import (Categorical, LevyTriplet, ScaledJumps, TwoPoint, cpp,
@@ -199,6 +200,25 @@ class TestRestriction:
         incs = events.increments[:, 0]
         assert np.sum(incs > 0) == 2
         assert np.sum(incs < 0) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_locations_are_kept_column_contiguous(self, dim, six_forms):
+        rng = np.random.default_rng(57)
+        for name, path in six_forms.items():
+            region = jumpsim.path_region(path)
+            by_column = region.sample(rng, 3_000)  # F-contiguous, as the sampler returns them
+            by_row = np.ascontiguousarray(by_column)
+            jumps = rng.normal(size=(3_000, dim))
+            kept, copied = (jumpsim.JumpField(region, locs, jumps) for locs in (by_column, by_row))
+            assert by_column.flags.f_contiguous and not by_column.flags.c_contiguous
+            assert kept.locations.flags.f_contiguous and copied.locations.flags.f_contiguous
+            assert np.shares_memory(kept.locations, by_column), name
+            assert not np.shares_memory(copied.locations, by_row), name
+            assert copied.locations.tobytes(order="C") == by_row.tobytes()
+            one, other = (jumpsim.restrict_to_path(field, path) for field in (kept, copied))
+            assert one.times.size >= jumpsim._BUCKETED, name
+            assert one.times.tobytes() == other.times.tobytes(), name
+            assert one.increments.tobytes() == other.increments.tobytes(), name
 
     def test_region_must_cover_sweep(self):
         field = jumpsim.JumpField(jumpsim.RectRegion(0.5, 0.5),
@@ -638,6 +658,76 @@ class TestEventPath:
             jumpsim.EventPath(0.0, 1.0, [0.5], [[1.0]], initial=[0.0, 0.0])
 
 
+def tied_times(rng, m, t_lo=0.0, t_hi=1.0):
+    """m times on [t_lo, t_hi]: a fifth clamped to t_lo, a fifth on 7 interior values, and a
+    few in the 1e-12 slack at each end, shuffled among uniform ones."""
+    ts = rng.uniform(t_lo, t_hi, m)
+    kind = rng.integers(0, 10, m)
+    ts[kind < 2] = t_lo
+    ts[(kind >= 2) & (kind < 4)] = rng.choice(np.linspace(t_lo, t_hi, 9)[1:-1], np.sum((kind >= 2) & (kind < 4)))
+    ends = [t_lo - 1e-12, t_lo - 4e-13, t_hi + 1e-12, t_hi + 3e-13, -0.0 if t_lo == 0.0 else t_lo]
+    ts[kind == 9] = rng.choice(ends, np.sum(kind == 9))
+    return ts
+
+
+class TestBucketOrder:
+    """`_bucket_order` is `argsort(kind="stable")` bit for bit, and `EventPath` takes it from
+    `_BUCKETED` events on: both sides of the cut give the plain stable order."""
+
+    SIZES = [1, 2, 3, jumpsim._BUCKETED - 1, jumpsim._BUCKETED, jumpsim._BUCKETED + 1, 20_000, 70_000]
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_the_stable_order_with_ties_and_slack(self, m):
+        rng = np.random.default_rng(m)
+        for t_lo, t_hi in ((0.0, 1.0), (-3.5, 250.0), (1e6, 1e6 + 1e-3)):
+            ts = tied_times(rng, m, t_lo, t_hi)
+            order = jumpsim._bucket_order(ts, t_lo, t_hi)
+            assert order.tobytes() == ts.argsort(kind="stable").tobytes(), (t_lo, t_hi)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_equal_times_only(self, m):
+        for t in (0.0, 0.5, 1.0 + 1e-12):
+            assert jumpsim._bucket_order(np.full(m, t), 0.0, 1.0).tobytes() == np.arange(m).tobytes()
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_event_paths_take_the_stable_order(self, m):
+        rng = np.random.default_rng(m + 1)
+        ts, incs = tied_times(rng, m), rng.integers(-4, 5, size=(m, 2)) / 4.0
+        ev = jumpsim.EventPath(0.0, 1.0, ts, incs)
+        order = ts.argsort(kind="stable")
+        assert ev.times.tobytes() == ts[order].tobytes()
+        assert ev.increments.tobytes() == incs[order].tobytes()
+
+    @pytest.mark.parametrize("m", [1, jumpsim._BUCKETED - 1, jumpsim._BUCKETED, 70_000])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -1.1e-12, 1.0 + 1.1e-12, 2.0, -1e308])
+    def test_out_of_domain_times_raise(self, m, bad):
+        rng = np.random.default_rng(m + 2)
+        ts = tied_times(rng, m)
+        ts[rng.integers(m)] = bad
+        # the order is still the plain one, with no warning, and the check after it raises
+        assert jumpsim._bucket_order(ts, 0.0, 1.0).tobytes() == ts.argsort(kind="stable").tobytes()
+        with pytest.raises(ValueError, match="event times must lie within the domain"):
+            jumpsim.EventPath(0.0, 1.0, ts, np.ones((m, 1)))
+
+    def test_domains_at_the_float_range(self):
+        # t_hi - t_lo is inf, or so short that nb / (t_hi - t_lo) is: one bucket, no warning
+        ts = np.tile([1e308, -1e308, 0.0, 5e307, -3e307], jumpsim._BUCKETED)
+        ev = jumpsim.EventPath(-1e308, 1e308, ts, np.ones((ts.size, 1)))
+        assert ev.times.tobytes() == np.sort(ts, kind="stable").tobytes()
+        ts = np.tile([0.0, 5e-324, 1e-323], jumpsim._BUCKETED)
+        assert jumpsim._bucket_order(ts, 0.0, 1e-323).tobytes() == ts.argsort(kind="stable").tobytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(m=st.integers(0, 3 * jumpsim._BUCKETED), seed=st.integers(0, 2**32 - 1),
+           t_lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3), distinct=st.integers(1, 50))
+    def test_property_same_order_as_the_stable_sort(self, m, seed, t_lo, width, distinct):
+        rng = np.random.default_rng(seed)
+        t_hi = t_lo + width
+        values = np.concatenate([[t_lo, t_hi, t_lo - 1e-12, t_hi + 1e-12], rng.uniform(t_lo, t_hi, distinct)])
+        ts = np.where(rng.random(m) < 0.5, rng.choice(values, m), rng.uniform(t_lo, t_hi, m))
+        assert jumpsim._bucket_order(ts, t_lo, t_hi).tobytes() == ts.argsort(kind="stable").tobytes()
+
+
 class TestOrderStats:
     def test_corner_maps_to_full_interval(self):
         assert jumpsim.triangle_to_order_stats(np.array([0.0, 0.0]), 1.0, 1.0, 1.0) \
@@ -819,6 +909,16 @@ class TestRandomWalkBridge:
                                        np.random.default_rng(63))
         with pytest.raises(ValueError, match=r"must lie in \[0, l\]"):
             jumpsim.rw_bridge_cov(30, 1.0, 0.0, 1.0, s, t)
+
+    @pytest.mark.parametrize("grid", [[[0.2, 0.5]], [[0.2], [0.5]], np.zeros((2, 2, 1))])
+    def test_rejects_grids_of_more_than_one_dimension(self, grid):
+        # the walk, the rearranged pair and the bridge experiment share one check
+        with pytest.raises(ValueError, match="grid times must be a 1-d array"):
+            jumpsim.random_walk_bridges(30, 1.0, TwoPoint(1.0), 5, np.random.default_rng(63), grid=grid)
+        with pytest.raises(ValueError, match="grid times must be a 1-d array"):
+            jumpsim.rearranged_pairs(10.0, TwoPoint(1.0), 1.0, grid, 3, np.random.default_rng(63))
+        with pytest.raises(ValueError, match="grid times must be a 1-d array"):
+            jumpsim.bridge_experiments(10.0, TwoPoint(1.0), 1.0, grid, 3, np.random.default_rng(63))
 
     def test_covariance_with_drifting_steps(self):
         # mu1 = 1, mu2 = 1 (constant steps): the difference is degenerate
