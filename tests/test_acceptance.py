@@ -2,16 +2,27 @@
 
 Runs the same criterion functions as `levysheet verify --suite all` with the
 pinned seed and prints one PASS/FAIL line per criterion (visible with -s or
-on failure).
+on failure).  Each report but the `cN.runtime` timings must also print the
+line of `golden/verify_seed1.jsonl` that bears its name, byte for byte, so a
+statistic that moves but still passes is seen.  Regenerate that file with
+
+    levysheet verify --suite all --seed 1 | grep -v '[.]runtime"' > tests/golden/verify_seed1.jsonl
+
+A change that moves a line on purpose updates the file in the same commit
+and names each changed line in CHANGES.md.
 """
 
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
 from levysheet import suites
 
 SEED = suites.DEFAULT_SEED
+GOLDEN = {json.loads(line)["name"]: line
+          for line in (Path(__file__).parent / "golden" / "verify_seed1.jsonl").read_text().splitlines()}
 
 DESCRIPTIONS = {
     1: "path classifier recovers all four families; phi solves the "
@@ -51,6 +62,8 @@ def test_criterion(number):
     for report in reports:
         assert report.passed, report.to_json()
         assert report.passed == (report.statistic <= report.threshold), report.to_json()
+    pinned = [r.to_json() for r in reports if not r.name.endswith(".runtime")]
+    assert pinned == [line for name, line in GOLDEN.items() if name.startswith(f"c{number}.")]
 
 
 @pytest.mark.parametrize("follow_wrapped", [True, False])
