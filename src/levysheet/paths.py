@@ -22,15 +22,20 @@ There are four path forms: `LinearPath` (families (i) and (iii)),
 Each is monotone by its parameter signs (a tabulated path by its knots), so
 its construction checks read the end values and knots, not a probe grid.
 `classify` reads the family off closed forms and fits/validates tabulated
-data; `equivalent` and `scaled` relate law-equivalent paths (p x, y / p), and
-`path_from_dict` reads the CLI's JSON schema, whose tabulated knots are
-[t, x, y] rows.  Everything else here is evaluation plumbing around the forms.
+data; `equivalent` and `scaled` relate law-equivalent paths (p x, y / p).
+Each form states its parameters once: its class names the fields that carry x
+(`X_PARAMS`, which `scaled` multiplies by p) and y (`Y_PARAMS`, divided by p),
+and a closed form its JSON `FORM`, whose keys are the constructor's parameters
+in order.  `path_to_dict` and `path_from_dict` read those, and a tabulated
+spec's knots are [t, x, y] rows.  Everything else here is evaluation plumbing
+around the forms.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import dataclasses
 import enum
 import functools
 import math
@@ -208,6 +213,7 @@ class LinearPath(DecreasingPath):
     d: float
     t_lo: float
     t_hi: float
+    FORM, X_PARAMS, Y_PARAMS = "linear", ("a", "b"), ("c", "d")  # class constants, not fields
 
     def __post_init__(self):
         self._validate_domain()
@@ -245,6 +251,7 @@ class ExponentialPath(DecreasingPath):
     c: float
     t_lo: float
     t_hi: float
+    FORM, X_PARAMS, Y_PARAMS = "exponential", ("a",), ("b",)
 
     def __post_init__(self):
         self._validate_domain()
@@ -279,6 +286,7 @@ class VThenHPath(DecreasingPath):
     d: float
     t_lo: float
     t_hi: float
+    FORM, X_PARAMS, Y_PARAMS = "v_then_h", ("a", "d"), ("b", "c")
     _quiet_inverses = True  # the formulas divide by c, d > 0 (a class attribute, not a field)
 
     def __post_init__(self):
@@ -341,6 +349,7 @@ class TabulatedPath(DecreasingPath):
     _knots: np.ndarray = field(init=False, repr=False)  # rows: times, xs, -ys, each nondecreasing
     _steps: np.ndarray = field(init=False, repr=False)  # rows: each piece's rise in t, x and -y
     _knot_lists: tuple = field(init=False, repr=False)  # the rows of both as float lists
+    X_PARAMS, Y_PARAMS = ("xs",), ("ys",)
 
     def __post_init__(self):
         ts, xs, ys = (np.asarray(v, dtype=float) for v in (self.times, self.xs, self.ys))
@@ -410,6 +419,10 @@ class TabulatedPath(DecreasingPath):
             (ts, _, neg_ys), (dts, _, drops) = self._knots, self._steps
             j = neg_ys[1:-1].searchsorted(w, side="right")  # ys[j] >= v > ys[j+1]
         return ts[j] + (w - neg_ys[j]) / drops[j] * dts[j]
+
+
+_CLOSED_FORMS = (LinearPath, ExponentialPath, VThenHPath)
+_CLOSED_BY_FORM = {cls.FORM: cls for cls in _CLOSED_FORMS}
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +669,13 @@ def equivalent(p1: DecreasingPath, p2: DecreasingPath, tol: float = 1e-9):
 
 
 def scaled(path: DecreasingPath, p: float) -> DecreasingPath:
-    """The law-equivalent path (p x(t), y(t)/p)."""
+    """The law-equivalent path (p x(t), y(t)/p): the form's x parameters times p, its y ones over p."""
     if not p > 0:
         raise ValueError("scale must be positive")
-    if isinstance(path, LinearPath):
-        return LinearPath(p * path.a, p * path.b, path.c / p, path.d / p,
-                          path.t_lo, path.t_hi)
-    if isinstance(path, ExponentialPath):
-        return ExponentialPath(p * path.a, path.b / p, path.c, path.t_lo, path.t_hi)
-    if isinstance(path, VThenHPath):
-        return VThenHPath(path.s_star, p * path.a, path.b / p, path.c / p,
-                          p * path.d, path.t_lo, path.t_hi)
-    if isinstance(path, TabulatedPath):
-        return TabulatedPath(path.times, p * path.xs, path.ys / p)
-    raise TypeError(f"cannot rescale object of type {type(path).__name__}")
+    if not isinstance(path, (*_CLOSED_FORMS, TabulatedPath)):
+        raise TypeError(f"cannot rescale object of type {type(path).__name__}")
+    return dataclasses.replace(path, **{name: p * getattr(path, name) for name in path.X_PARAMS},
+                               **{name: getattr(path, name) / p for name in path.Y_PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -677,21 +683,15 @@ def scaled(path: DecreasingPath, p: float) -> DecreasingPath:
 # ---------------------------------------------------------------------------
 
 def path_to_dict(path: DecreasingPath) -> dict:
-    if isinstance(path, LinearPath):
-        return {"form": "linear", "a": path.a, "b": path.b, "c": path.c,
-                "d": path.d, "t_lo": path.t_lo, "t_hi": path.t_hi}
-    if isinstance(path, ExponentialPath):
-        return {"form": "exponential", "a": path.a, "b": path.b, "c": path.c,
-                "t_lo": path.t_lo, "t_hi": path.t_hi}
-    if isinstance(path, VThenHPath):
-        return {"form": "v_then_h", "s_star": path.s_star, "a": path.a,
-                "b": path.b, "c": path.c, "d": path.d,
-                "t_lo": path.t_lo, "t_hi": path.t_hi}
+    """A closed form as its `FORM` and its constructor's parameters in order; a tabulated
+    path as its [t, x, y] knot rows."""
     if isinstance(path, TabulatedPath):
         knots = [[float(t), float(x), float(y)]
                  for t, x, y in zip(path.times, path.xs, path.ys)]
         return {"form": "tabulated", "knots": knots}
-    raise TypeError(f"cannot serialize object of type {type(path).__name__}")
+    if not isinstance(path, _CLOSED_FORMS):
+        raise TypeError(f"cannot serialize object of type {type(path).__name__}")
+    return {"form": path.FORM, **{f.name: getattr(path, f.name) for f in dataclasses.fields(path)}}
 
 
 def path_from_dict(spec: dict) -> DecreasingPath:
@@ -706,15 +706,9 @@ def path_from_dict(spec: dict) -> DecreasingPath:
             raise ValueError(f"path spec ({form}) missing field {missing[0]!r}")
         return [float(spec[f]) for f in fields]
 
-    if form == "linear":
-        a, b, c, d, lo, hi = need("a", "b", "c", "d", "t_lo", "t_hi")
-        return LinearPath(a, b, c, d, lo, hi)
-    if form == "exponential":
-        a, b, c, lo, hi = need("a", "b", "c", "t_lo", "t_hi")
-        return ExponentialPath(a, b, c, lo, hi)
-    if form == "v_then_h":
-        s_star, a, b, c, d, lo, hi = need("s_star", "a", "b", "c", "d", "t_lo", "t_hi")
-        return VThenHPath(s_star, a, b, c, d, lo, hi)
+    if isinstance(form, str) and form in _CLOSED_BY_FORM:  # a JSON list or object is no form
+        cls = _CLOSED_BY_FORM[form]
+        return cls(*need(*(f.name for f in dataclasses.fields(cls))))
     if form == "horizontal":
         y, xi, xs, lo, hi = need("y", "x_intercept", "x_slope", "t_lo", "t_hi")
         return HorizontalPath.affine(xi, xs, y, lo, hi)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -574,6 +576,64 @@ class TestSerialization:
         with pytest.raises(ValueError, match="t_hi"):
             pth.path_from_dict({"form": "linear", "a": 0, "b": 1, "c": 1,
                                 "d": 1, "t_lo": 0})
+
+    # The JSON of the six conftest forms and the pinned bridge: each closed form's text,
+    # and the SHA-256 of the flat-stretch tabulated path's, as written before the forms
+    # named their own fields.
+    JSON = {
+        "linear": '{"form": "linear", "a": 0.25, "b": 1.0, "c": 2.0, "d": 1.5, "t_lo": 0.0, "t_hi": 1.0}',
+        "exponential": '{"form": "exponential", "a": 0.7, "b": 1.1, "c": 1.3, "t_lo": 0.0, "t_hi": 1.0}',
+        "corner": '{"form": "v_then_h", "s_star": 0.5, "a": 1.0, "b": 2.0, "c": 4.0, "d": 2.0, '
+                  '"t_lo": 0.0, "t_hi": 1.0}',
+        "horizontal": '{"form": "linear", "a": 0.5, "b": 2.0, "c": 1.5, "d": 0.0, "t_lo": 0.0, "t_hi": 1.0}',
+        "vertical": '{"form": "linear", "a": 2.0, "b": 0.0, "c": 3.0, "d": 1.0, "t_lo": 0.0, "t_hi": 1.0}',
+        "bridge": '{"form": "linear", "a": 0.0, "b": 1.0, "c": 1.0, "d": 1.0, "t_lo": 0.0, "t_hi": 1.0}',
+        "tabulated": "6eb614aa72b7123f0b261821cb1aeb4589bca7de8831de59c6415b68af863d2d",
+    }
+
+    @pytest.mark.parametrize("form", sorted(JSON))
+    def test_json_bytes_are_pinned(self, form, six_forms):
+        path = {**six_forms, "bridge": bridge_path()}[form]
+        text = json.dumps(pth.path_to_dict(path))
+        assert (hashlib.sha256(text.encode()).hexdigest() if form == "tabulated" else text) == self.JSON[form]
+        back = pth.path_from_dict(json.loads(text))
+        assert type(back) is type(path)
+        assert json.dumps(pth.path_to_dict(back)) == text
+        if form == "tabulated":
+            for name in ("times", "xs", "ys"):
+                assert getattr(back, name).tobytes() == getattr(path, name).tobytes()
+        else:
+            assert back == path
+
+    # `scaled` as each form's constructor call, written out by hand
+    BY_HAND = {
+        pth.LinearPath: lambda q, p: pth.LinearPath(p * q.a, p * q.b, q.c / p, q.d / p, q.t_lo, q.t_hi),
+        pth.ExponentialPath: lambda q, p: pth.ExponentialPath(p * q.a, q.b / p, q.c, q.t_lo, q.t_hi),
+        pth.VThenHPath: lambda q, p: pth.VThenHPath(q.s_star, p * q.a, q.b / p, q.c / p, p * q.d,
+                                                    q.t_lo, q.t_hi),
+        pth.TabulatedPath: lambda q, p: pth.TabulatedPath(q.times, p * q.xs, q.ys / p),
+    }
+
+    @pytest.mark.parametrize("p", [0.5, 3.7, 1 / 3])
+    @pytest.mark.parametrize("form", sorted(JSON))
+    def test_scaled_is_the_constructor_by_hand(self, form, p, six_forms):
+        path = {**six_forms, "bridge": bridge_path()}[form]
+        got, want = pth.scaled(path, p), self.BY_HAND[type(path)](path, p)
+        assert type(got) is type(want)
+        assert json.dumps(pth.path_to_dict(got)) == json.dumps(pth.path_to_dict(want))
+        assert np.array(got.ends).tobytes() == np.array(want.ends).tobytes()
+        if form == "bridge":
+            assert got.ends[3] == 0.0 and got.y(1.0) == 0.0  # the pinned end stays exactly zero
+
+    @pytest.mark.parametrize("form", ["linear", "exponential", "corner"])
+    def test_missing_field_is_the_first_one(self, form, six_forms):
+        spec = pth.path_to_dict(six_forms[form])
+        fields = list(spec)[1:]
+        for k, name in enumerate(fields):
+            for dropped in ({name}, set(fields[k:])):
+                with pytest.raises(ValueError) as exc:
+                    pth.path_from_dict({key: v for key, v in spec.items() if key not in dropped})
+                assert str(exc.value) == f"path spec ({spec['form']}) missing field {name!r}"
 
 
 @given(
