@@ -15,8 +15,10 @@ construction, and its diffusion-scale bridge limit experiments live here too.
 
 Experiments draw N replicates at once, as flat event arrays plus each event's
 draw (or the first of its draw's result bins); single-draw functions are their N = 1 calls.
-`gauss._run_blocks` cuts a batch into blocks of whole draws by its expected
-events (or walk steps): a batch of at most 2^19 draws from `rng` itself, a
+`gauss._run_blocks` cuts a batch into blocks of whole draws by each draw's
+budget: its expected events (or walk steps), or, where larger, the k + 1 (k + 2)
+bins of its row of the `_slot_sums` table, so that no block's table outgrows
+2^19 entries.  A batch of at most 2^19 budget units draws from `rng` itself, a
 larger one draws block b from the b-th `rng.spawn` child on the sampler's pool.
 """
 
@@ -332,7 +334,7 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
         jumps = triplet.jumps.dist.sample(gen, base.size)
         _slot_sums(values[lo:hi], np.concatenate([base + col, base + stop]), np.concatenate([jumps, -jumps]))
 
-    _run_blocks(n_draws, rate * areas[-1], rng, block)
+    _run_blocks(n_draws, max(rate * areas[-1], k + 1), rng, block)  # events or slot-table bins
     np.copyto(values, 0.0, where=(xys <= 0.0)[:, None])  # empty rectangles read 0, not +J - J
     values += rest
     return values
@@ -429,7 +431,7 @@ def rearranged_pairs(rate: float, jump_dist, l: float, ts, n_draws: int, rng) ->
         np.copyto(sums[1], sums[0, :, -1:], where=(seen[:, :-1] == seen[:, -1:])[:, :, None])  # none after
         sums.take(rank, axis=2, out=pairs[:, lo:hi])
 
-    _run_blocks(n_draws, 2.0 * rate * l, rng, block)
+    _run_blocks(n_draws, max(2.0 * rate * l, k + 2), rng, block)
     return pairs
 
 

@@ -390,6 +390,10 @@ class TestBlockedDraws:
         # the staircase at (0.25, 0.5) has area 0.25 * 0.75 + 0.25 * 0.5 = 0.3125
         return (jumpsim.simulate_triplet(cpp(1600.0, TwoPoint(1.0)), bridge(), [0.25, 0.5], n, rng),)
 
+    def slotted_triplets(n, rng):
+        # about 2.5 events a draw, so the 1,002 bins of its slot-table row set its budget
+        return (jumpsim.simulate_triplet(cpp(5.0, TwoPoint(1.0)), bridge(), np.linspace(0.0, 1.0, 1001), n, rng),)
+
     def bridges(n, rng):
         d = jumpsim.bridge_experiments(1000, TwoPoint(1.0), 1.0, [0.25, 0.5], n, rng)
         return d.values, d.centered_original, d.centered_rearranged
@@ -399,6 +403,7 @@ class TestBlockedDraws:
 
     # name: (n_draws, items per draw, draw(n_draws, rng) -> arrays); three or four blocks each
     DRAWS = {"simulate_triplet": (3000, 500.0, triplets),
+             "simulate_triplet_slots": (1200, 1002, slotted_triplets),
              "bridge_experiments": (1000, 2000.0, bridges),
              "random_walk_bridges": (1200, 1000, walks)}
 
