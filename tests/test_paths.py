@@ -625,6 +625,12 @@ class TestSerialization:
         if form == "bridge":
             assert got.ends[3] == 0.0 and got.y(1.0) == 0.0  # the pinned end stays exactly zero
 
+    @pytest.mark.parametrize("form", ["Linear", "knots", ["linear"], {"linear": 1}, None, 3])
+    def test_unknown_form_named(self, form):
+        with pytest.raises(ValueError) as exc:
+            pth.path_from_dict({"form": form, "a": 0, "b": 1, "c": 1, "d": 1, "t_lo": 0, "t_hi": 1})
+        assert str(exc.value) == f"unknown path form {form!r}"
+
     @pytest.mark.parametrize("form", ["linear", "exponential", "corner"])
     def test_missing_field_is_the_first_one(self, form, six_forms):
         spec = pth.path_to_dict(six_forms[form])
