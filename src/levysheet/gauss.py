@@ -164,9 +164,9 @@ def _ratio_time(law: GaussPathLaw, grid):
 
 def _run_blocks(n_draws: int, per_draw: float, rng, task) -> list:
     """task(lo, hi, gen) on each block of draws [lo, hi) of n_draws draws of
-    about per_draw items each (normals, events or walk steps, or the slots of a
-    draw's row in a jump sampler's bin table where those outnumber its events),
-    on every usable core; the results in block order.
+    about per_draw items each (normals, events, walk steps, or the bins of a
+    draw's row in a jump sampler's slot table where those are more), on every
+    usable core; the results in block order.
 
     A block holds about _BLOCK_NORMALS items.  One block draws from `rng`
     itself, more draw from `rng.spawn(blocks)`, one child each.  Tasks run on

@@ -334,7 +334,7 @@ def simulate_triplet(triplet, path: DecreasingPath, ts, n_draws: int, rng) -> np
         jumps = triplet.jumps.dist.sample(gen, base.size)
         _slot_sums(values[lo:hi], np.concatenate([base + col, base + stop]), np.concatenate([jumps, -jumps]))
 
-    _run_blocks(n_draws, max(rate * areas[-1], k + 1), rng, block)  # events or slot-table bins
+    _run_blocks(n_draws, max(rate * areas[-1], k + 1), rng, block)
     np.copyto(values, 0.0, where=(xys <= 0.0)[:, None])  # empty rectangles read 0, not +J - J
     values += rest
     return values

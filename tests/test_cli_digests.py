@@ -62,7 +62,7 @@ TRIPLETS = {
 
 
 def _cases():
-    """name -> (argv with {path}, {path2} and {triplet} placeholders, seeded)."""
+    """name -> (argv, whose {name} placeholders name the spec files, and whether it takes --seed)."""
     cases = {}
     for form in FORMS:
         cases[f"classify/{form}"] = (["classify", "--path", f"{{{form}}}"], False)
@@ -77,9 +77,9 @@ def _cases():
                                              "--grid", "0", "1", "9", "--format", "csv"], True)
         cases[f"simulate/{form}/d2/json"] = (["simulate", "--triplet", "{mixed2}", "--path", f"{{{form}}}",
                                               "--grid", "0", "1", "9", "--format", "json"], True)
-        events = ("cpp1", "csv") if form in ("linear", "v_then_h", "vertical") else ("cpp2", "json")
-        cases[f"simulate-events/{form}/{events[1]}"] = (["simulate", "--events", "--triplet", f"{{{events[0]}}}",
-                                                         "--path", f"{{{form}}}", "--format", events[1]], True)
+        law, fmt = ("cpp1", "csv") if form in ("linear", "v_then_h", "vertical") else ("cpp2", "json")
+        cases[f"simulate-events/{form}/{fmt}"] = (["simulate", "--events", "--triplet", f"{{{law}}}",
+                                                   "--path", f"{{{form}}}", "--format", fmt], True)
     cases["equivalent/linear-exponential"] = (["equivalent", "--path", "{linear}", "--path2", "{exponential}"],
                                               False)
     cases["simulate/bridge/d1/json"] = (["simulate", "--triplet", "{mixed1}", "--path", "{bridge}",
