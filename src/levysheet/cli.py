@@ -1,10 +1,11 @@
 """Command-line front end: classification, CF evaluation, simulation, experiments.
 
 Inputs are JSON files (triplets and paths use the same schemas as
-`exponent.triplet_from_dict` / `paths.path_from_dict`); outputs are JSON or
-CSV.  Runs are reproducible: the same argv and seed produce byte-identical
-output.  Exit codes: 0 success, 1 validation error, 2 verification failure
-or usage error (such as a flag the command or experiment kind does not take).
+`exponent.triplet_from_dict` / `paths.path_from_dict`, and a malformed spec is a
+validation error naming the spec and its field); outputs are JSON or CSV.
+Runs are reproducible: the same argv and seed produce byte-identical output.
+Exit codes: 0 success, 1 validation error, 2 verification failure or usage
+error (such as a flag the command or experiment kind does not take).
 """
 
 from __future__ import annotations

@@ -11,12 +11,15 @@ is evaluated in closed form.  Every jump measure is a rate times a named
 jump distribution, nu = rate * F, so the integral is rate * (cf_F(z) - 1)
 minus the truncated-mean term; finitely many atoms are the `Categorical`
 law.  Only finite total mass is supported; infinite-activity measures are
-rejected at construction.
+rejected at construction.  In JSON a law is its class's `name` and its
+constructor's fields (`dist_from_dict`, `triplet_to_dict`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -77,20 +80,34 @@ def _lead_sum(terms: np.ndarray) -> np.ndarray:
 # finitely supported law also gives its `atoms`.
 # ---------------------------------------------------------------------------
 
+class _Centered:
+    """What the laws symmetric about 0 share: a zero mean and truncated mean, and
+    their own symmetrization."""
+
+    has_finite_mean: ClassVar[bool] = True
+    is_symmetric: ClassVar[bool] = True
+
+    @property
+    def truncated_mean(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    mean = truncated_mean
+
+    def symmetrized(self):
+        return self
+
+
 @dataclass(frozen=True)
-class UniformJumps:
+class UniformJumps(_Centered):
     """Real-valued jumps uniform on [-halfwidth, halfwidth]."""
 
     halfwidth: float
     name: ClassVar[str] = "uniform"
-    has_finite_mean: ClassVar[bool] = True
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "halfwidth", float(self.halfwidth))
         _positive(halfwidth=self.halfwidth)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def cf(self, z: np.ndarray):
         return np.sinc(self.halfwidth * z[:, 0] / np.pi), 0.0
@@ -99,73 +116,35 @@ class UniformJumps:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=(size, 1))
 
     @property
-    def truncated_mean(self) -> np.ndarray:
-        return np.zeros(1)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(1)
-
-    @property
     def abs_second_moment(self) -> float:
         return self.halfwidth ** 2 / 3.0
 
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def symmetrized(self) -> "UniformJumps":
-        return self
-
-    def params(self) -> dict:
-        return {"halfwidth": self.halfwidth}
-
 
 @dataclass(frozen=True)
-class GaussianJumps:
-    """Centered Gaussian jumps with isotropic covariance sigma^2 I."""
+class GaussianJumps(_Centered):
+    """Centered Gaussian jumps in R^dim with isotropic covariance sigma^2 I."""
 
     sigma: float
-    dim_: int = 1
+    dim: int = 1
     name: ClassVar[str] = "gaussian"
-    has_finite_mean: ClassVar[bool] = True
 
     def __post_init__(self):
+        dim = float(self.dim)
+        if not (dim.is_integer() and dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "dim", int(dim))
         _positive(sigma=self.sigma)
-        if self.dim_ < 1:
-            raise ValueError("dim must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.dim_
 
     def cf(self, z: np.ndarray):
         return np.exp(-0.5 * self.sigma ** 2 * _lead_sum(z.T * z.T)), 0.0
 
     def sample(self, rng, size: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size=(size, self.dim_))
-
-    @property
-    def truncated_mean(self) -> np.ndarray:
-        return np.zeros(self.dim_)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.dim_)
+        return rng.normal(0.0, self.sigma, size=(size, self.dim))
 
     @property
     def abs_second_moment(self) -> float:
-        return self.dim_ * self.sigma ** 2
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def symmetrized(self) -> "GaussianJumps":
-        return self
-
-    def params(self) -> dict:
-        return {"sigma": self.sigma, "dim": self.dim_}
+        return self.dim * self.sigma ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +239,6 @@ class Categorical:
                            np.concatenate([self.probs, self.probs]) / 2.0)
         return Categorical(*both._merged())
 
-    def params(self) -> dict:
-        return {"points": self.points.tolist(), "probs": self.probs.tolist()}
-
 
 # PointMass and TwoPoint keep the names of the classes they replace.
 def PointMass(point) -> Categorical:
@@ -276,26 +252,24 @@ def TwoPoint(point) -> Categorical:
     return Categorical(np.vstack([p, -p]), [0.5, 0.5])
 
 
-_DIST_REGISTRY = {
-    "point_mass": lambda p: PointMass(np.asarray(p["point"], dtype=float)),
-    "two_point": lambda p: TwoPoint(np.asarray(p["point"], dtype=float)),
-    "uniform": lambda p: UniformJumps(float(p["halfwidth"])),
-    "gaussian": lambda p: GaussianJumps(float(p["sigma"]), int(p.get("dim", 1))),
-    "categorical": lambda p: Categorical(
-        np.asarray(p["points"], dtype=float), np.asarray(p["probs"], dtype=float)
-    ),
-}
+# The point_mass and two_point laws of earlier versions are read, as categorical laws,
+# and never written.
+_DISTS = {**{cls.name: cls for cls in (UniformJumps, GaussianJumps, Categorical)},
+          "point_mass": PointMass, "two_point": TwoPoint}
 
 
 def dist_from_dict(spec: dict):
-    """Rebuild a named jump distribution from {"name": ..., "params": {...}}."""
-    try:
-        name = spec["name"]
-    except KeyError:
-        raise ValueError("jump distribution spec missing field 'name'") from None
-    if name not in _DIST_REGISTRY:
+    """Rebuild a named jump distribution from {"name": ..., "params": {...}}, whose params
+    are the arguments of the named law's constructor; one with a default may be left out."""
+    name, = _read_spec(spec, "jump distribution spec", "name")
+    make = _DISTS.get(name) if isinstance(name, str) else None  # a JSON list or object is no name
+    if make is None:
         raise ValueError(f"unknown jump distribution {name!r}")
-    return _DIST_REGISTRY[name](spec.get("params", {}))
+    params = spec.get("params", {})
+    fields = inspect.signature(make).parameters.values()
+    _read_spec(params, f"jump distribution params ({name})",
+               *(f.name for f in fields if f.default is f.empty))
+    return make(**{f.name: params[f.name] for f in fields if f.name in params})
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +314,18 @@ class ScaledJumps:
         return {
             "kind": "scaled",
             "rate": self.rate,
-            "dist": {"name": self.dist.name, "params": self.dist.params()},
+            "dist": {"name": self.dist.name, "params": _spec_fields(self.dist)},
         }
 
 
-def _jumps_from_dict(spec: dict):
-    kind = spec.get("kind")
-    if kind == "discrete":  # the atom list of earlier versions
-        return cpp_from_atoms([(a["x"], a["mass"]) for a in spec["atoms"]]).jumps
+def _jumps_from_dict(spec: dict) -> ScaledJumps:
+    kind, = _read_spec(spec, "jump measure spec", "kind")
+    if kind == "discrete":  # the atom list of earlier versions: read, never written
+        atoms, = _read_spec(spec, "jump measure spec (discrete)", "atoms")
+        return cpp_from_atoms([_read_spec(a, "jump atom spec", "x", "mass") for a in atoms]).jumps
     if kind == "scaled":
-        return ScaledJumps(float(spec["rate"]), dist_from_dict(spec["dist"]))
+        rate, dist = _read_spec(spec, "jump measure spec (scaled)", "rate", "dist")
+        return ScaledJumps(float(rate), dist_from_dict(dist))
     raise ValueError(f"unknown jump measure kind {kind!r}")
 
 
@@ -501,6 +477,24 @@ def cpp_from_atoms(atoms, drift=0.0) -> LevyTriplet:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+def _read_spec(spec, what: str, *names: str) -> list:
+    """The named fields of the JSON object `spec`, called `what`, in order; a ValueError
+    says that `spec` is no object, or names the first field it lacks."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    for name in names:
+        if name not in spec:
+            raise ValueError(f"{what} missing field {name!r}")
+    return [spec[name] for name in names]
+
+
+def _spec_fields(obj) -> dict:
+    """A dataclass's constructor fields by name, in order, arrays as nested lists: the
+    keys a jump law's params and a closed path form are written with and read back from."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
+
+
 def triplet_to_dict(triplet: LevyTriplet) -> dict:
     out = {
         "gamma": triplet.gamma.tolist(),
@@ -512,12 +506,6 @@ def triplet_to_dict(triplet: LevyTriplet) -> dict:
 
 
 def triplet_from_dict(spec: dict) -> LevyTriplet:
-    for field in ("gamma", "gaussian"):
-        if field not in spec:
-            raise ValueError(f"triplet spec missing field {field!r}")
-    jumps = _jumps_from_dict(spec["jumps"]) if spec.get("jumps") else None
-    return LevyTriplet(
-        np.asarray(spec["gamma"], dtype=float),
-        np.asarray(spec["gaussian"], dtype=float),
-        jumps,
-    )
+    gamma, gaussian = _read_spec(spec, "triplet spec", "gamma", "gaussian")
+    jumps = spec.get("jumps")  # absent or null: no jumps
+    return LevyTriplet(gamma, gaussian, None if jumps is None else _jumps_from_dict(jumps))

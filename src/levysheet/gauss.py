@@ -126,7 +126,8 @@ def gaussian_joint_cf(law: GaussPathLaw, times, zs) -> complex:
 
 
 def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray:
-    """Exact-in-law samples on the grid; returns an (n_paths, n, dim) array.
+    """Exact-in-law samples on the grid; returns an (n_paths, n, dim) view of the
+    (dim, n_paths, n) buffer they are drawn into, so that d > 1 copies nothing.
 
     Each component is y(t) B_{r(t)} for a standard BM B in the ratio time
     r = x/y, drawn as the cumulative sum of independent N(0, diff(r))
@@ -144,7 +145,7 @@ def simulate_paths(law: GaussPathLaw, grid, rng, n_paths: int = 1) -> np.ndarray
     rows = vals.reshape(law.dim * n_paths, ys.size)
     _run_blocks(rows.shape[0], ys.size, rng,
                 lambda lo, hi, gen: _draw_block(rows[lo:hi], gen, std, ys, dead))
-    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    return np.moveaxis(vals, 0, -1)
 
 
 def _ratio_time(law: GaussPathLaw, grid):

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exponent import _read_spec, _spec_fields
+
 __all__ = [
     "DecreasingPath",
     "LinearPath",
@@ -691,32 +693,23 @@ def path_to_dict(path: DecreasingPath) -> dict:
         return {"form": "tabulated", "knots": knots}
     if not isinstance(path, _CLOSED_FORMS):
         raise TypeError(f"cannot serialize object of type {type(path).__name__}")
-    return {"form": path.FORM, **{f.name: getattr(path, f.name) for f in dataclasses.fields(path)}}
+    return {"form": path.FORM, **_spec_fields(path)}
 
 
 def path_from_dict(spec: dict) -> DecreasingPath:
-    try:
-        form = spec["form"]
-    except KeyError:
-        raise ValueError("path spec missing field 'form'") from None
-
-    def need(*fields):
-        missing = [f for f in fields if f not in spec]
-        if missing:
-            raise ValueError(f"path spec ({form}) missing field {missing[0]!r}")
-        return [float(spec[f]) for f in fields]
-
+    form, = _read_spec(spec, "path spec", "form")
+    what = f"path spec ({form})"
     if isinstance(form, str) and form in _CLOSED_BY_FORM:  # a JSON list or object is no form
         cls = _CLOSED_BY_FORM[form]
-        return cls(*need(*(f.name for f in dataclasses.fields(cls))))
+        return cls(*map(float, _read_spec(spec, what, *(f.name for f in dataclasses.fields(cls)))))
     if form == "horizontal":
-        y, xi, xs, lo, hi = need("y", "x_intercept", "x_slope", "t_lo", "t_hi")
+        y, xi, xs, lo, hi = map(float, _read_spec(spec, what, "y", "x_intercept", "x_slope",
+                                                  "t_lo", "t_hi"))
         return HorizontalPath.affine(xi, xs, y, lo, hi)
     if form == "vertical":
-        x, yi, ys, lo, hi = need("x", "y_intercept", "y_slope", "t_lo", "t_hi")
+        x, yi, ys, lo, hi = map(float, _read_spec(spec, what, "x", "y_intercept", "y_slope",
+                                                  "t_lo", "t_hi"))
         return VerticalPath.affine(yi, ys, x, lo, hi)
     if form == "tabulated":
-        if "knots" not in spec:
-            raise ValueError("path spec (tabulated) missing field 'knots'")
-        return TabulatedPath.from_knots(spec["knots"])
+        return TabulatedPath.from_knots(*_read_spec(spec, what, "knots"))
     raise ValueError(f"unknown path form {form!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,24 +140,17 @@ class OUWitness:
 
 @dataclass(frozen=True)
 class OUDistinguishReport:
-    witness: OUWitness | None
-    max_gap: float
+    max_gap: float  # the fields in the order of the JSON keys
     n_probes: int
     gap_threshold: float
+    witness: OUWitness | None
 
     @property
     def distinguishable(self) -> bool:
         return self.witness is not None
 
     def to_dict(self) -> dict:
-        out = {"max_gap": self.max_gap, "n_probes": self.n_probes,
-               "gap_threshold": self.gap_threshold}
-        if self.witness is None:
-            out["witness"] = None
-        else:
-            out["witness"] = {"t": self.witness.t, "z": list(self.witness.z),
-                              "gap": self.witness.gap}
-        return out
+        return asdict(self)
 
 
 def default_ou_probes(dim: int):

@@ -59,31 +59,32 @@ def _report(name, statistic, threshold, seed, n=None, **extra):
 # Random instances shared by several criteria
 # ---------------------------------------------------------------------------
 
-def _random_stationary_path(rng, family: str):
+def _random_stationary_path(rng, tag: PathTag):
     t_hi = float(rng.uniform(0.5, 2.0))
-    if family == "horizontal":
+    if tag is PathTag.HORIZONTAL:
         return HorizontalPath.affine(rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0),
                                      rng.uniform(0.5, 2.0), 0.0, t_hi)
-    if family == "vertical":
+    if tag is PathTag.VERTICAL:
         slope = rng.uniform(0.5, 2.0)
         intercept = slope * t_hi + rng.uniform(0.1, 1.0)
         return VerticalPath.affine(intercept, slope, rng.uniform(0.5, 2.0), 0.0, t_hi)
-    if family == "corner":
+    if tag is PathTag.V_THEN_H:
         a, b, c = rng.uniform(0.5, 2.0, size=3)
         return VThenHPath(float(rng.uniform(0.25, 0.75)) * t_hi, a, b, c,
                           a * c / b, 0.0, t_hi)
-    if family == "linear":
+    if tag is PathTag.LINEAR:
         b, d = rng.uniform(0.5, 2.0, size=2)
         a = rng.uniform(0.0, 1.0)
         c = d * t_hi + rng.uniform(0.05, 1.0)
         return LinearPath(a, b, c, d, 0.0, t_hi)
-    if family == "exponential":
+    if tag is PathTag.EXPONENTIAL:
         a, b, c = rng.uniform(0.5, 2.0, size=3)
         return ExponentialPath(a, b, c, 0.0, t_hi)
-    raise ValueError(family)
+    raise ValueError(tag)
 
 
-_FAMILIES = ("horizontal", "vertical", "corner", "linear", "exponential")
+_FAMILIES = (PathTag.HORIZONTAL, PathTag.VERTICAL, PathTag.V_THEN_H, PathTag.LINEAR,
+             PathTag.EXPONENTIAL)
 
 
 def _random_path(rng):
@@ -116,25 +117,15 @@ def _nonstationary_tabulated(rng, kind: int) -> TabulatedPath:
 # Criterion 1: the path classifier and its phi
 # ---------------------------------------------------------------------------
 
-_EXPECTED_TAG = {
-    "horizontal": PathTag.HORIZONTAL,
-    "vertical": PathTag.VERTICAL,
-    "corner": PathTag.V_THEN_H,
-    "linear": PathTag.LINEAR,
-    "exponential": PathTag.EXPONENTIAL,
-}
-
-
 def criterion_1(seed: int = DEFAULT_SEED):
     rng = _rng(seed, 1)
     tag_failures = 0
     worst_resid = 0.0
-    families = ["horizontal"] * 10 + ["vertical"] * 10 + ["corner"] * 20 \
-        + ["linear"] * 20 + ["exponential"] * 20
+    families = [tag for tag, count in zip(_FAMILIES, (10, 10, 20, 20, 20)) for _ in range(count)]
     for family in families:
         path = _random_stationary_path(rng, family)
         cls = classify(path)
-        if cls.tag is not _EXPECTED_TAG[family]:
+        if cls.tag is not family:
             tag_failures += 1
             continue
         s = rng.uniform(path.t_lo, path.t_hi, size=1000)
@@ -178,7 +169,7 @@ def _increment_law(seed: int):
         s, t = np.sort(rng.uniform(path.t_lo, path.t_hi, size=2))
         z = float(rng.uniform(-3.0, 3.0))
         for triplet, symmetric in _INCREMENT_LAWS:
-            must_raise = not symmetric and family in ("corner", "linear")
+            must_raise = not symmetric and family in (PathTag.V_THEN_H, PathTag.LINEAR)
             try:
                 law = fdd.stationary_increment_cf(triplet, cls, t - s, z)
             except ValueError:

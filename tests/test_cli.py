@@ -401,6 +401,36 @@ class TestErrors:
         assert main(["classify", "--path", str(bad)]) == 1
         assert "spiral" in capsys.readouterr().err
 
+    BRIDGE = {"form": "linear", "a": 0.0, "b": 1.0, "c": 1.0, "d": 1.0, "t_lo": 0.0, "t_hi": 1.0}
+    UNIFORM = {"name": "uniform", "params": {"halfwidth": 1.0}}
+
+    # (triplet's jumps, path spec, the one error line): each spec names itself and its field
+    @pytest.mark.parametrize("jumps, path, message", [
+        ([1], BRIDGE, "jump measure spec must be a JSON object, got list"),
+        ([], BRIDGE, "jump measure spec must be a JSON object, got list"),
+        ({}, BRIDGE, "jump measure spec missing field 'kind'"),
+        ({"rate": 1.0, "dist": UNIFORM}, BRIDGE, "jump measure spec missing field 'kind'"),
+        ({"kind": "scaled", "dist": UNIFORM}, BRIDGE, "jump measure spec (scaled) missing field 'rate'"),
+        ({"kind": "scaled", "rate": 1.0}, BRIDGE, "jump measure spec (scaled) missing field 'dist'"),
+        ({"kind": "scaled", "rate": 1.0, "dist": [1]}, BRIDGE,
+         "jump distribution spec must be a JSON object, got list"),
+        ({"kind": "scaled", "rate": 1.0, "dist": {"name": "uniform", "params": {}}}, BRIDGE,
+         "jump distribution params (uniform) missing field 'halfwidth'"),
+        ({"kind": "scaled", "rate": 1.0, "dist": {"name": "categorical", "params": {"points": [[1.0]]}}},
+         BRIDGE, "jump distribution params (categorical) missing field 'probs'"),
+        ({"kind": "scaled", "rate": 1.0, "dist": {"name": "gaussian", "params": {"sigma": 1.0, "dim": 1.5}}},
+         BRIDGE, "dim must be an integer >= 1, got 1.5"),
+        ({"kind": "discrete", "atoms": [{"x": [1.0]}]}, BRIDGE, "jump atom spec missing field 'mass'"),
+        (None, [1, 2], "path spec must be a JSON object, got list"),
+        (None, "linear", "path spec must be a JSON object, got str"),
+    ])
+    def test_malformed_spec_is_named(self, capsys, tmp_path, jumps, path, message):
+        triplet = write_json(tmp_path, "t.json", {"gamma": [0.0], "gaussian": [[0.0]], "jumps": jumps})
+        assert main(["cf", "--triplet", triplet, "--path", write_json(tmp_path, "p.json", path),
+                     "--times", "0.5", "--z", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 # (argv, flags that take a float, flags that take an integer); each argv keeps
 # its run small, and the bad value comes after it, so it wins

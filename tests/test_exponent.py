@@ -245,6 +245,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             ex.LevyTriplet(gamma, gaussian, jumps)
 
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, np.nan, np.inf, 2.000001])
+    def test_gaussian_jumps_dim_is_an_integer(self, dim):
+        with pytest.raises(ValueError, match=r"dim must be an integer >= 1, got "):
+            ex.GaussianJumps(1.0, dim)
+
+    def test_gaussian_jumps_dim_reads_as_int(self):
+        law = ex.GaussianJumps(1, 3.0)
+        assert (law.sigma, law.dim) == (1.0, 3) and type(law.dim) is int and type(law.sigma) is float
+
     @pytest.mark.parametrize("gaussian,has", [
         (np.zeros((2, 2)), False), (np.eye(2), True), (-np.zeros((2, 2)), True),
         ([[0.0, 1e-300], [1e-300, 0.0]], True)])

@@ -131,6 +131,17 @@ class TestSimulate:
                     want[i, j] = y * bm if x * y != 0.0 else 0.0
             assert got[:, :, k].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_components_are_views_of_one_draw(self, dim):
+        # the (dim, n_paths, n) rows are returned as they were drawn, without a second copy
+        grid = np.linspace(0.0, 1.0, 9)
+        got = gauss.simulate_paths(gauss.GaussPathLaw(bridge(), dim=dim), grid,
+                                   np.random.default_rng(49), n_paths=7)
+        buffer = got.base
+        assert got.shape == (7, 9, dim) and not got.flags.owndata
+        assert buffer.shape == (dim, 7, 9) and buffer.flags.c_contiguous and buffer.flags.owndata
+        assert np.shares_memory(got, buffer) and np.array_equal(np.moveaxis(buffer, 0, -1), got)
+
     def test_bridge_ends_pinned_inner_covariance(self):
         rng = np.random.default_rng(48)
         grid = [0.0, 0.3, 0.5, 0.6, 1.0]

@@ -1,6 +1,5 @@
-"""One round each of perfbench's cf-exact, cpp-dense-field and cpp-small-draws workloads,
-judged by the benchmark's own checker: every result matches its oracle and no operation
-fails.
+"""One round of each of perfbench's four workloads, judged by the benchmark's own
+checker: every result matches its oracle and no operation fails.
 
 The round is round 0 at seed 1, drawn from the stream `perfbench/run.py` gives
 it, and cf-exact's round includes its `python -m levysheet.cli cf` subprocess.
@@ -21,7 +20,7 @@ BENCH = ROOT / "perfbench"
 # (module, position in run.py's WORKLOADS table): run.py seeds round r of the
 # workload at that position with [seed, position, r]
 WORKLOADS = {"cf-exact": ("cf_exact", 3), "cpp-dense-field": ("cpp_dense", 2),
-             "cpp-small-draws": ("cpp_small", 1)}
+             "cpp-small-draws": ("cpp_small", 1), "gauss-crossing": ("gauss_crossing", 0)}
 
 
 class _Context:
